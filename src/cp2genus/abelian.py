@@ -5,16 +5,21 @@ divides the next); elements are exponent tuples, one residue per factor.
 A CyclicAction records how the unit group (Z/p^i)^* acts through a chosen
 generator, which is how the ideal class groups H(Z[zeta_{p^i}]) carry
 their Galois action here.
+
+Orbit counts come from one engine: the cycle type of the generator's
+permutation gives the fixed-point count of every power of it, and
+Burnside's lemma averages those counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import Cp2Error, EnumerationGuard
+from .errors import Cp2Error, EnumerationGuard, InternalError
 
 DEFAULT_GUARD = 10**6
 
@@ -47,13 +52,13 @@ class AbGroup:
             0 <= xi < f for xi, f in zip(x, self.factors)
         )
 
-    def elements(self, guard: int = DEFAULT_GUARD):
+    def check_guard(self, guard: int):
         if self.order > guard:
             raise EnumerationGuard(f"group of order {self.order} exceeds guard {guard}")
+
+    def elements(self, guard: int = DEFAULT_GUARD):
+        self.check_guard(guard)
         return list(product(*(range(f) for f in self.factors)))
-
-
-TRIVIAL_GROUP = AbGroup(())
 
 
 def _check_member(G: AbGroup, x):
@@ -67,11 +72,6 @@ def element_add(G: AbGroup, x, y) -> tuple[int, ...]:
     _check_member(G, x)
     _check_member(G, y)
     return tuple((a + b) % f for a, b, f in zip(x, y, G.factors))
-
-
-def element_neg(G: AbGroup, x) -> tuple[int, ...]:
-    _check_member(G, x)
-    return tuple((-a) % f for a, f in zip(x, G.factors))
 
 
 def reduce_element(G: AbGroup, raw) -> tuple[int, ...]:
@@ -166,11 +166,42 @@ class CyclicAction:
                 )
 
     def _apply_matrix(self, x) -> tuple[int, ...]:
-        fs = self.target.factors
-        M = self.generator_matrix
-        return tuple(
-            sum(M[i][j] * x[j] for j in range(len(x))) % fs[i] for i in range(len(x))
-        )
+        return _mat_vec(self.generator_matrix, self.target.factors, x)
+
+    @cached_property
+    def _dlog_table(self) -> dict[int, int]:
+        table: dict[int, int] = {}
+        x = 1
+        for d in range(self.acting_order):
+            table.setdefault(x, d)
+            x = x * self.generator_residue % self.modulus
+        return table
+
+    @cached_property
+    def _matrix_powers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """generator_matrix^d for d in range(acting_order), row i reduced
+        mod factor i (valid because the matrix is well defined on the group)."""
+        n, fs, M = self.target.rank, self.target.factors, self.generator_matrix
+        power = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        powers = []
+        for _ in range(self.acting_order):
+            powers.append(power)
+            power = tuple(
+                tuple(sum(M[i][l] * power[l][j] for l in range(n)) % fs[i] for j in range(n))
+                for i in range(n)
+            )
+        return tuple(powers)
+
+    @cached_property
+    def cycle_type(self) -> tuple[int, ...]:
+        """Cycle lengths of the generator on the group; the acting group is
+        cyclic, so these cycles are its orbits."""
+        return tuple(len(c) for c in orbits(self, guard=self.target.order))
+
+    @cached_property
+    def fixed_counts(self) -> tuple[int, ...]:
+        """Fixed points of generator^d on the group, for d in range(acting_order)."""
+        return fixed_point_counts(self.cycle_type, self.acting_order)
 
     def dlog(self, k: int) -> int:
         """Exponent d with generator_residue^d = k (mod modulus)."""
@@ -179,118 +210,81 @@ class CyclicAction:
             return 0
         if math.gcd(k, self.modulus) != 1:
             raise Cp2Error(f"{k} is not a unit mod {self.modulus}")
-        x = 1
-        for d in range(self.acting_order):
-            if x == k:
-                return d
-            x = x * self.generator_residue % self.modulus
-        raise Cp2Error(
-            f"{k} is not a power of generator {self.generator_residue} "
-            f"mod {self.modulus}"
-        )
+        try:
+            return self._dlog_table[k]
+        except KeyError:
+            raise Cp2Error(
+                f"{k} is not a power of generator {self.generator_residue} "
+                f"mod {self.modulus}"
+            ) from None
 
 
-def trivial_action(modulus: int, acting_order: int) -> CyclicAction:
-    return CyclicAction(TRIVIAL_GROUP, modulus, acting_order, primitive_root(modulus), ())
+def _mat_vec(M, factors, x) -> tuple[int, ...]:
+    return tuple(
+        sum(M[i][j] * x[j] for j in range(len(x))) % factors[i] for i in range(len(x))
+    )
 
 
 def apply_action(A: CyclicAction, k: int, x) -> tuple[int, ...]:
     _check_member(A.target, x)
-    d = A.dlog(k)
-    for _ in range(d):
-        x = A._apply_matrix(x)
-    return x
+    return _mat_vec(A._matrix_powers[A.dlog(k)], A.target.factors, x)
 
 
-def orbits(A: CyclicAction, guard: int = DEFAULT_GUARD) -> list[list[tuple[int, ...]]]:
-    """Partition of the group into orbits of the action.
+def cycles(points, step) -> list[list]:
+    """The cycles of the permutation step of the finite set points.
 
-    The count is cross-checked against the Burnside average internally.
+    Raises InternalError when step turns out not to be a permutation.
     """
-    elems = A.target.elements(guard)
     seen: set = set()
     parts = []
-    for e in elems:
+    for e in points:
         if e in seen:
             continue
-        orbit = [e]
+        cycle = [e]
         seen.add(e)
-        x = A._apply_matrix(e)
-        while x != e:
-            orbit.append(x)
+        x = step(e)
+        while x not in seen:
+            cycle.append(x)
             seen.add(x)
-            x = A._apply_matrix(x)
-        parts.append(orbit)
-    assert len(parts) == burnside_orbit_count(A, guard)
+            x = step(x)
+        if x != e:
+            raise InternalError(f"not a permutation: the walk from {e} runs into {x}")
+        parts.append(cycle)
     return parts
 
 
-def burnside_orbit_count(A: CyclicAction, guard: int = DEFAULT_GUARD) -> int:
-    """Average number of fixed points over the acting group."""
-    elems = A.target.elements(guard)
-    total = 0
-    for d in range(A.acting_order):
-        power = _matrix_power_map(A, d)
-        total += sum(1 for e in elems if power(e) == e)
-    assert total % A.acting_order == 0
-    return total // A.acting_order
+def orbits(A: CyclicAction, guard: int = DEFAULT_GUARD) -> list[list[tuple[int, ...]]]:
+    """Partition of the group into orbits of the action: the cycles of the generator."""
+    return cycles(A.target.elements(guard), A._apply_matrix)
 
 
-def _matrix_power_map(A: CyclicAction, d: int):
-    def go(x):
-        for _ in range(d):
-            x = A._apply_matrix(x)
-        return x
+def fixed_point_counts(cycle_type, order: int) -> tuple[int, ...]:
+    """Fixed points of s^d for d in range(order), where s is a permutation
+    with the given cycle lengths: a cycle of length L is fixed pointwise
+    by s^d exactly when L divides d."""
+    by_length = Counter(cycle_type)
+    return tuple(
+        sum(L * n for L, n in by_length.items() if d % L == 0) for d in range(order)
+    )
 
-    return go
+
+def burnside_count(fixed, order: int) -> int:
+    """Burnside's lemma for a cyclic group <g> of the given order: the
+    number of orbits is the average of the fixed-point counts of g^d."""
+    total = sum(fixed)
+    if total % order != 0:
+        raise InternalError(
+            f"fixed-point total {total} is not divisible by the group order {order}"
+        )
+    return total // order
 
 
 def orbit_count(A: CyclicAction, guard: int = DEFAULT_GUARD) -> int:
-    return len(orbits(A, guard))
+    """Number of orbits of the action, as a Burnside average."""
+    A.target.check_guard(guard)
+    return burnside_count(A.fixed_counts, A.acting_order)
 
 
-def diagonal_orbits(
-    driver_modulus: int,
-    actions: tuple[CyclicAction, ...],
-    extras: tuple = (),
-    guard: int = DEFAULT_GUARD,
-) -> int:
-    """Orbit count of the simultaneous action on the Cartesian product.
-
-    A unit k mod driver_modulus drives every component at once, acting on
-    the i-th group through k mod actions[i].modulus; the extras are
-    plain finite sets carrying the trivial action.
-    """
-    if driver_modulus < 2:
-        raise Cp2Error("driver modulus must be >= 2")
-    for A in actions:
-        if driver_modulus % A.modulus != 0:
-            raise Cp2Error(
-                f"action modulus {A.modulus} does not divide driver {driver_modulus}"
-            )
-    sizes = [A.target.order for A in actions] + [len(s) for s in extras]
-    if math.prod(sizes) > guard:
-        raise EnumerationGuard(f"product of size {math.prod(sizes)} exceeds guard {guard}")
-    component_elems = [A.target.elements(guard) for A in actions]
-    points = list(product(*component_elems, *[list(s) for s in extras]))
-    units = [k for k in range(1, driver_modulus) if math.gcd(k, driver_modulus) == 1]
-    na = len(actions)
-
-    def act(k, pt):
-        moved = tuple(
-            apply_action(actions[i], k % actions[i].modulus, pt[i]) for i in range(na)
-        )
-        return moved + pt[na:]
-
-    seen: set = set()
-    count = 0
-    for pt in points:
-        if pt in seen:
-            continue
-        count += 1
-        for k in units:
-            seen.add(act(k, pt))
-    # Burnside cross-check over the full driving group
-    total = sum(sum(1 for pt in points if act(k, pt) == pt) for k in units)
-    assert total % len(units) == 0 and total // len(units) == count
-    return count
+def burnside_orbit_count(A: CyclicAction, guard: int = DEFAULT_GUARD) -> int:
+    """Average number of fixed points over the acting group (orbit_count)."""
+    return orbit_count(A, guard)

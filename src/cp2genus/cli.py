@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import classdata, galois, genus, iso, lattice, materialize
-from .errors import Cp2Error, NeedsConfig, ParseError, UnsupportedPrime
+from .errors import Cp2Error, InternalError, NeedsConfig, ParseError, UnsupportedPrime
 
 
 def _context(args):
@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     except (UnsupportedPrime, NeedsConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
     except Cp2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

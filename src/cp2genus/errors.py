@@ -43,3 +43,7 @@ class NontrivialClass(Cp2Error):
 
 class EnumerationGuard(Cp2Error):
     """Requested enumeration exceeds the configured size guard."""
+
+
+class InternalError(Cp2Error):
+    """A consistency check inside the package failed; this is a bug, not bad input."""

@@ -7,16 +7,19 @@ and replaces each unit parameter u by the canonical representative of
 its image under the ring map l -> (1+l)^k - 1; exponents r and type
 tags are untouched.  Two faithful semidirect products are isomorphic
 as groups exactly when one module is isomorphic to some twist of the
-other, which is what twisted_isomorphic searches for.
+other, which is what twisted_isomorphic searches for, by acting on
+isomorphism invariants directly (act_on_invariants).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from . import iso, lattice
 from .abelian import apply_action
 from .errors import Cp2Error
+from .iso import IsoInvariants
 from .lattice import LatticeDescriptor, Summand
 from .modring import galois_on_unit
 
@@ -55,18 +58,39 @@ def galois_units(p: int) -> list[int]:
     return [k for k in range(1, p * p) if k % p != 0]
 
 
+def act_on_invariants(context, k: int, inv: IsoInvariants) -> IsoInvariants:
+    """The invariants of twist(D, k), computed from inv = invariants_of(D).
+
+    Twisting moves the ideal classes by the class-group actions and the
+    u0 coset by the ring map l -> (1+l)^k - 1; the genus, t and the
+    quadratic character (the constant term of u0) do not change.
+    """
+    u = inv.u0_class
+    if u is not None:
+        u = context.unit_quotient(inv.t).rep_of(galois_on_unit(k, u))
+    return replace(
+        inv,
+        R_class=apply_action(context.H_p, k % context.p, inv.R_class),
+        S_class=apply_action(context.H_p2, k, inv.S_class),
+        u0_class=u,
+    )
+
+
 def twisted_isomorphic(D1: LatticeDescriptor, D2: LatticeDescriptor):
     """Smallest k with D1 isomorphic to twist(D2, k), or None.
 
-    The search runs over all phi(p^2) Galois elements; twisting
-    preserves the genus, so descriptors in different genera are
+    The search runs over all phi(p^2) Galois elements, acting on the
+    invariants of D2 rather than re-deriving them from each twist;
+    twisting preserves the genus, so descriptors in different genera are
     rejected immediately.
     """
     if D1.p != D2.p or D1.context != D2.context:
         raise Cp2Error("descriptors live over different primes or class data")
     if not iso.same_genus(D1, D2):
         return None
+    target = iso.invariants_of(D1)
+    inv = iso.invariants_of(D2)
     for k in galois_units(D1.p):
-        if iso.isomorphic(D1, twist(D2, k)):
+        if act_on_invariants(D2.context, k, inv) == target:
             return k
     return None

@@ -6,8 +6,9 @@ For a faithful semidirect product the genus size is computed two ways:
   of the Galois actions on the two class groups, on U_t, and the
   two-element split detected by Sigma;
 
-* direct enumeration: list every isomorphism-invariant tuple in the
-  genus of the module, then count orbits of the diagonal G(p^2) action.
+* the orbit engine: count orbits of the diagonal G(p^2) action on the
+  isomorphism-invariant tuples of the genus by Burnside's lemma, from
+  the fixed-point counts of each coordinate set separately.
 
 The two engines agree on every tested shape with trivial class groups;
 with nontrivial class data any disagreement is reported, never
@@ -16,14 +17,21 @@ suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
 from . import galois, iso, lattice, modring
-from .abelian import apply_action, orbit_count, primitive_root
+from .abelian import (
+    CyclicAction,
+    burnside_count,
+    cycles,
+    fixed_point_counts,
+    orbit_count,
+    primitive_root,
+)
 from .classdata import ClassData
-from .errors import EnumerationGuard, NotFaithful
+from .errors import EnumerationGuard, InternalError, NotFaithful
 from .iso import IsoInvariants
 from .lattice import Faithfulness, LatticeDescriptor
 
@@ -86,112 +94,121 @@ def profinite_isomorphic(E1: SemidirectDescriptor, E2: SemidirectDescriptor) -> 
 
 
 @lru_cache(maxsize=None)
-def ut_orbit_count(context: ClassData, t: int) -> int:
-    """Orbits of the Galois action on the coset representatives of U_t."""
+def _ut_fixed_counts(context: ClassData, t: int) -> tuple[int, ...]:
+    """Fixed points of gen^d on the U_t representatives for d < phi(p^2),
+    gen the primitive root mod p^2, from the cycle type of the
+    permutation rep_of(galois_on_unit(gen, .)) of the representatives."""
     quotient = context.unit_quotient(t)
     gen = primitive_root(context.p ** 2)
-    seen: set = set()
-    count = 0
-    for rep in quotient.reps:
-        if rep in seen:
-            continue
-        count += 1
-        x = rep
-        while x not in seen:
-            seen.add(x)
-            x = quotient.rep_of(modring.galois_on_unit(gen, x))
-    return count
+    perm = cycles(
+        quotient.reps, lambda u: quotient.rep_of(modring.galois_on_unit(gen, u))
+    )
+    return fixed_point_counts([len(c) for c in perm], context.p * (context.p - 1))
 
 
-def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[IsoInvariants]:
-    """Every isomorphism-invariant tuple realized in the genus of D.
+def ut_orbit_count(context: ClassData, t: int) -> int:
+    """Orbits of the Galois action on the coset representatives of U_t."""
+    return burnside_count(_ut_fixed_counts(context, t), context.p * (context.p - 1))
 
-    Class coordinates range over the full class group exactly when some
+
+@dataclass(frozen=True)
+class _GenusCoordinates:
+    """The coordinate sets of the invariant tuples in the genus of D.
+
+    The R and S classes range over the whole class group when live and
+    are the identity otherwise; u_range and chi_range list their values.
+    """
+
+    base: IsoInvariants
+    r_live: bool
+    s_live: bool
+    u_range: tuple
+    chi_range: tuple
+
+
+def _genus_coordinates(D: LatticeDescriptor, guard: int) -> _GenusCoordinates:
+    """Class coordinates range over the full class group exactly when some
     summand carries the corresponding ideal slot; the U_t coordinate
     ranges over all cosets exactly when the coset invariant applies and
     an extension summand is present; the quadratic character takes both
     signs exactly when it applies and the merged C/D part is nonzero.
+
+    Raises EnumerationGuard when the genus has more than guard tuples.
     """
     ctx = D.context
     base = iso.invariants_of(D)
-    Hp, Hp2 = ctx.H_p.target, ctx.H_p2.target
-
-    r_size = Hp.order if lattice.has_R_slot(D) else 1
-    s_size = Hp2.order if lattice.has_S_slot(D) else 1
+    r_live = lattice.has_R_slot(D)
+    s_live = lattice.has_S_slot(D)
     has_ext = any(s.kind in lattice.EXTENSION_KINDS for s in D.summands)
     if base.u0_class is not None and has_ext:
-        u_range = list(ctx.unit_quotient(base.t).reps)
+        u_range = ctx.unit_quotient(base.t).reps
     else:
-        u_range = [base.u0_class]
+        u_range = (base.u0_class,)
     if base.quad_char is not None and sum(base.padic.cd) >= 1:
-        chi_range = [1, -1]
+        chi_range = (1, -1)
     else:
-        chi_range = [base.quad_char]
+        chi_range = (base.quad_char,)
 
+    r_size = ctx.H_p.target.order if r_live else 1
+    s_size = ctx.H_p2.target.order if s_live else 1
     total = r_size * s_size * len(u_range) * len(chi_range)
     if total > guard:
         raise EnumerationGuard(f"genus of size {total} exceeds guard {guard}")
-
-    r_range = Hp.elements(guard) if lattice.has_R_slot(D) else [Hp.identity()]
-    s_range = Hp2.elements(guard) if lattice.has_S_slot(D) else [Hp2.identity()]
-    out = []
-    for rc in r_range:
-        for sc in s_range:
-            for u in u_range:
-                for chi in chi_range:
-                    out.append(
-                        IsoInvariants(
-                            padic=base.padic,
-                            R_class=rc,
-                            S_class=sc,
-                            t=base.t,
-                            u0_class=u,
-                            quad_char=chi,
-                        )
-                    )
-    return out
+    return _GenusCoordinates(base, r_live, s_live, u_range, chi_range)
 
 
-def _act_on_invariants(
-    ctx: ClassData, k: int, inv: IsoInvariants, quotient
-) -> IsoInvariants:
-    u = inv.u0_class
-    if u is not None:
-        u = quotient.rep_of(modring.galois_on_unit(k, u))
-    return IsoInvariants(
-        padic=inv.padic,
-        R_class=apply_action(ctx.H_p, k % ctx.p, inv.R_class),
-        S_class=apply_action(ctx.H_p2, k, inv.S_class),
-        t=inv.t,
-        u0_class=u,
-        quad_char=inv.quad_char,
-    )
+def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[IsoInvariants]:
+    """Every isomorphism-invariant tuple realized in the genus of D."""
+    co = _genus_coordinates(D, guard)
+    Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
+    r_range = Hp.elements(guard) if co.r_live else [Hp.identity()]
+    s_range = Hp2.elements(guard) if co.s_live else [Hp2.identity()]
+    return [
+        replace(co.base, R_class=rc, S_class=sc, u0_class=u, quad_char=chi)
+        for rc in r_range
+        for sc in s_range
+        for u in co.u_range
+        for chi in co.chi_range
+    ]
+
+
+def _driven_fixed_counts(A: CyclicAction, gen: int, order: int) -> tuple[int, ...]:
+    """Fixed points of gen^d acting through A, for d in range(order)."""
+    e = A.dlog(gen)
+    return tuple(A.fixed_counts[e * d % A.acting_order] for d in range(order))
 
 
 def orbit_genus_count(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> int:
     """Number of orbits of the diagonal Galois action on the genus of D.
 
     For a faithful module this is exactly the number of isomorphism
-    classes of groups in the profinite genus of Z^n x| C_{p^2}.
+    classes of groups in the profinite genus of Z^n x| C_{p^2}.  The
+    genus is the product of its coordinate sets and G(p^2) is cyclic, so
+    Burnside's lemma gives (1/|G|) sum_d prod_i fix_i(gen^d) without
+    listing the tuples.
     """
     ctx = D.context
-    tuples = enumerate_genus(D, guard)
-    # the U_t quotient is only needed when the coset coordinate is live
-    quotient = None
-    if tuples and tuples[0].u0_class is not None:
-        quotient = ctx.unit_quotient(lattice.t_of(D))
+    co = _genus_coordinates(D, guard)
+    order = ctx.p * (ctx.p - 1)
     gen = primitive_root(ctx.p ** 2)
-    seen: set = set()
-    count = 0
-    for inv in tuples:
-        if inv in seen:
-            continue
-        count += 1
-        x = inv
-        while x not in seen:
-            seen.add(x)
-            x = _act_on_invariants(ctx, gen, x, quotient)
-    return count
+    ones = (1,) * order
+    # a singleton class coordinate is the identity class, fixed by every
+    # automorphism; the character carries the trivial action
+    fix_r = _driven_fixed_counts(ctx.H_p, gen, order) if co.r_live else ones
+    fix_s = _driven_fixed_counts(ctx.H_p2, gen, order) if co.s_live else ones
+    if len(co.u_range) > 1:
+        fix_u = _ut_fixed_counts(ctx, co.base.t)
+    else:
+        u = co.u_range[0]
+        if u is not None:
+            quotient = ctx.unit_quotient(co.base.t)
+            if quotient.rep_of(modring.galois_on_unit(gen, u)) != u:
+                raise InternalError(f"the fixed coset coordinate {u} is not Galois-stable")
+        fix_u = ones
+    n_chi = len(co.chi_range)
+    return burnside_count(
+        (fix_r[d] * fix_s[d] * fix_u[d] * n_chi for d in range(order)), order
+    )
 
 
 def closed_form_count(E: SemidirectDescriptor) -> Optional[tuple[int, str]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import AmbientMismatch, Cp2Error, NonUnit
+from .errors import AmbientMismatch, Cp2Error, InternalError, NonUnit
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,11 @@ def _quotient(p: int, m: int, subgroup: UnitSubgroup) -> UnitQuotient:
         for v in coset:
             index[v] = rep
         reps.append(rep)
-    assert len(reps) * subgroup.order == len(units)
+    if len(reps) * subgroup.order != len(units):
+        raise InternalError(
+            f"{len(reps)} cosets of a subgroup of order {subgroup.order} "
+            f"do not cover the {len(units)} units"
+        )
     reps.sort(key=lambda v: v.coeffs)
     return UnitQuotient(p, m, subgroup, tuple(reps), index)
 

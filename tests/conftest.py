@@ -78,7 +78,8 @@ def indecomposable_templates(p, ctx):
     return out
 
 
-def random_summand(rng: random.Random, p, ctx):
+def random_summand(rng: random.Random, p, ctx, max_m=None):
+    """A random summand; max_m caps the index m of its unit quotient U_m."""
     kind = rng.choice(lattice.KINDS)
     if kind == "D" and p % 4 != 1:
         kind = "C"
@@ -93,17 +94,19 @@ def random_summand(rng: random.Random, p, ctx):
         return lattice.make_summand(p, ctx, kind, b=b)
     if kind in ("c", "Ec"):
         return lattice.make_summand(p, ctx, kind, c=c)
-    r = rng.choice(list(lattice.r_range(kind, p)))
+    r = rng.choice([r for r in lattice.r_range(kind, p)
+                    if max_m is None or lattice.unit_index(kind, r, p) <= max_m])
     m = lattice.unit_index(kind, r, p)
     u = rng.choice(ctx.unit_quotient(m).reps)
     return lattice.make_summand(p, ctx, kind, b=b, c=c, r=r, u=u)
 
 
-def random_descriptor(rng: random.Random, p, ctx, max_summands=3, faithful=False):
+def random_descriptor(rng: random.Random, p, ctx, max_summands=3, faithful=False,
+                      max_m=None):
     while True:
         k = rng.randint(1, max_summands)
         D = lattice.descriptor(
-            p, ctx, [random_summand(rng, p, ctx) for _ in range(k)]
+            p, ctx, [random_summand(rng, p, ctx, max_m) for _ in range(k)]
         )
         if not faithful or lattice.faithfulness(D) == lattice.Faithfulness.FAITHFUL:
             return D

@@ -1,0 +1,134 @@
+"""Brute-force oracles the tests compare the library's fast paths against.
+
+Each one does the job the slow, direct way: walking orbits point by
+point, applying the generator matrix power by power, or twisting a
+descriptor and re-deriving its invariants.
+"""
+
+import math
+from itertools import product
+
+from cp2genus import galois, genus, iso, modring
+from cp2genus.abelian import (
+    DEFAULT_GUARD,
+    AbGroup,
+    CyclicAction,
+    apply_action,
+    primitive_root,
+)
+from cp2genus.errors import Cp2Error, EnumerationGuard
+
+
+def element_neg(G: AbGroup, x) -> tuple[int, ...]:
+    return tuple((-a) % f for a, f in zip(x, G.factors))
+
+
+def trivial_action(modulus: int, acting_order: int) -> CyclicAction:
+    return CyclicAction(AbGroup(()), modulus, acting_order, primitive_root(modulus), ())
+
+
+def brute_fixed_counts(A: CyclicAction) -> tuple[int, ...]:
+    """Fixed points of generator^d for each d < acting_order, by applying
+    the generator matrix d times to every element."""
+    elems = A.target.elements()
+    counts = []
+    for d in range(A.acting_order):
+        fixed = 0
+        for e in elems:
+            x = e
+            for _ in range(d):
+                x = A._apply_matrix(x)
+            fixed += x == e
+        counts.append(fixed)
+    return tuple(counts)
+
+
+def walk_orbit_count(points, step) -> int:
+    """Orbits of the group generated by step, walking each orbit once."""
+    seen: set = set()
+    count = 0
+    for start in points:
+        if start in seen:
+            continue
+        count += 1
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = step(x)
+    return count
+
+
+def brute_ut_orbit_count(context, t: int) -> int:
+    quotient = context.unit_quotient(t)
+    gen = primitive_root(context.p ** 2)
+    return walk_orbit_count(
+        quotient.reps, lambda u: quotient.rep_of(modring.galois_on_unit(gen, u))
+    )
+
+
+def brute_orbit_genus_count(D, guard: int = DEFAULT_GUARD) -> int:
+    """Orbits of the diagonal Galois action, walked over the listed genus."""
+    ctx = D.context
+    gen = primitive_root(ctx.p ** 2)
+    return walk_orbit_count(
+        genus.enumerate_genus(D, guard),
+        lambda inv: galois.act_on_invariants(ctx, gen, inv),
+    )
+
+
+def twist_search(D1, D2):
+    """Smallest k with D1 isomorphic to twist(D2, k), twisting the
+    descriptor and re-deriving its invariants for every k."""
+    if not iso.same_genus(D1, D2):
+        return None
+    for k in galois.galois_units(D1.p):
+        if iso.isomorphic(D1, galois.twist(D2, k)):
+            return k
+    return None
+
+
+def diagonal_orbits(
+    acting_modulus: int,
+    actions: tuple[CyclicAction, ...],
+    extras: tuple = (),
+    guard: int = DEFAULT_GUARD,
+) -> int:
+    """Orbit count of the simultaneous action on the Cartesian product.
+
+    A unit k mod acting_modulus acts on every component at once, acting on
+    the i-th group through k mod actions[i].modulus; the extras are
+    plain finite sets carrying the trivial action.
+    """
+    if acting_modulus < 2:
+        raise Cp2Error("acting modulus must be >= 2")
+    for A in actions:
+        if acting_modulus % A.modulus != 0:
+            raise Cp2Error(
+                f"action modulus {A.modulus} does not divide {acting_modulus}"
+            )
+    sizes = [A.target.order for A in actions] + [len(s) for s in extras]
+    if math.prod(sizes) > guard:
+        raise EnumerationGuard(f"product of size {math.prod(sizes)} exceeds guard {guard}")
+    component_elems = [A.target.elements(guard) for A in actions]
+    points = list(product(*component_elems, *[list(s) for s in extras]))
+    units = [k for k in range(1, acting_modulus) if math.gcd(k, acting_modulus) == 1]
+    na = len(actions)
+
+    def act(k, pt):
+        moved = tuple(
+            apply_action(actions[i], k % actions[i].modulus, pt[i]) for i in range(na)
+        )
+        return moved + pt[na:]
+
+    seen: set = set()
+    count = 0
+    for pt in points:
+        if pt in seen:
+            continue
+        count += 1
+        for k in units:
+            seen.add(act(k, pt))
+    # Burnside cross-check over the full acting group
+    total = sum(sum(1 for pt in points if act(k, pt) == pt) for k in units)
+    assert total % len(units) == 0 and total // len(units) == count
+    return count

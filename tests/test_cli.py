@@ -1,6 +1,8 @@
 import json
 
+from cp2genus import iso
 from cp2genus.cli import main
+from cp2genus.errors import InternalError
 
 
 def run(capsys, *argv):
@@ -94,6 +96,16 @@ def test_padic_command(capsys):
 def test_parse_error_exit_2(capsys):
     code, out, err = run(capsys, "iso", "--p", "3", "Z +", "Z")
     assert code == 2 and "position" in err
+
+
+def test_internal_error_exit_2(capsys, monkeypatch):
+    def broken(D1, D2):
+        raise InternalError("consistency check failed")
+
+    monkeypatch.setattr(iso, "isomorphic", broken)
+    code, out, err = run(capsys, "iso", "--p", "3", "Z", "Z")
+    assert code == 2 and out == ""
+    assert err.strip() == "internal error: consistency check failed"
 
 
 def test_unsupported_prime_exit_3(capsys):

@@ -6,6 +6,7 @@ from cp2genus import galois, iso, lattice as lat, modring
 from cp2genus.errors import Cp2Error
 
 from conftest import random_descriptor, synthetic_c43
+from oracles import twist_search
 
 
 def test_twist_identity(ctx2, ctx3, ctx5):
@@ -104,6 +105,17 @@ def test_twisted_isomorphic_finds_twist():
         found = galois.twisted_isomorphic(D, T)
         assert found is not None
         assert iso.isomorphic(D, galois.twist(T, found))
+
+
+def test_invariant_twist_search_matches_descriptor_search(ctx3, ctx5):
+    rng = random.Random(8)
+    for p, ctx in ((3, ctx3), (5, ctx5), (7, synthetic_c43())):
+        for _ in range(15):
+            D1 = random_descriptor(rng, p, ctx, max_m=6)
+            k = rng.choice(galois.galois_units(p))
+            D2 = random_descriptor(rng, p, ctx, max_m=6)
+            for other in (galois.twist(D1, k), D2, D1):
+                assert galois.twisted_isomorphic(D1, other) == twist_search(D1, other)
 
 
 def test_twisted_isomorphic_negative(ctx3, ctx5):

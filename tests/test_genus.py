@@ -3,10 +3,13 @@ import random
 
 import pytest
 
-from cp2genus import abelian, galois, genus, iso, lattice as lat
-from cp2genus.errors import EnumerationGuard, NotFaithful
+from hypothesis import given, settings, strategies as st
+
+from cp2genus import classdata, galois, genus, iso, lattice as lat, modring
+from cp2genus.errors import EnumerationGuard, InternalError, NotFaithful
 
 from conftest import indecomposable_templates, random_descriptor, synthetic_c43
+from oracles import brute_orbit_genus_count, brute_ut_orbit_count, diagonal_orbits
 
 SD = genus.SemidirectDescriptor
 
@@ -109,6 +112,15 @@ def test_genus_report_guard_note(ctx5):
     assert rep.value == rep.closed_form[0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([3, 5]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_orbit_count_twist_invariant_property(p, seed, data):
+    ctx = classdata.builtin(p)
+    D = random_descriptor(random.Random(seed), p, ctx)
+    k = data.draw(st.sampled_from(galois.galois_units(p)))
+    assert genus.orbit_genus_count(galois.twist(D, k)) == genus.orbit_genus_count(D)
+
+
 def test_orbit_count_twist_invariant(ctx3, ctx5):
     rng = random.Random(22)
     for p, ctx in ((3, ctx3), (5, ctx5)):
@@ -161,7 +173,34 @@ def test_c43_matches_diagonal_orbit_oracle():
     ctx = synthetic_c43()
     D = lat.parse("Ec(1)", 7, ctx)
     # genus tuples: S-class runs over C_43, everything else fixed
-    assert genus.orbit_genus_count(D) == abelian.diagonal_orbits(49, (ctx.H_p2,), ())
+    assert genus.orbit_genus_count(D) == diagonal_orbits(49, (ctx.H_p2,), ())
+
+
+def test_orbit_engine_matches_walk_nontrivial_classes():
+    # U_7 is left out (max_m=6): building it takes seconds
+    rng = random.Random(41)
+    for ctx in (synthetic_c43(), classdata_both_nontrivial()):
+        for _ in range(25):
+            D = random_descriptor(rng, 7, ctx, faithful=True, max_m=6)
+            assert genus.orbit_genus_count(D) == brute_orbit_genus_count(D), lat.render(D)
+
+
+def test_ut_orbit_count_matches_walk(ctx2, ctx3, ctx5):
+    for p, ctx, ms in ((2, ctx2, range(3)), (3, ctx3, range(4)), (5, ctx5, range(6)),
+                       (7, synthetic_c43(), range(7))):
+        for m in ms:
+            assert genus.ut_orbit_count(ctx, m) == brute_ut_orbit_count(ctx, m), (p, m)
+
+
+def test_orbit_engine_rejects_unstable_fixed_coordinate(ctx5, monkeypatch):
+    # "Z" at p = 5: the u0 coset is a single fixed point of U_4, which has
+    # 2 orbits; a Galois map moving it must not yield a count
+    D = lat.parse("Z", 5, ctx5)
+    reps = ctx5.unit_quotient(lat.t_of(D)).reps
+    other = next(r for r in reps if r != iso.invariants_of(D).u0_class)
+    monkeypatch.setattr(modring, "galois_on_unit", lambda k, x: other)
+    with pytest.raises(InternalError):
+        genus.orbit_genus_count(D)
 
 
 def test_c43_group_iso_by_twist():
@@ -180,7 +219,8 @@ def test_c43_group_iso_by_twist():
 def test_exhaustive_small_shapes_engines_agree(ctx2, ctx3, ctx5):
     # every module made of one or two indecomposables over trivial class
     # data: wherever a closed-form case matches, it must equal the
-    # diagonal orbit enumeration; the rest must still enumerate
+    # Burnside orbit engine, which must equal the orbit walk over the
+    # listed genus; the rest must still be counted
     expected_enum_only = {2: 0, 3: 0, 5: 70}
     for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5)):
         templates = indecomposable_templates(p, ctx)
@@ -193,7 +233,7 @@ def test_exhaustive_small_shapes_engines_agree(ctx2, ctx3, ctx5):
                 summands.extend(D.summands)
             M = lat.descriptor(p, ctx, summands)
             rep = genus.genus_report(SD(M))
-            assert rep.enumeration is not None
+            assert rep.enumeration == brute_orbit_genus_count(M), lat.render(M)
             if rep.closed_form is None:
                 enum_only += 1
             else:
@@ -209,10 +249,9 @@ def test_twist_commutes_with_invariants(ctx3, ctx5):
         for _ in range(12):
             D = random_descriptor(rng, p, ctx)
             base = iso.invariants_of(D)
-            quotient = ctx.unit_quotient(base.t) if base.u0_class is not None else None
             for k in galois.galois_units(p)[:6]:
                 left = iso.invariants_of(galois.twist(D, k))
-                right = genus._act_on_invariants(ctx, k, base, quotient)
+                right = galois.act_on_invariants(ctx, k, base)
                 assert left == right, (p, lat.render(D), k)
 
 
@@ -228,7 +267,7 @@ def test_doubly_nontrivial_data_disagreement_is_reported():
     assert rep.enumeration == 5
     assert rep.agree is False
     assert any("disagree" in n for n in rep.notes)
-    assert rep.enumeration == abelian.diagonal_orbits(49, (data.H_p, data.H_p2), ())
+    assert rep.enumeration == diagonal_orbits(49, (data.H_p, data.H_p2), ())
     lo, hi = rep.bounds
     assert lo <= rep.closed_form[0] <= hi and lo <= rep.enumeration <= hi
 

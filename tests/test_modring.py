@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cp2genus import modring as mr
-from cp2genus.errors import AmbientMismatch, Cp2Error, NonUnit
+from cp2genus.errors import AmbientMismatch, Cp2Error, InternalError, NonUnit
 
 
 def test_poly_mul_examples():
@@ -199,3 +199,11 @@ def test_poly_helpers():
     assert mr.poly(5, 2, (1, 2, 3), truncate=True).coeffs == (1, 2)
     assert mr.truncate_poly(x, 2).coeffs == (4, 4)
     assert mr.lift_poly(mr.truncate_poly(x, 2), 4).coeffs == (4, 4, 0, 0)
+
+
+def test_quotient_rejects_inconsistent_subgroup():
+    # not a subgroup: its "cosets" overlap, so they cannot tile the units
+    elements = frozenset(mr.poly(3, 2, c) for c in ((1, 0), (1, 1), (2, 0)))
+    forged = mr.UnitSubgroup(3, 2, elements, ())
+    with pytest.raises(InternalError):
+        mr._quotient(3, 2, forged)
