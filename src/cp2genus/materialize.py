@@ -262,12 +262,6 @@ def snf_full(M: IntMatrix):
     return S, U, V, Uinv, Vinv
 
 
-def snf(M: IntMatrix):
-    """(S, U, V) with U M V = S in Smith normal form."""
-    S, U, V, _, _ = snf_full(M)
-    return S, U, V
-
-
 def diagonal(S: IntMatrix) -> list:
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 

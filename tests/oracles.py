@@ -1,14 +1,16 @@
 """Brute-force oracles the tests compare the library's fast paths against.
 
 Each one does the job the slow, direct way: walking orbits point by
-point, applying the generator matrix power by power, or twisting a
-descriptor and re-deriving its invariants.
+point, applying the generator matrix power by power, twisting a
+descriptor and re-deriving its invariants, or listing a unit group and
+its cosets element by element.
 """
 
 import math
+from functools import lru_cache
 from itertools import product
 
-from cp2genus import galois, genus, iso, modring
+from cp2genus import galois, genus, iso, materialize, modring
 from cp2genus.abelian import (
     DEFAULT_GUARD,
     AbGroup,
@@ -16,7 +18,8 @@ from cp2genus.abelian import (
     apply_action,
     primitive_root,
 )
-from cp2genus.errors import Cp2Error, EnumerationGuard
+from cp2genus.errors import Cp2Error, EnumerationGuard, NonUnit
+from cp2genus.modring import PolyMod, poly_mul
 
 
 def element_neg(G: AbGroup, x) -> tuple[int, ...]:
@@ -132,3 +135,68 @@ def diagonal_orbits(
     total = sum(sum(1 for pt in points if act(k, pt) == pt) for k in units)
     assert total % len(units) == 0 and total // len(units) == count
     return count
+
+
+def snf(M):
+    """(S, U, V) with U M V = S in Smith normal form."""
+    S, U, V, _, _ = materialize.snf_full(M)
+    return S, U, V
+
+
+def poly_shift(a: PolyMod, r: int) -> PolyMod:
+    """Multiply by l^r (truncating)."""
+    if r < 0:
+        raise Cp2Error("shift exponent must be >= 0")
+    m = a.m
+    if r >= m:
+        return modring.zero(a.p, m)
+    return PolyMod(a.p, m, (0,) * r + a.coeffs[: m - r])
+
+
+@lru_cache(maxsize=None)
+def unit_group(p: int, m: int) -> tuple[PolyMod, ...]:
+    """All units of F_p[l]/(l^m); there are (p-1)*p^(m-1) of them."""
+    if m < 1:
+        raise Cp2Error("unit_group requires m >= 1")
+    return tuple(
+        PolyMod(p, m, (c0,) + rest)
+        for c0 in range(1, p)
+        for rest in product(range(p), repeat=m - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def closure_elements(gens: tuple[PolyMod, ...]) -> frozenset[PolyMod]:
+    """Every element of the subgroup the units gens generate.  The group
+    is abelian, so adding g to a subgroup S gives the union of the cosets
+    S g^i for i below the least k > 0 with g^k in S."""
+    for g in gens:
+        if not g.is_unit():
+            raise NonUnit(f"generator {g} is not a unit")
+    elements = {modring.one(gens[0].p, gens[0].m)}
+    for g in gens:
+        new = set()
+        x = g
+        while x not in elements:
+            new.update(poly_mul(s, x) for s in elements)
+            x = poly_mul(x, g)
+        elements |= new
+    return frozenset(elements)
+
+
+def brute_quotient(p: int, m: int, elements: frozenset[PolyMod]):
+    """(reps, index) for the quotient of the unit group by the subgroup
+    with these elements: reps in lexicographic order, index mapping each
+    unit to the lexicographically smallest constant-1 element of its coset."""
+    index: dict[PolyMod, PolyMod] = {}
+    reps = []
+    for u in unit_group(p, m):
+        if u in index:
+            continue
+        coset = [poly_mul(u, h) for h in elements]
+        rep = min((v for v in coset if v.coeffs[0] == 1), key=lambda v: v.coeffs)
+        for v in coset:
+            index[v] = rep
+        reps.append(rep)
+    reps.sort(key=lambda v: v.coeffs)
+    return tuple(reps), index

@@ -13,7 +13,7 @@ from cp2genus import materialize as mat
 from cp2genus import modring as mr
 
 from conftest import indecomposable_templates, random_descriptor, synthetic_c43
-from oracles import diagonal_orbits
+from oracles import diagonal_orbits, poly_shift, unit_group
 
 SD = genus.SemidirectDescriptor
 
@@ -116,7 +116,7 @@ def test_criterion_4_galois_unit_identity(ctxs):
         for p in (2, 3, 5):
             m = p
             zero_vec = (0,) * m
-            units = [u.coeffs for u in mr.unit_group(p, m)]
+            units = [u.coeffs for u in unit_group(p, m)]
             ks = [k for k in range(1, p * p) if k % p != 0]
             r_image = mr.image_of_R_units(p, p - 1)
             for k in ks:
@@ -134,7 +134,7 @@ def test_criterion_4_galois_unit_identity(ctxs):
                                     nxt[i + j] = (nxt[i + j] + x * mu[j]) % p
                     mu_pows.append(tuple(nxt))
                 delta = mr.delta_poly(p, m, k)
-                assert mr.truncate_poly(delta, p - 1) in r_image.elements
+                assert mr.truncate_poly(delta, p - 1) in r_image
                 delta_pow = [mr.one(p, m)]
                 for _ in range(p):
                     delta_pow.append(mr.poly_mul(delta_pow[-1], delta))
@@ -156,7 +156,7 @@ def test_criterion_4_galois_unit_identity(ctxs):
                                 for i in range(m):
                                     if mp[i]:
                                         lhs[i] = (lhs[i] + c * mp[i]) % p
-                        rhs = mr.poly_shift(mr.poly_mul(delta_pow[r], gu_poly), r)
+                        rhs = poly_shift(mr.poly_mul(delta_pow[r], gu_poly), r)
                         assert tuple(lhs) == rhs.coeffs, (p, k, r, ucoef)
 
 

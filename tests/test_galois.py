@@ -6,7 +6,7 @@ from cp2genus import galois, iso, lattice as lat, modring
 from cp2genus.errors import Cp2Error
 
 from conftest import random_descriptor, synthetic_c43
-from oracles import twist_search
+from oracles import closure_elements, twist_search
 
 
 def test_twist_identity(ctx2, ctx3, ctx5):
@@ -71,18 +71,20 @@ def test_quotient_subgroup_is_galois_stable(ctx2, ctx3, ctx5):
     for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5)):
         for m in range(1, p + 1):
             sub = ctx.unit_quotient(m).subgroup
+            elements = closure_elements(sub.generators)
             for k in galois.galois_units(p):
-                for h in sub.elements:
-                    assert modring.galois_on_unit(k, h) in sub.elements
+                for h in elements:
+                    assert modring.galois_on_unit(k, h) in sub
 
 
 def test_coset_action_well_defined(ctx5):
     # elements of one coset all land in one coset
     q = ctx5.unit_quotient(4)
+    sample = sorted(closure_elements(q.subgroup.generators), key=str)[:10]
     for k in (2, 3, 7):
         for rep in q.reps:
             target = q.rep_of(modring.galois_on_unit(k, rep))
-            for h in list(q.subgroup.elements)[:10]:
+            for h in sample:
                 x = modring.poly_mul(rep, h)
                 assert q.rep_of(modring.galois_on_unit(k, x)) == target
 

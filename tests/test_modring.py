@@ -4,6 +4,7 @@ import pytest
 
 from cp2genus import modring as mr
 from cp2genus.errors import AmbientMismatch, Cp2Error, InternalError, NonUnit
+from oracles import brute_quotient, closure_elements, poly_shift, unit_group
 
 
 def test_poly_mul_examples():
@@ -16,7 +17,7 @@ def test_poly_mul_examples():
         assert mr.poly_mul(x, mr.one(3, 2)) == x
     # truncation: l * l^(m-1) = 0
     for p, m in ((2, 2), (3, 3), (5, 4)):
-        top = mr.poly_shift(mr.one(p, m), m - 1)
+        top = poly_shift(mr.one(p, m), m - 1)
         assert mr.poly_mul(mr.lam(p, m), top) == mr.zero(p, m)
 
 
@@ -36,42 +37,47 @@ def test_poly_inv_examples():
 
 def test_poly_inv_roundtrip_all_units():
     for p, m in ((2, 2), (3, 3), (5, 2)):
-        for u in mr.unit_group(p, m):
+        for u in unit_group(p, m):
             assert mr.poly_mul(u, mr.poly_inv(u)) == mr.one(p, m)
 
 
 def test_unit_group_contents():
-    assert set(mr.unit_group(2, 2)) == {mr.one(2, 2), mr.poly(2, 2, (1, 1))}
-    assert set(mr.unit_group(3, 1)) == {mr.poly(3, 1, (1,)), mr.poly(3, 1, (2,))}
-    assert len(mr.unit_group(3, 2)) == 6
+    assert set(unit_group(2, 2)) == {mr.one(2, 2), mr.poly(2, 2, (1, 1))}
+    assert set(unit_group(3, 1)) == {mr.poly(3, 1, (1,)), mr.poly(3, 1, (2,))}
+    assert len(unit_group(3, 2)) == 6
 
 
 @pytest.mark.parametrize("p,mmax", [(2, 2), (3, 3), (5, 5), (7, 5)])
 def test_unit_group_order_formula(p, mmax):
     for m in range(1, mmax + 1):
-        assert len(mr.unit_group(p, m)) == (p - 1) * p ** (m - 1)
+        assert len(unit_group(p, m)) == (p - 1) * p ** (m - 1)
 
 
 def test_unit_group_m0_rejected():
     with pytest.raises(Cp2Error):
-        mr.unit_group(3, 0)
+        unit_group(3, 0)
 
 
 def test_subgroup_closure_examples():
-    assert mr.subgroup_closure([mr.one(3, 2)]).elements == frozenset({mr.one(3, 2)})
+    trivial = mr.subgroup_closure([mr.one(3, 2)])
+    assert trivial.order == 1 and [u for u in unit_group(3, 2) if u in trivial] == [mr.one(3, 2)]
     whole = mr.subgroup_closure([mr.poly(2, 2, (1, 1))])
-    assert whole.elements == frozenset(mr.unit_group(2, 2))
+    assert whole.order == 2 and all(u in whole for u in unit_group(2, 2))
     two = mr.subgroup_closure([mr.poly(3, 2, (2,))])
     assert two.order == 2
 
 
 def test_subgroup_closure_closed_under_product_and_inverse():
-    for gens in ([mr.poly(5, 3, (2, 1))], [mr.poly(3, 3, (1, 1)), mr.poly(3, 3, (2,))]):
+    # with m > p, (1+l)^p = 1 + l^p is a new pivot that only the p-th power step finds
+    for gens in ([mr.poly(5, 3, (2, 1))], [mr.poly(3, 3, (1, 1)), mr.poly(3, 3, (2,))],
+                 [mr.poly(2, 4, (1, 1))], [mr.poly(3, 5, (2, 1))]):
         sub = mr.subgroup_closure(gens)
-        for x in sub.elements:
-            assert mr.poly_inv(x) in sub.elements
-            for y in sub.elements:
-                assert mr.poly_mul(x, y) in sub.elements
+        elements = closure_elements(tuple(gens))
+        assert sub.order == len(elements)
+        for x in elements:
+            assert mr.poly_inv(x) in sub
+            for y in elements:
+                assert mr.poly_mul(x, y) in sub
 
 
 def test_subgroup_closure_rejects_non_unit():
@@ -80,9 +86,10 @@ def test_subgroup_closure_rejects_non_unit():
 
 
 def test_image_of_R_units():
-    assert mr.image_of_R_units(3, 1).elements == frozenset(mr.unit_group(3, 1))
-    assert mr.image_of_R_units(5, 1).elements == frozenset(mr.unit_group(5, 1))
-    assert mr.image_of_R_units(2, 1).elements == frozenset({mr.one(2, 1)})
+    for p in (3, 5):
+        img = mr.image_of_R_units(p, 1)
+        assert img.order == p - 1 and all(u in img for u in unit_group(p, 1))
+    assert mr.image_of_R_units(2, 1).order == 1 and mr.one(2, 1) in mr.image_of_R_units(2, 1)
     with pytest.raises(Cp2Error):
         mr.image_of_R_units(3, 3)  # m must be <= p-1
     with pytest.raises(Cp2Error):
@@ -91,12 +98,12 @@ def test_image_of_R_units():
 
 def test_image_of_ES_units():
     es2 = mr.image_of_ES_units(2)
-    assert es2.elements == frozenset(mr.unit_group(2, 2))
+    assert es2.order == 2 and all(u in es2 for u in unit_group(2, 2))
     es3 = mr.image_of_ES_units(3)
-    assert mr.poly(3, 3, (1, 1)) in es3.elements
-    assert mr.poly(3, 3, (2,)) in es3.elements
+    assert mr.poly(3, 3, (1, 1)) in es3
+    assert mr.poly(3, 3, (2,)) in es3
     for p in (2, 3, 5):
-        assert mr.one(p, p) in mr.image_of_ES_units(p).elements
+        assert mr.one(p, p) in mr.image_of_ES_units(p)
 
 
 def test_compute_Um_facts():
@@ -119,20 +126,20 @@ def test_quotient_invariants(p, mmax):
             assert q.rep_of(rep) == rep
         # distinct reps lie in distinct cosets
         for r1, r2 in itertools.combinations(q.reps, 2):
-            assert mr.poly_mul(r1, mr.poly_inv(r2)) not in q.subgroup.elements
+            assert mr.poly_mul(r1, mr.poly_inv(r2)) not in q.subgroup
 
 
 def test_rep_of_consistency():
     q = mr.compute_Um(5, 4)
-    for u in mr.unit_group(5, 4):
+    for u in unit_group(5, 4):
         rep = q.rep_of(u)
         # same coset: u / rep lies in the subgroup
-        assert mr.poly_mul(u, mr.poly_inv(rep)) in q.subgroup.elements
+        assert mr.poly_mul(u, mr.poly_inv(rep)) in q.subgroup
 
 
 def test_galois_identity_k1():
     for p, m in ((3, 3), (5, 4)):
-        for u in mr.unit_group(p, m):
+        for u in unit_group(p, m):
             assert mr.galois_on_unit(1, u) == u
 
 
@@ -160,7 +167,7 @@ def test_galois_composition_exhaustive():
 
 def test_galois_is_ring_map():
     p, m, k = 5, 4, 7
-    us = mr.unit_group(p, m)[:40]
+    us = unit_group(p, m)[:40]
     for x in us:
         for y in us[:10]:
             assert mr.galois_on_unit(k, mr.poly_mul(x, y)) == \
@@ -174,11 +181,11 @@ def test_twisted_shift_identity_small():
         units = [k for k in range(1, p * p) if k % p != 0]
         for k in units:
             delta = mr.delta_poly(p, m, k)
-            for u in mr.unit_group(p, m):
+            for u in unit_group(p, m):
                 gu = mr.galois_on_unit(k, u)
                 for r in range(p):
-                    lhs = mr.galois_on_unit(k, mr.poly_shift(u, r))
-                    rhs = mr.poly_shift(mr.poly_mul(mr.poly_pow(delta, r), gu), r)
+                    lhs = mr.galois_on_unit(k, poly_shift(u, r))
+                    rhs = poly_shift(mr.poly_mul(mr.poly_pow(delta, r), gu), r)
                     assert lhs == rhs
 
 
@@ -188,7 +195,7 @@ def test_delta_truncations_in_R_image():
         for k in range(1, p * p):
             if k % p == 0:
                 continue
-            assert mr.truncate_poly(mr.delta_poly(p, p, k), p - 1) in img.elements
+            assert mr.truncate_poly(mr.delta_poly(p, p, k), p - 1) in img
 
 
 def test_poly_helpers():
@@ -202,8 +209,81 @@ def test_poly_helpers():
 
 
 def test_quotient_rejects_inconsistent_subgroup():
-    # not a subgroup: its "cosets" overlap, so they cannot tile the units
-    elements = frozenset(mr.poly(3, 2, c) for c in ((1, 0), (1, 1), (2, 0)))
-    forged = mr.UnitSubgroup(3, 2, elements, ())
+    # two pivots at degree 1 claim a subgroup of order 2*3^2, but they leave
+    # 3 cosets free, and 2*9*3 is not the 2*3^2 units of F_3[l]/(l^3)
+    forged = mr.UnitSubgroup(
+        3, 3, (), frozenset({1, 2}), (mr.poly(3, 3, (1, 1)), mr.poly(3, 3, (1, 1, 1)))
+    )
     with pytest.raises(InternalError):
-        mr._quotient(3, 2, forged)
+        mr._quotient(3, 3, forged)
+
+
+def test_quotient_names_missing_constants():
+    # 1 + lR holds no element with constant 2, so the coset of 2 has no
+    # constant-1 representative
+    sub = mr.subgroup_closure([mr.poly(3, 2, (1, 1))])
+    assert sub.constants == frozenset({1}) and sub.order == 3
+    with pytest.raises(Cp2Error, match=r"\[2\]") as info:
+        mr._quotient(3, 2, sub)
+    assert not isinstance(info.value, InternalError)
+
+
+def _oracle_quotient(q):
+    """The oracle's (elements, reps, index) for the subgroup of q."""
+    elements = closure_elements(q.subgroup.generators)
+    return (elements, *brute_quotient(q.p, q.m, elements))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quotient_matches_enumeration_oracle(p):
+    for m in range(1, p + 1):
+        if (p, m) == (7, 7):
+            continue
+        q = mr.compute_Um(p, m)
+        elements, reps, index = _oracle_quotient(q)
+        assert q.reps == reps and q.order == len(reps)
+        assert q.subgroup.order == len(elements)
+        for u in unit_group(p, m):
+            assert q.rep_of(u) == index[u]
+            assert (u in q.subgroup) == (u in elements)
+
+
+def test_quotient_u7_at_p7_sampled_against_oracle():
+    # the oracle closure of the image has 14,406 elements; listing every
+    # coset of the 705,894 units is too slow, so check every 97th unit and
+    # that each of the 49 reps is the least constant-1 element of its coset
+    q = mr.compute_Um(7, 7)
+    elements = closure_elements(q.subgroup.generators)
+    assert len(elements) == 14406 == q.subgroup.order
+    assert q.order * len(elements) == 6 * 7**6 and q.order == 49
+    ones = [h for h in elements if h.coeffs[0] == 1]
+    for rep in q.reps:
+        assert min(mr.poly_mul(rep, h).coeffs for h in ones) == rep.coeffs
+    for r1, r2 in itertools.combinations(q.reps, 2):
+        assert mr.poly_mul(r1, mr.poly_inv(r2)) not in elements
+    reps = set(q.reps)
+    sample = itertools.product(range(1, 7), *[range(7)] * 6)
+    for u in (mr.PolyMod(7, 7, c) for c in itertools.islice(sample, 0, None, 97)):
+        rep = q.rep_of(u)
+        assert rep in reps and mr.poly_mul(u, mr.poly_inv(rep)) in elements
+        assert (u in q.subgroup) == (u in elements)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_bass_cyclic_units_lie_in_ES_image(p):
+    # Bass's cyclic units u_k = (1+g+...+g^(k-1))^(p-1) + ((1-k^(p-1))/p) N of
+    # Z C_p, k = 2..p-2, map under g -> 1+l to Delta_k^(p-1) + c l^(p-1),
+    # because the norm element N = ((1+l)^p - 1)/l is l^(p-1) mod p
+    image = mr.image_of_ES_units(p)
+    top = mr.poly(p, p, (0,) * (p - 1) + (1,))
+    for k in range(2, p - 1):
+        c = (1 - k ** (p - 1)) // p
+        u = mr.poly_add(
+            mr.poly_pow(mr.delta_poly(p, p, k), p - 1),
+            mr.poly_mul(mr.poly(p, p, (c,)), top),
+        )
+        assert u in image, (p, k)
+    if p == 5:
+        g = mr.poly(5, 5, (1, 1))
+        u = mr.poly_sub(mr.poly_add(g, mr.poly_pow(g, 4)), mr.one(5, 5))  # g + g^4 - 1
+        assert u in image
