@@ -277,6 +277,10 @@ def main(argv=None) -> int:
     except Cp2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # e.g. a multiplicity like 10**15 expands to that many summands
+        print("error: input too large", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -456,11 +456,13 @@ def rep_of(D: LatticeDescriptor) -> IntegerRep:
             blocks.append(companion(x_pow_minus_1(p)))
         else:
             blocks.append(_pushout_block(p, s))
+    # A^(p^2) = I holds on a block-diagonal matrix exactly when it holds
+    # on every block
+    for b in blocks:
+        if not mat_eq(mat_pow(b, p * p), identity(len(b))):
+            raise Cp2Error("internal error: built matrix does not satisfy A^(p^2) = I")
     A = block_diag(blocks) if blocks else []
-    n = len(A)
-    if not mat_eq(mat_pow(A, p * p), identity(n)):
-        raise Cp2Error("internal error: built matrix does not satisfy A^(p^2) = I")
-    return IntegerRep(n, tuple(tuple(row) for row in A), D)
+    return IntegerRep(len(A), tuple(tuple(row) for row in A), D)
 
 
 # ---------------------------------------------------------------------------
@@ -532,28 +534,37 @@ class RepReport:
 def charpoly(A: IntMatrix) -> list:
     """Characteristic polynomial det(xI - A), ascending coefficients.
 
-    Division-free (Berkowitz), exact over Z.
+    Division-free (Berkowitz), exact over Z.  Step i multiplies the
+    polynomial of the leading i x i submatrix B by the Toeplitz column
+    (1, -a, -R C, -R B C, ..., -R B^(i-1) C), where a = A[i][i] and R, C
+    are row i and column i up to the diagonal.  B, R and C are kept as
+    their nonzero entries only.
     """
     n = len(A)
     coeffs = [1]  # descending while building
+    rows = []  # rows[r]: the nonzero (j, A[r][j]) with j < i
     for i in range(n):
-        Bsub = [row[:i] for row in A[:i]]
-        R = A[i][:i]
-        Ccol = [A[j][i] for j in range(i)]
-        a = A[i][i]
-        t = [1, -a]
-        v = Ccol[:]
-        for _ in range(i):
-            t.append(-sum(R[j] * v[j] for j in range(i)))
-            v = mat_vec(Bsub, v) if i else []
-        new = [0] * (len(coeffs) + 1)
-        for d in range(len(new)):
-            s = 0
-            for j in range(len(t)):
-                if 0 <= d - j < len(coeffs):
-                    s += t[j] * coeffs[d - j]
-            new[d] = s
+        Ai = A[i]
+        R = [(j, x) for j, x in enumerate(Ai[:i]) if x]
+        v = [A[r][i] for r in range(i)]
+        t = [1, -Ai[i]]
+        if R and any(v):
+            for k in range(i):
+                if k:
+                    v = [sum(x * v[j] for j, x in row) for row in rows]
+                t.append(-sum(x * v[j] for j, x in R))
+        new = coeffs + [0]
+        for j in range(1, len(t)):
+            tj = t[j]
+            if tj:
+                for d, c in enumerate(coeffs[: i + 2 - j], j):
+                    new[d] += tj * c
         coeffs = new
+        # extend the sparse rows to the leading (i + 1) x (i + 1) submatrix
+        for r in range(i):
+            if A[r][i]:
+                rows[r].append((i, A[r][i]))
+        rows.append(R + [(i, Ai[i])] if Ai[i] else R)
     return list(reversed(coeffs))
 
 
@@ -578,29 +589,83 @@ def predicted_charpoly(D: LatticeDescriptor) -> list:
     return poly
 
 
+def _order_from_powers(A: IntMatrix, Ap: IntMatrix, Ap2: IntMatrix, p: int) -> int:
+    """The order of A given A^p and A^(p^2): 1, p or p^2, and 0 when it
+    does not divide p^2."""
+    I = identity(len(A))
+    for order, M in ((1, A), (p, Ap), (p * p, Ap2)):
+        if mat_eq(M, I):
+            return order
+    return 0
+
+
 def multiplicative_order(A: IntMatrix, p: int) -> int:
+    Ap = mat_pow(A, p)
+    order = _order_from_powers(A, Ap, mat_pow(Ap, p), p)
+    if not order:
+        raise Cp2Error(f"matrix order does not divide {p * p}")
+    return order
+
+
+def connected_components(A: IntMatrix) -> list:
+    """The connected components of A as ascending index lists, ordered by
+    their smallest index: i and j are joined when A[i][j] or A[j][i] is
+    nonzero.  Permuting rows and columns alike so that each component is
+    contiguous makes A block-diagonal."""
     n = len(A)
-    if mat_eq(A, identity(n)):
-        return 1
-    if mat_eq(mat_pow(A, p), identity(n)):
-        return p
-    if mat_eq(mat_pow(A, p * p), identity(n)):
-        return p * p
-    raise Cp2Error(f"matrix order does not divide {p * p}")
+    adjacent = [[] for _ in range(n)]
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            if x and i != j:
+                adjacent[i].append(j)
+                adjacent[j].append(i)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [start], [start]
+        while stack:
+            for j in adjacent[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        out.append(sorted(comp))
+    return out
 
 
 def validate_rep(rep: IntegerRep) -> RepReport:
-    """Check the matrix model against everything the descriptor predicts."""
+    """Check the matrix model against everything the descriptor predicts.
+
+    The checks run per connected component of A, found from A itself, so
+    any IntegerRep is checked, not only the block structure rep_of built.
+    Each invariant of the block-diagonal form is exact: A^(p^2) = I on
+    every block, det(A) and the char poly are the products over blocks,
+    the order is the lcm of the block orders (0 if any fails to divide
+    p^2), and rank(A - I) is the sum of the block ranks.
+    """
     D = rep.source
     p = D.p
-    A = [list(row) for row in rep.matrix]
+    A = rep.matrix
     n = rep.n
+    power_ok, det, got, rank = True, 1, [1], 0
+    orders = []
+    for comp in connected_components(A):
+        B = [[A[i][j] for j in comp] for i in comp]
+        I = identity(len(B))
+        Bp = mat_pow(B, p)
+        Bp2 = mat_pow(Bp, p)
+        power_ok = power_ok and mat_eq(Bp2, I)
+        det *= bareiss_det(B)
+        orders.append(_order_from_powers(B, Bp, Bp2, p))
+        got = polymul_z(got, charpoly(B))
+        rank += mat_rank(mat_sub(B, I))
     checks = []
 
-    ok = mat_eq(mat_pow(A, p * p), identity(n))
-    checks.append(RepCheck("power_identity", ok, f"A^{p*p} == I: {ok}"))
+    checks.append(RepCheck("power_identity", power_ok, f"A^{p*p} == I: {power_ok}"))
 
-    det = bareiss_det(A)
     checks.append(RepCheck("unimodular", abs(det) == 1, f"det(A) = {det}"))
 
     expected_order = {
@@ -608,10 +673,7 @@ def validate_rep(rep: IntegerRep) -> RepReport:
         Faithfulness.ORDER_P: p,
         Faithfulness.FAITHFUL: p * p,
     }[lattice.faithfulness(D)]
-    try:
-        order = multiplicative_order(A, p)
-    except Cp2Error:
-        order = 0
+    order = 0 if 0 in orders else max(orders, default=1)
     checks.append(
         RepCheck(
             "order",
@@ -620,7 +682,6 @@ def validate_rep(rep: IntegerRep) -> RepReport:
         )
     )
 
-    got = charpoly(A)
     want = predicted_charpoly(D)
     checks.append(
         RepCheck("char_poly", got == want, f"char poly matches prediction: {got == want}")
@@ -635,7 +696,7 @@ def validate_rep(rep: IntegerRep) -> RepReport:
         + 2 * (n_counts["C"] + n_counts["D"])
         + n_counts["F"]
     )
-    fixed = n - mat_rank(mat_sub(A, identity(n)))
+    fixed = n - rank
     checks.append(
         RepCheck(
             "fixed_rank",

@@ -2,15 +2,16 @@
 
 Each one does the job the slow, direct way: walking orbits point by
 point, applying the generator matrix power by power, twisting a
-descriptor and re-deriving its invariants, or listing a unit group and
-its cosets element by element.
+descriptor and re-deriving its invariants, listing a unit group and
+its cosets element by element, or validating a matrix model on the
+whole matrix instead of per connected component.
 """
 
 import math
 from functools import lru_cache
 from itertools import product
 
-from cp2genus import galois, genus, iso, materialize, modring
+from cp2genus import galois, genus, iso, lattice, materialize, modring
 from cp2genus.abelian import (
     DEFAULT_GUARD,
     AbGroup,
@@ -200,3 +201,71 @@ def brute_quotient(p: int, m: int, elements: frozenset[PolyMod]):
         reps.append(rep)
     reps.sort(key=lambda v: v.coeffs)
     return tuple(reps), index
+
+
+def dense_charpoly(A) -> list:
+    """det(xI - A), ascending, by Berkowitz over every entry of A."""
+    n = len(A)
+    coeffs = [1]  # descending while building
+    for i in range(n):
+        Bsub = [row[:i] for row in A[:i]]
+        R = A[i][:i]
+        Ccol = [A[j][i] for j in range(i)]
+        a = A[i][i]
+        t = [1, -a]
+        v = Ccol[:]
+        for _ in range(i):
+            t.append(-sum(R[j] * v[j] for j in range(i)))
+            v = materialize.mat_vec(Bsub, v) if i else []
+        new = [0] * (len(coeffs) + 1)
+        for d in range(len(new)):
+            s = 0
+            for j in range(len(t)):
+                if 0 <= d - j < len(coeffs):
+                    s += t[j] * coeffs[d - j]
+            new[d] = s
+        coeffs = new
+    return list(reversed(coeffs))
+
+
+def dense_validate_rep(rep) -> materialize.RepReport:
+    """validate_rep on the whole n x n matrix, without splitting it into
+    connected components."""
+    mat = materialize
+    RepCheck = mat.RepCheck
+    D = rep.source
+    p = D.p
+    A = [list(row) for row in rep.matrix]
+    n = rep.n
+    checks = []
+
+    ok = mat.mat_pow(A, p * p) == mat.identity(n)
+    checks.append(RepCheck("power_identity", ok, f"A^{p*p} == I: {ok}"))
+
+    det = mat.bareiss_det(A)
+    checks.append(RepCheck("unimodular", abs(det) == 1, f"det(A) = {det}"))
+
+    expected_order = {
+        lattice.Faithfulness.TRIVIAL: 1,
+        lattice.Faithfulness.ORDER_P: p,
+        lattice.Faithfulness.FAITHFUL: p * p,
+    }[lattice.faithfulness(D)]
+    try:
+        order = mat.multiplicative_order(A, p)
+    except Cp2Error:
+        order = 0
+    checks.append(RepCheck("order", order == expected_order,
+                           f"order(A) = {order}, expected {expected_order}"))
+
+    got = dense_charpoly(A)
+    want = mat.predicted_charpoly(D)
+    checks.append(RepCheck("char_poly", got == want,
+                           f"char poly matches prediction: {got == want}"))
+
+    c = lattice.counts(D)
+    expected_fixed = (c["Z"] + c["Eb"] + c["Ec"] + c["B"]
+                      + 2 * (c["C"] + c["D"]) + c["F"])
+    fixed = n - mat.mat_rank(mat.mat_sub(A, mat.identity(n)))
+    checks.append(RepCheck("fixed_rank", fixed == expected_fixed,
+                           f"rank ker(A - I) = {fixed}, expected {expected_fixed}"))
+    return mat.RepReport(tuple(checks))

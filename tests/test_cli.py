@@ -152,3 +152,10 @@ def test_orbits_command(capsys):
     code, out, _ = run(capsys, "orbits", "--p", "3", "--m", "3")
     assert code == 0
     assert out.count("= 1") == 3
+
+
+def test_huge_multiplicity_exit_2(capsys):
+    # the parser expands the multiplicity into a list, which cannot be allocated
+    code, out, err = run(capsys, "check", "--p", "5", "999999999999999*Z")
+    assert code == 2 and out == ""
+    assert err == "error: input too large\n"

@@ -6,7 +6,7 @@ from cp2genus import lattice as lat, materialize as mat
 from cp2genus.errors import Cp2Error, NontrivialClass
 
 from conftest import indecomposable_templates, synthetic_c43
-from oracles import snf
+from oracles import dense_charpoly, dense_validate_rep, snf
 
 
 def test_snf_examples():
@@ -63,6 +63,16 @@ def test_charpoly_small():
     assert mat.charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
     A = mat.companion(mat.phi_p2(3))
     assert mat.charpoly(A) == mat.phi_p2(3)
+
+
+def test_charpoly_matches_dense_oracle():
+    rng = random.Random(7)
+    for n in range(13):
+        for density in (1.0, 0.5, 0.15):
+            for _ in range(5):
+                A = [[rng.randint(-3, 3) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(n)]
+                assert mat.charpoly(A) == dense_charpoly(A), A
 
 
 def test_rep_of_examples(ctx2, ctx3):
@@ -173,3 +183,74 @@ def test_validate_rep_catches_wrong_matrix(ctx2):
     assert not report.passed
     names = {c.name for c in report.checks if not c.ok}
     assert "order" in names and "char_poly" in names
+
+
+def _assert_matches_oracle(rep):
+    report = mat.validate_rep(rep)
+    assert report == dense_validate_rep(rep), lat.render(rep.source)
+    return report
+
+
+def test_validate_rep_matches_dense_oracle(ctx2, ctx3, ctx5):
+    for p, ctx in ((2, ctx2), (3, ctx3)):
+        templates = indecomposable_templates(p, ctx)
+        for i, D1 in enumerate(templates):
+            assert _assert_matches_oracle(mat.rep_of(D1)).passed
+            for D2 in templates[i:]:
+                D = lat.descriptor(p, ctx, list(D1.summands) + list(D2.summands))
+                assert _assert_matches_oracle(mat.rep_of(D)).passed
+    for text, n in (("B(0,0;1) + F(0,0;1)", 50), ("B(0,0;1) + C(0,0;1,1) + E(0,0;0)", 75)):
+        rep = mat.rep_of(lat.parse(text, 5, ctx5))
+        assert rep.n == n
+        assert _assert_matches_oracle(rep).passed
+
+
+def _unimodular(n, rng, steps=40):
+    """(U, U^-1) for a product of random elementary row operations."""
+    U, Uinv = mat.identity(n), mat.identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+        for row in Uinv:
+            row[j] -= c * row[i]
+    return U, Uinv
+
+
+def test_validate_rep_on_a_conjugated_model(ctx3):
+    D = lat.parse("Z + B(0,0;1) + E(0,0;0)", 3, ctx3)
+    rep = mat.rep_of(D)
+    assert len(mat.connected_components(rep.matrix)) == 3
+    U, Uinv = _unimodular(rep.n, random.Random(11))
+    assert mat.mat_mul(U, Uinv) == mat.identity(rep.n)
+    A = mat.mat_mul(mat.mat_mul(U, [list(r) for r in rep.matrix]), Uinv)
+    conj = mat.IntegerRep(rep.n, tuple(tuple(r) for r in A), D)
+    assert mat.connected_components(conj.matrix) == [list(range(rep.n))]
+    assert _assert_matches_oracle(conj).passed
+
+
+def test_validate_rep_corrupted_block_matches_oracle(ctx3):
+    D = lat.parse("B(0,0;1) + E(0,0;0)", 3, ctx3)
+    rep = mat.rep_of(D)
+    first, second = mat.connected_components(rep.matrix)
+    failing = set()
+    for i in second:
+        for j in second:
+            A = [list(r) for r in rep.matrix]
+            A[i][j] += 1
+            bad = mat.IntegerRep(rep.n, tuple(tuple(r) for r in A), D)
+            failing |= {c.name for c in _assert_matches_oracle(bad).checks if not c.ok}
+    assert failing == {"power_identity", "unimodular", "order", "char_poly"}
+
+
+def test_validate_rep_large_model(ctx5):
+    # n = 200: by n^4 scaling the dense validator would take tens of seconds
+    rep = mat.rep_of(lat.parse("8*B(0,0;1)", 5, ctx5))
+    assert rep.n == 200
+    assert mat.validate_rep(rep).passed
+
+
+def test_rep_of_checks_every_block(ctx3, monkeypatch):
+    monkeypatch.setattr(mat, "_pushout_block", lambda p, s: [[2]])
+    with pytest.raises(Cp2Error, match=r"does not satisfy A\^\(p\^2\) = I"):
+        mat.rep_of(lat.parse("Z + B(0,0;1)", 3, ctx3))
