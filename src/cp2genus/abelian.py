@@ -283,8 +283,3 @@ def orbit_count(A: CyclicAction, guard: int = DEFAULT_GUARD) -> int:
     """Number of orbits of the action, as a Burnside average."""
     A.target.check_guard(guard)
     return burnside_count(A.fixed_counts, A.acting_order)
-
-
-def burnside_orbit_count(A: CyclicAction, guard: int = DEFAULT_GUARD) -> int:
-    """Average number of fixed points over the acting group (orbit_count)."""
-    return orbit_count(A, guard)

@@ -14,6 +14,10 @@ The indecomposable kinds and their parameters:
     E(b,c;r,u)   extension of c by b with class l^r*u,       0 <= r <= p-2, u in U~_{p-1-r}
     F(b,c;r,u)   extension of c by Z+b with class 1+l^r*u,   0 <= r <= p-2, u in U~_{p-1-r}
 
+Each kind has a rational type (a, b, c) in CYCLOTOMIC: Q tensor L is
+Q^a + Q(zeta_p)^b + Q(zeta_{p^2})^c and g has char poly Phi_1^a Phi_p^b
+Phi_{p^2}^c.  Rank, fixed rank, class slots and faithfulness follow.
+
 A descriptor is a prime p, a ClassData context, and a sorted tuple of
 summands.  Everything downstream (genus vectors, the unit product u0,
 the exponents r1/r2 and the derived index t, the sign Sigma, action
@@ -32,14 +36,22 @@ from .classdata import ClassData
 from .errors import Cp2Error, ParseError
 from .modring import PolyMod
 
-KINDS = ("Z", "b", "c", "Eb", "Ec", "B", "C", "D", "E", "F")
+# kind -> (a, b, c), the multiplicities of Q, Q(zeta_p) and Q(zeta_{p^2})
+CYCLOTOMIC = {
+    "Z": (1, 0, 0),
+    "b": (0, 1, 0),
+    "c": (0, 0, 1),
+    "Eb": (1, 1, 0),
+    "Ec": (1, 0, 1),
+    "B": (1, 1, 1),
+    "C": (2, 1, 1),
+    "D": (2, 1, 1),
+    "E": (0, 1, 1),
+    "F": (1, 1, 1),
+}
+KINDS = tuple(CYCLOTOMIC)
 _KIND_ORDER = {k: i for i, k in enumerate(KINDS)}
 EXTENSION_KINDS = ("B", "C", "D", "E", "F")
-# kinds carrying an R-ideal class slot / an S-ideal class slot
-R_SLOT_KINDS = ("b", "Eb", "B", "C", "D", "E", "F")
-S_SLOT_KINDS = ("c", "Ec", "B", "C", "D", "E", "F")
-# any of these forces g to act with full order p^2
-S_PART_KINDS = ("c", "Ec", "B", "C", "D", "E", "F")
 
 
 @lru_cache(maxsize=None)
@@ -181,22 +193,22 @@ def counts(D: LatticeDescriptor) -> dict[str, int]:
 # invariant data read off the multiset
 
 
-RANK_OF = {
-    "Z": lambda p: 1,
-    "b": lambda p: p - 1,
-    "c": lambda p: p * (p - 1),
-    "Eb": lambda p: p,
-    "Ec": lambda p: p * (p - 1) + 1,
-    "B": lambda p: p * p,
-    "C": lambda p: p * p + 1,
-    "D": lambda p: p * p + 1,
-    "E": lambda p: p * p - 1,
-    "F": lambda p: p * p,
-}
+def rational_type(D: LatticeDescriptor) -> tuple[int, int, int]:
+    """The summed CYCLOTOMIC type (a, b, c) of all summands."""
+    a = b = c = 0
+    for s in D.summands:
+        da, db, dc = CYCLOTOMIC[s.kind]
+        a, b, c = a + da, b + db, c + dc
+    return a, b, c
+
+
+def type_rank(a: int, b: int, c: int, p: int) -> int:
+    """The Z-rank of a lattice of rational type (a, b, c)."""
+    return a + b * (p - 1) + c * p * (p - 1)
 
 
 def rank(D: LatticeDescriptor) -> int:
-    return sum(RANK_OF[s.kind](D.p) for s in D.summands)
+    return type_rank(*rational_type(D), D.p)
 
 
 @dataclass(frozen=True)
@@ -311,9 +323,10 @@ class Faithfulness:
 
 
 def faithfulness(D: LatticeDescriptor) -> str:
-    if any(s.kind in S_PART_KINDS for s in D.summands):
+    _, b, c = rational_type(D)
+    if c:
         return Faithfulness.FAITHFUL
-    if any(s.kind in ("b", "Eb") for s in D.summands):
+    if b:
         return Faithfulness.ORDER_P
     return Faithfulness.TRIVIAL
 
@@ -332,11 +345,11 @@ def ideal_classes(D: LatticeDescriptor) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def has_R_slot(D: LatticeDescriptor) -> bool:
-    return any(s.kind in R_SLOT_KINDS for s in D.summands)
+    return rational_type(D)[1] > 0
 
 
 def has_S_slot(D: LatticeDescriptor) -> bool:
-    return any(s.kind in S_SLOT_KINDS for s in D.summands)
+    return rational_type(D)[2] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Integer matrix models of descriptors and the linear algebra behind them.
 
 rep_of builds, for a descriptor with trivial ideal classes, an integer
-matrix A with A^(p^2) = I realizing the action of g on Z^n: the type A
-blocks are companion matrices, and each extension block is the pushout
+matrix A with A^(p^2) = I realizing the action of g on Z^n, one block
+per distinct summand: Z, b, c and Eb get the companion matrix of their
+char poly (lattice.CYCLOTOMIC), and each extension block is the pushout
 (Lambda + X) / <(i0(y), -f(y))>, where i0 embeds E = phi_{p^2}(g)Lambda
 into Lambda = Z[x]/(x^{p^2}-1) and f: E -> X encodes the extension
 class through the image of phi_{p^2}(g).  Quotient bases and induced
 actions come from Smith normal form with tracked transforms.
 
-ext_group computes Ext(S, X) for the small coefficient modules X as the
-cokernel of the restriction map Hom(Lambda, X) -> Hom(E, X), again via
-Smith normal form.
+ext_group gives Ext(S, X) = (Z/p)^(rank X) in closed form, and
+validate_rep reads det(A) off the char poly it checks.
 
 All arithmetic is exact over Python integers; matrices are plain nested
 lists.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import lattice
 from .abelian import AbGroup
-from .errors import Cp2Error, NontrivialClass
+from .errors import Cp2Error, InternalError, NontrivialClass
 from .lattice import Faithfulness, LatticeDescriptor
 
 IntMatrix = list  # list of rows, each a list of ints
@@ -59,10 +59,6 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 def mat_vec(A: IntMatrix, v: list) -> list:
     return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
-
-
-def mat_add(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -107,30 +103,6 @@ def companion(monic: list) -> IntMatrix:
     for i in range(n):
         M[i][n - 1] = -monic[i]
     return M
-
-
-def bareiss_det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,39 +244,6 @@ def mat_rank(M: IntMatrix) -> int:
     return sum(1 for d in diagonal(snf_full(M)[0]) if d != 0)
 
 
-def kernel_basis(M: IntMatrix) -> list:
-    """Columns spanning the integer kernel lattice of M (saturated)."""
-    r = len(M)
-    c = len(M[0]) if r else 0
-    S, U, V, Uinv, Vinv = snf_full(M)
-    cols = []
-    for j in range(c):
-        d = S[j][j] if j < min(r, c) else 0
-        if d == 0:
-            cols.append([V[i][j] for i in range(c)])
-    return cols
-
-
-def solve_exact(A_cols: list, b: list) -> list:
-    """Solve sum_i y_i * A_cols[i] = b exactly over Z; error when impossible."""
-    n = len(b)
-    k = len(A_cols)
-    M = [[A_cols[j][i] for j in range(k)] for i in range(n)]
-    S, U, V, _, _ = snf_full(M)
-    rhs = mat_vec(U, b)
-    y = [0] * k
-    for i in range(n):
-        d = S[i][i] if i < min(n, k) else 0
-        if d == 0:
-            if rhs[i] != 0:
-                raise Cp2Error("no integral solution")
-        else:
-            if rhs[i] % d != 0:
-                raise Cp2Error("no integral solution")
-            y[i] = rhs[i] // d
-    return mat_vec(V, y)
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials (ascending coefficient lists)
 
@@ -333,19 +272,33 @@ def x_pow_minus_1(n: int) -> list:
     return [-1] + [0] * (n - 1) + [1]
 
 
+def cyclotomic_product(p: int, a: int, b: int, c: int) -> list:
+    """Phi_1^a Phi_p^b Phi_{p^2}^c, the characteristic polynomial of g on
+    a lattice of rational type (a, b, c)."""
+    poly = [1]
+    for factor, e in (([-1, 1], a), (phi_p(p), b), (phi_p2(p), c)):
+        for _ in range(e):
+            poly = polymul_z(poly, factor)
+    return poly
+
+
+def type_block(p: int, kind: str) -> IntMatrix:
+    """The companion matrix of the kind's characteristic polynomial."""
+    return companion(cyclotomic_product(p, *lattice.CYCLOTOMIC[kind]))
+
+
 # ---------------------------------------------------------------------------
 # building blocks
 
 
-def _component(p: int, name: str):
-    """(rank, action of g) for a coefficient module."""
-    if name == "Z":
-        return 1, [[1]]
-    if name == "R":
-        return p - 1, companion(phi_p(p))
-    if name == "E":
-        return p, companion(x_pow_minus_1(p))
-    raise Cp2Error(f"unknown component {name}")
+# the coefficient modules Z, R = Z[zeta_p] and E = Z[C_p] are the
+# lattices of kinds Z, b and Eb
+_COMPONENT_KIND = {"Z": "Z", "R": "b", "E": "Eb"}
+
+
+def _component(p: int, name: str) -> IntMatrix:
+    """The action of g on a coefficient module."""
+    return type_block(p, _COMPONENT_KIND[name])
 
 
 _X_OF_KIND = {
@@ -365,7 +318,8 @@ def _f0_vector(p: int, s) -> list:
         if name == "Z":
             parts.append([1])
             continue
-        rank, G = _component(p, name)
+        G = _component(p, name)
+        rank = len(G)
         lam_mat = mat_sub(G, identity(rank))
         # w = sum u_j (g-1)^j applied to 1, then another r applications of (g-1)
         vec = [0] * rank
@@ -389,11 +343,8 @@ def _f0_vector(p: int, s) -> list:
 
 def _pushout_block(p: int, s) -> IntMatrix:
     """Action of g on (Lambda + X) / <(i0(y), -f(y)) : y in E>."""
-    comps = _X_OF_KIND[s.kind]
-    ranks_mats = [_component(p, c) for c in comps]
-    x_rank = sum(rk for rk, _ in ranks_mats)
-    G_X = block_diag([G for _, G in ranks_mats])
-    N = p * p + x_rank
+    G_X = block_diag([_component(p, c) for c in _X_OF_KIND[s.kind]])
+    N = p * p + len(G_X)
     G_L = block_diag([companion(x_pow_minus_1(p * p)), G_X])
 
     f0 = _f0_vector(p, s)
@@ -413,7 +364,7 @@ def _pushout_block(p: int, s) -> IntMatrix:
     S, U, _, Uinv, _ = snf_full(B)
     for i in range(p):
         if S[i][i] != 1:
-            raise Cp2Error(
+            raise InternalError(
                 "relation lattice is not a direct summand; "
                 f"diagonal entry {S[i][i]} at {i}"
             )
@@ -421,7 +372,7 @@ def _pushout_block(p: int, s) -> IntMatrix:
     for i in range(p, N):
         for j in range(p):
             if Gy[i][j] != 0:
-                raise Cp2Error("relation lattice is not invariant under g")
+                raise InternalError("relation lattice is not invariant under g")
     return [row[p:] for row in Gy[p:]]
 
 
@@ -444,24 +395,17 @@ def rep_of(D: LatticeDescriptor) -> IntegerRep:
             raise NontrivialClass(
                 "matrix models are built for trivial ideal classes only"
             )
-    blocks = []
-    for s in D.summands:
-        if s.kind == "Z":
-            blocks.append([[1]])
-        elif s.kind == "b":
-            blocks.append(companion(phi_p(p)))
-        elif s.kind == "c":
-            blocks.append(companion(phi_p2(p)))
-        elif s.kind == "Eb":
-            blocks.append(companion(x_pow_minus_1(p)))
-        else:
-            blocks.append(_pushout_block(p, s))
     # A^(p^2) = I holds on a block-diagonal matrix exactly when it holds
-    # on every block
-    for b in blocks:
+    # on every block, so each distinct summand is built and checked once
+    blocks = {}
+    for s in D.summands:
+        if s in blocks:
+            continue
+        b = _pushout_block(p, s) if s.kind in _X_OF_KIND else type_block(p, s.kind)
         if not mat_eq(mat_pow(b, p * p), identity(len(b))):
-            raise Cp2Error("internal error: built matrix does not satisfy A^(p^2) = I")
-    A = block_diag(blocks) if blocks else []
+            raise InternalError("built matrix does not satisfy A^(p^2) = I")
+        blocks[s] = b
+    A = block_diag([blocks[s] for s in D.summands]) if D.summands else []
     return IntegerRep(len(A), tuple(tuple(row) for row in A), D)
 
 
@@ -469,46 +413,25 @@ def rep_of(D: LatticeDescriptor) -> IntegerRep:
 # Ext groups
 
 
-_EXT_COMPONENTS = {
-    "Z": ("Z",),
-    "R": ("R",),
-    "E": ("E",),
-    "Z+R": ("Z", "R"),
-    "Z+E": ("Z", "E"),
-}
+_EXT_MODULES = ("Z", "R", "E", "Z+R", "Z+E")
 
 
 def ext_group(x_name: str, p: int) -> AbGroup:
     """Ext(S, X) as the cokernel of Hom(Lambda, X) -> Hom(E, X).
 
-    Hom(Lambda, X) is X itself; Hom(E, X) is the (g^p - 1)-torsion of X;
-    the restriction map sends x to phi_{p^2}(g) * x.
+    Hom(Lambda, X) is X itself.  E = phi_{p^2}(g)Lambda is cyclic with
+    annihilator (g^p - 1), and g^p acts trivially on every coefficient
+    module X, so Hom(E, X) is X too and the restriction map is
+    multiplication by phi_{p^2}(g) = 1 + g^p + ... + g^(p(p-1)) = p.
+    The cokernel is X/pX = (Z/p)^(rank X).
     """
-    if x_name not in _EXT_COMPONENTS:
+    if x_name not in _EXT_MODULES:
         raise Cp2Error(f"unsupported coefficient module {x_name!r}")
-    ranks_mats = [_component(p, c) for c in _EXT_COMPONENTS[x_name]]
-    G = block_diag([M for _, M in ranks_mats])
-    n = len(G)
-    torsion = mat_sub(mat_pow(G, p), identity(n))
-    K = kernel_basis(torsion)  # columns spanning Hom(E, X)
-    phi_of_G = zeros(n, n)
-    Gp = identity(n)
-    step = mat_pow(G, p)
-    for _ in range(p):
-        phi_of_G = mat_add(phi_of_G, Gp)
-        Gp = mat_mul(Gp, step)
-    # express each image phi(G) e_i in the kernel basis
-    cols = []
-    for i in range(n):
-        e = [1 if j == i else 0 for j in range(n)]
-        cols.append(solve_exact(K, mat_vec(phi_of_G, e)))
-    k = len(K)
-    M_map = [[cols[j][i] for j in range(n)] for i in range(k)]
-    S = snf_full(M_map)[0]
-    diag = diagonal(S)
-    if len([d for d in diag if d != 0]) != k:
-        raise Cp2Error("Ext group is not finite; inconsistent input")
-    return AbGroup(tuple(d for d in diag if d > 1))
+    rank = sum(
+        lattice.type_rank(*lattice.CYCLOTOMIC[_COMPONENT_KIND[c]], p)
+        for c in x_name.split("+")
+    )
+    return AbGroup((p,) * rank)
 
 
 # ---------------------------------------------------------------------------
@@ -569,24 +492,7 @@ def charpoly(A: IntMatrix) -> list:
 
 
 def predicted_charpoly(D: LatticeDescriptor) -> list:
-    p = D.p
-    factor_of = {
-        "Z": [[-1, 1]],
-        "b": [phi_p(p)],
-        "c": [phi_p2(p)],
-        "Eb": [x_pow_minus_1(p)],
-        "Ec": [[-1, 1], phi_p2(p)],
-        "B": [x_pow_minus_1(p), phi_p2(p)],
-        "C": [[-1, 1], x_pow_minus_1(p), phi_p2(p)],
-        "D": [[-1, 1], x_pow_minus_1(p), phi_p2(p)],
-        "E": [phi_p(p), phi_p2(p)],
-        "F": [[-1, 1], phi_p(p), phi_p2(p)],
-    }
-    poly = [1]
-    for s in D.summands:
-        for f in factor_of[s.kind]:
-            poly = polymul_z(poly, f)
-    return poly
+    return cyclotomic_product(D.p, *lattice.rational_type(D))
 
 
 def _order_from_powers(A: IntMatrix, Ap: IntMatrix, Ap2: IntMatrix, p: int) -> int:
@@ -642,15 +548,16 @@ def validate_rep(rep: IntegerRep) -> RepReport:
     The checks run per connected component of A, found from A itself, so
     any IntegerRep is checked, not only the block structure rep_of built.
     Each invariant of the block-diagonal form is exact: A^(p^2) = I on
-    every block, det(A) and the char poly are the products over blocks,
-    the order is the lcm of the block orders (0 if any fails to divide
-    p^2), and rank(A - I) is the sum of the block ranks.
+    every block, the char poly is the product over blocks, the order is
+    the lcm of the block orders (0 if any fails to divide p^2), and
+    rank(A - I) is the sum of the block ranks.  det(A) is
+    (-1)^n charpoly(A)(0).
     """
     D = rep.source
     p = D.p
     A = rep.matrix
     n = rep.n
-    power_ok, det, got, rank = True, 1, [1], 0
+    power_ok, got, rank = True, [1], 0
     orders = []
     for comp in connected_components(A):
         B = [[A[i][j] for j in comp] for i in comp]
@@ -658,10 +565,10 @@ def validate_rep(rep: IntegerRep) -> RepReport:
         Bp = mat_pow(B, p)
         Bp2 = mat_pow(Bp, p)
         power_ok = power_ok and mat_eq(Bp2, I)
-        det *= bareiss_det(B)
         orders.append(_order_from_powers(B, Bp, Bp2, p))
         got = polymul_z(got, charpoly(B))
         rank += mat_rank(mat_sub(B, I))
+    det = (-1) ** len(A) * got[0]
     checks = []
 
     checks.append(RepCheck("power_identity", power_ok, f"A^{p*p} == I: {power_ok}"))
@@ -687,15 +594,7 @@ def validate_rep(rep: IntegerRep) -> RepReport:
         RepCheck("char_poly", got == want, f"char poly matches prediction: {got == want}")
     )
 
-    n_counts = lattice.counts(D)
-    expected_fixed = (
-        n_counts["Z"]
-        + n_counts["Eb"]
-        + n_counts["Ec"]
-        + n_counts["B"]
-        + 2 * (n_counts["C"] + n_counts["D"])
-        + n_counts["F"]
-    )
+    expected_fixed = lattice.rational_type(D)[0]
     fixed = n - rank
     checks.append(
         RepCheck(

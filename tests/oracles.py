@@ -3,8 +3,9 @@
 Each one does the job the slow, direct way: walking orbits point by
 point, applying the generator matrix power by power, twisting a
 descriptor and re-deriving its invariants, listing a unit group and
-its cosets element by element, or validating a matrix model on the
-whole matrix instead of per connected component.
+its cosets element by element, validating a matrix model on the
+whole matrix instead of per connected component, or computing an Ext
+group as a Smith normal form cokernel.
 """
 
 import math
@@ -144,6 +145,100 @@ def snf(M):
     return S, U, V
 
 
+def mat_add(A, B):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def bareiss_det(M) -> int:
+    """Exact determinant by fraction-free elimination."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [row[:] for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def kernel_basis(M) -> list:
+    """Columns spanning the integer kernel lattice of M (saturated)."""
+    r = len(M)
+    c = len(M[0]) if r else 0
+    S, U, V, Uinv, Vinv = materialize.snf_full(M)
+    cols = []
+    for j in range(c):
+        d = S[j][j] if j < min(r, c) else 0
+        if d == 0:
+            cols.append([V[i][j] for i in range(c)])
+    return cols
+
+
+def solve_exact(A_cols: list, b: list) -> list:
+    """Solve sum_i y_i * A_cols[i] = b exactly over Z; error when impossible."""
+    n = len(b)
+    k = len(A_cols)
+    M = [[A_cols[j][i] for j in range(k)] for i in range(n)]
+    S, U, V, _, _ = materialize.snf_full(M)
+    rhs = materialize.mat_vec(U, b)
+    y = [0] * k
+    for i in range(n):
+        d = S[i][i] if i < min(n, k) else 0
+        if d == 0:
+            if rhs[i] != 0:
+                raise Cp2Error("no integral solution")
+        else:
+            if rhs[i] % d != 0:
+                raise Cp2Error("no integral solution")
+            y[i] = rhs[i] // d
+    return materialize.mat_vec(V, y)
+
+
+def snf_ext_group(x_name: str, p: int) -> AbGroup:
+    """Ext(S, X) as the Smith normal form cokernel of the restriction
+    Hom(Lambda, X) -> Hom(E, X): Hom(E, X) is the (g^p - 1)-torsion of X,
+    and the map sends x to phi_{p^2}(g) * x."""
+    mat = materialize
+    action = {
+        "Z": [[1]],
+        "R": mat.companion(mat.phi_p(p)),
+        "E": mat.companion(mat.x_pow_minus_1(p)),
+    }
+    G = mat.block_diag([action[c] for c in x_name.split("+")])
+    n = len(G)
+    torsion = mat.mat_sub(mat.mat_pow(G, p), mat.identity(n))
+    K = kernel_basis(torsion)  # columns spanning Hom(E, X)
+    phi_of_G = mat.zeros(n, n)
+    Gp = mat.identity(n)
+    step = mat.mat_pow(G, p)
+    for _ in range(p):
+        phi_of_G = mat_add(phi_of_G, Gp)
+        Gp = mat.mat_mul(Gp, step)
+    # express each image phi(G) e_i in the kernel basis
+    cols = []
+    for i in range(n):
+        e = [1 if j == i else 0 for j in range(n)]
+        cols.append(solve_exact(K, mat.mat_vec(phi_of_G, e)))
+    k = len(K)
+    M_map = [[cols[j][i] for j in range(n)] for i in range(k)]
+    diag = mat.diagonal(mat.snf_full(M_map)[0])
+    if len([d for d in diag if d != 0]) != k:
+        raise Cp2Error("Ext group is not finite; inconsistent input")
+    return AbGroup(tuple(d for d in diag if d > 1))
+
+
 def poly_shift(a: PolyMod, r: int) -> PolyMod:
     """Multiply by l^r (truncating)."""
     if r < 0:
@@ -242,7 +337,7 @@ def dense_validate_rep(rep) -> materialize.RepReport:
     ok = mat.mat_pow(A, p * p) == mat.identity(n)
     checks.append(RepCheck("power_identity", ok, f"A^{p*p} == I: {ok}"))
 
-    det = mat.bareiss_det(A)
+    det = bareiss_det(A)
     checks.append(RepCheck("unimodular", abs(det) == 1, f"det(A) = {det}"))
 
     expected_order = {

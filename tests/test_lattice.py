@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cp2genus import lattice as lat
+from cp2genus import materialize as mat
 from cp2genus import modring
 from cp2genus.errors import Cp2Error, ParseError
 from cp2genus.lattice import Faithfulness
@@ -95,6 +96,48 @@ def test_rank_values(ctx2, ctx3, ctx5):
     }
     for text, want in one_each.items():
         assert lat.rank(lat.parse(text, 5, ctx5)) == want
+
+
+def test_rational_types_pin_kind_tables(ctx2, ctx3, ctx5, ctx7_synthetic):
+    # every value derived from lat.CYCLOTOMIC, against the literal per-kind
+    # tables it replaced
+    x1 = [-1, 1]
+    for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, ctx7_synthetic)):
+        xp1, phip, phip2 = mat.x_pow_minus_1(p), mat.phi_p(p), mat.phi_p2(p)
+        old = {  # kind: (rank, char poly factors, fixed rank)
+            "Z": (1, [x1], 1),
+            "b": (p - 1, [phip], 0),
+            "c": (p * (p - 1), [phip2], 0),
+            "Eb": (p, [xp1], 1),
+            "Ec": (p * (p - 1) + 1, [x1, phip2], 1),
+            "B": (p * p, [xp1, phip2], 1),
+            "C": (p * p + 1, [x1, xp1, phip2], 2),
+            "D": (p * p + 1, [x1, xp1, phip2], 2),
+            "E": (p * p - 1, [phip, phip2], 0),
+            "F": (p * p, [x1, phip, phip2], 1),
+        }
+        assert tuple(old) == lat.KINDS
+        for kind, (rank, factors, fixed) in old.items():
+            D = lat.descriptor(p, ctx, [lat.Summand(kind)])
+            assert lat.rank(D) == rank, (kind, p)
+            assert lat.rational_type(D)[0] == fixed, (kind, p)
+            want = [1]
+            for f in factors:
+                want = mat.polymul_z(want, f)
+            assert mat.predicted_charpoly(D) == want, (kind, p)
+            assert lat.has_R_slot(D) == (kind in ("b", "Eb", "B", "C", "D", "E", "F"))
+            assert lat.has_S_slot(D) == (kind in ("c", "Ec", "B", "C", "D", "E", "F"))
+            if kind in ("c", "Ec", "B", "C", "D", "E", "F"):
+                assert lat.faithfulness(D) == Faithfulness.FAITHFUL
+            elif kind in ("b", "Eb"):
+                assert lat.faithfulness(D) == Faithfulness.ORDER_P
+            else:
+                assert lat.faithfulness(D) == Faithfulness.TRIVIAL
+        blocks = {"Z": [[1]], "b(0)": mat.companion(phip),
+                  "c(0)": mat.companion(phip2), "Eb(0)": mat.companion(xp1)}
+        for text, block in blocks.items():
+            rep = mat.rep_of(lat.parse(text, p, ctx))
+            assert [list(r) for r in rep.matrix] == block, (text, p)
 
 
 def test_rank_additive(ctx3):

@@ -3,10 +3,19 @@ import random
 import pytest
 
 from cp2genus import lattice as lat, materialize as mat
-from cp2genus.errors import Cp2Error, NontrivialClass
+from cp2genus.errors import Cp2Error, InternalError, NontrivialClass
 
 from conftest import indecomposable_templates, synthetic_c43
-from oracles import dense_charpoly, dense_validate_rep, snf
+from oracles import (
+    bareiss_det,
+    dense_charpoly,
+    dense_validate_rep,
+    kernel_basis,
+    mat_add,
+    snf,
+    snf_ext_group,
+    solve_exact,
+)
 
 
 def test_snf_examples():
@@ -28,8 +37,8 @@ def test_snf_roundtrip_random():
         assert mat.mat_mul(mat.mat_mul(U, M), V) == S
         assert mat.mat_mul(U, Uinv) == mat.identity(r)
         assert mat.mat_mul(V, Vinv) == mat.identity(c)
-        assert abs(mat.bareiss_det(U)) == 1
-        assert abs(mat.bareiss_det(V)) == 1
+        assert abs(bareiss_det(U)) == 1
+        assert abs(bareiss_det(V)) == 1
         d = mat.diagonal(S)
         assert all(x >= 0 for x in d)
         for a, b in zip(d, d[1:]):
@@ -41,14 +50,14 @@ def test_snf_roundtrip_random():
 
 def test_kernel_and_solve():
     M = [[2, 4, 6], [1, 2, 3]]
-    K = mat.kernel_basis(M)
+    K = kernel_basis(M)
     assert len(K) == 2
     for col in K:
         assert mat.mat_vec(M, col) == [0, 0]
-    y = mat.solve_exact(K, K[0])
+    y = solve_exact(K, K[0])
     assert y == [1, 0] or mat.mat_vec([[K[j][i] for j in range(2)] for i in range(3)], y) == K[0]
     with pytest.raises(Cp2Error):
-        mat.solve_exact(K, [1, 0, 0])  # not in the kernel span
+        solve_exact(K, [1, 0, 0])  # not in the kernel span
 
 
 def test_companion():
@@ -133,13 +142,19 @@ def test_ext_group_sizes():
         mat.ext_group("S", 3)
 
 
+def test_ext_group_matches_snf_oracle():
+    for p in (2, 3, 5, 7, 11, 13):
+        for x in ("Z", "R", "E", "Z+R", "Z+E"):
+            assert mat.ext_group(x, p) == snf_ext_group(x, p), (x, p)
+
+
 def _eval_poly_at_matrix(f, A):
     n = len(A)
     val = mat.zeros(n, n)
     acc = mat.identity(n)
     for c in f:
         if c:
-            val = mat.mat_add(val, [[c * x for x in row] for row in acc])
+            val = mat_add(val, [[c * x for x in row] for row in acc])
         acc = mat.mat_mul(acc, A)
     return val
 
@@ -252,5 +267,23 @@ def test_validate_rep_large_model(ctx5):
 
 def test_rep_of_checks_every_block(ctx3, monkeypatch):
     monkeypatch.setattr(mat, "_pushout_block", lambda p, s: [[2]])
-    with pytest.raises(Cp2Error, match=r"does not satisfy A\^\(p\^2\) = I"):
+    with pytest.raises(InternalError, match=r"^built matrix does not satisfy A\^\(p\^2\) = I$"):
         mat.rep_of(lat.parse("Z + B(0,0;1)", 3, ctx3))
+
+
+def test_rep_of_builds_each_distinct_summand_once(ctx3, monkeypatch):
+    D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + B(0,0;2)", 3, ctx3)
+    calls = []
+    build = mat._pushout_block
+
+    def counting(p, s):
+        calls.append(s)
+        return build(p, s)
+
+    monkeypatch.setattr(mat, "_pushout_block", counting)
+    rep = mat.rep_of(D)
+    assert sorted(calls, key=lat.Summand.sort_key) == sorted(
+        {s for s in D.summands if s.kind != "Z"}, key=lat.Summand.sort_key)
+    copies = [[list(r) for r in mat.rep_of(lat.descriptor(3, ctx3, [s])).matrix]
+              for s in D.summands]
+    assert [list(r) for r in rep.matrix] == mat.block_diag(copies)
