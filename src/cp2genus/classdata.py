@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .abelian import AbGroup, CyclicAction, primitive_root
-from .errors import ConfigError, NeedsConfig, UnsupportedPrime
-from .modring import UnitQuotient, compute_Um
+from .errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
+from .modring import UnitQuotient, compute_Um, galois_on_unit
 
 BUILTIN_TRIVIAL = (2, 3, 5)
 _DATA_DIR = Path(__file__).parent / "data"
@@ -42,6 +42,20 @@ class ClassData:
             )
         self.H_p.validate("H_p")
         self.H_p2.validate("H_p2")
+        if self.extra_R_unit_gens or self.extra_ES_unit_gens:
+            # the Galois action on U_m needs a Galois-stable image; the
+            # default generators give one, extra generators may not
+            gen = primitive_root(p * p)
+            for m in range(1, p + 1):
+                try:
+                    sub = self.unit_quotient(m).subgroup
+                except Cp2Error as exc:
+                    raise ConfigError(f"extra unit generators, m={m}: {exc}") from None
+                if any(galois_on_unit(gen, e) not in sub for e in sub.pivots):
+                    raise ConfigError(
+                        f"extra unit generators: the unit image for m={m} is not "
+                        "Galois-stable, so G(p^2) does not act on U_m"
+                    )
 
     def unit_quotient(self, m: int) -> UnitQuotient:
         """U_m computed with any configured extra unit generators."""

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import classdata, galois, genus, iso, lattice, materialize
-from .errors import Cp2Error, InternalError, NeedsConfig, ParseError, UnsupportedPrime
+from .errors import ConfigError, Cp2Error, InternalError, NeedsConfig, ParseError, UnsupportedPrime
 
 
 def _context(args):
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedPrime, NeedsConfig) as exc:
+    except (UnsupportedPrime, NeedsConfig, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:

@@ -8,7 +8,8 @@ For a faithful semidirect product the genus size is computed two ways:
 
 * the orbit engine: count orbits of the diagonal G(p^2) action on the
   isomorphism-invariant tuples of the genus by Burnside's lemma, from
-  the fixed-point counts of each coordinate set separately.
+  the fixed-point counts of each coordinate set separately; on U_t they
+  are a closed form in its free degrees, so no coset is listed.
 
 The two engines agree on every tested shape with trivial class groups;
 with nontrivial class data any disagreement is reported, never
@@ -22,14 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import galois, iso, lattice, modring
-from .abelian import (
-    CyclicAction,
-    burnside_count,
-    cycles,
-    fixed_point_counts,
-    orbit_count,
-    primitive_root,
-)
+from .abelian import CyclicAction, burnside_count, orbit_count, primitive_root
 from .classdata import ClassData
 from .errors import EnumerationGuard, InternalError, NotFaithful
 from .iso import IsoInvariants
@@ -95,15 +89,20 @@ def profinite_isomorphic(E1: SemidirectDescriptor, E2: SemidirectDescriptor) -> 
 
 @lru_cache(maxsize=None)
 def _ut_fixed_counts(context: ClassData, t: int) -> tuple[int, ...]:
-    """Fixed points of gen^d on the U_t representatives for d < phi(p^2),
-    gen the primitive root mod p^2, from the cycle type of the
-    permutation rep_of(galois_on_unit(gen, .)) of the representatives."""
-    quotient = context.unit_quotient(t)
-    gen = primitive_root(context.p ** 2)
-    perm = cycles(
-        quotient.reps, lambda u: quotient.rep_of(modring.galois_on_unit(gen, u))
+    """Fixed points of gen^d on U_t for d < phi(p^2), gen the primitive
+    root mod p^2, in closed form.  For t <= p, l^p = 0 makes the truncated
+    log a filtered isomorphism 1 + lR -> (lR, +), and l -> (1+l)^k - 1
+    sends L = log(1+l) to k*L: the action is diagonal in the basis L^j
+    with eigenvalue k^j mod p, distinct characters for j < p.  So a
+    Galois-stable image (ClassData.validate checks extra generators) is
+    spanned by the L^j at its pivot degrees, and gen^d fixes
+    p^#{free j : (p-1) | d*j} cosets.
+    """
+    p = context.p
+    free = context.unit_quotient(t).free_degrees
+    return tuple(
+        p ** sum(1 for j in free if d * j % (p - 1) == 0) for d in range(p * (p - 1))
     )
-    return fixed_point_counts([len(c) for c in perm], context.p * (context.p - 1))
 
 
 def ut_orbit_count(context: ClassData, t: int) -> int:
@@ -115,14 +114,15 @@ def ut_orbit_count(context: ClassData, t: int) -> int:
 class _GenusCoordinates:
     """The coordinate sets of the invariant tuples in the genus of D.
 
-    The R and S classes range over the whole class group when live and
-    are the identity otherwise; u_range and chi_range list their values.
+    The R and S classes range over the whole class group and the u0
+    coset over all of U_t when live, and keep their base values
+    otherwise; chi_range lists the character's values.
     """
 
     base: IsoInvariants
     r_live: bool
     s_live: bool
-    u_range: tuple
+    u_live: bool
     chi_range: tuple
 
 
@@ -140,10 +140,7 @@ def _genus_coordinates(D: LatticeDescriptor, guard: int) -> _GenusCoordinates:
     r_live = lattice.has_R_slot(D)
     s_live = lattice.has_S_slot(D)
     has_ext = any(s.kind in lattice.EXTENSION_KINDS for s in D.summands)
-    if base.u0_class is not None and has_ext:
-        u_range = ctx.unit_quotient(base.t).reps
-    else:
-        u_range = (base.u0_class,)
+    u_live = base.u0_class is not None and has_ext
     if base.quad_char is not None and sum(base.padic.cd) >= 1:
         chi_range = (1, -1)
     else:
@@ -151,10 +148,11 @@ def _genus_coordinates(D: LatticeDescriptor, guard: int) -> _GenusCoordinates:
 
     r_size = ctx.H_p.target.order if r_live else 1
     s_size = ctx.H_p2.target.order if s_live else 1
-    total = r_size * s_size * len(u_range) * len(chi_range)
+    u_size = ctx.unit_quotient(base.t).order if u_live else 1
+    total = r_size * s_size * u_size * len(chi_range)
     if total > guard:
         raise EnumerationGuard(f"genus of size {total} exceeds guard {guard}")
-    return _GenusCoordinates(base, r_live, s_live, u_range, chi_range)
+    return _GenusCoordinates(base, r_live, s_live, u_live, chi_range)
 
 
 def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[IsoInvariants]:
@@ -163,11 +161,12 @@ def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[Is
     Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
     r_range = Hp.elements(guard) if co.r_live else [Hp.identity()]
     s_range = Hp2.elements(guard) if co.s_live else [Hp2.identity()]
+    u_range = D.context.unit_quotient(co.base.t).reps if co.u_live else [co.base.u0_class]
     return [
         replace(co.base, R_class=rc, S_class=sc, u0_class=u, quad_char=chi)
         for rc in r_range
         for sc in s_range
-        for u in co.u_range
+        for u in u_range
         for chi in co.chi_range
     ]
 
@@ -196,10 +195,10 @@ def orbit_genus_count(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> int:
     # automorphism; the character carries the trivial action
     fix_r = _driven_fixed_counts(ctx.H_p, gen, order) if co.r_live else ones
     fix_s = _driven_fixed_counts(ctx.H_p2, gen, order) if co.s_live else ones
-    if len(co.u_range) > 1:
+    if co.u_live:
         fix_u = _ut_fixed_counts(ctx, co.base.t)
     else:
-        u = co.u_range[0]
+        u = co.base.u0_class
         if u is not None:
             quotient = ctx.unit_quotient(co.base.t)
             if quotient.rep_of(modring.galois_on_unit(gen, u)) != u:

@@ -14,8 +14,10 @@ coefficient 1).  Nothing lists the unit group, whose order is
 (p-1)*p^(m-1): the unit group is F_p^* times the p-group 1 + lR, whose
 filtration by degree has graded pieces F_p, so a subgroup is kept as its
 constant terms and one pivot unit per occupied degree, and the canonical
-representative of a coset comes from clearing the pivot degrees.  U_7 at
-p = 7 builds in milliseconds.
+representative of a coset comes from clearing the pivot degrees.  For
+m <= p the p-group 1 + lR has exponent p, so this sift is an F_p row
+echelon.  The cyclotomic units Delta_l are binomial coefficient vectors,
+so U_7 at p = 7 builds in milliseconds and U_37 at p = 37 in seconds.
 """
 
 from __future__ import annotations
@@ -183,16 +185,13 @@ def lift_poly(a: PolyMod, m2: int) -> PolyMod:
 
 def delta_poly(p: int, m: int, l: int) -> PolyMod:
     """Delta_l = 1 + (1+l) + (1+l)^2 + ... + (1+l)^(l-1), the image of
-    the cyclotomic unit (zeta^l - 1)/(zeta - 1) under zeta -> 1 + l."""
+    the cyclotomic unit (zeta^l - 1)/(zeta - 1) under zeta -> 1 + l.
+
+    Writing x for the variable, the geometric sum is ((1+x)^l - 1)/x, so
+    the coefficient of x^i is the binomial C(l, i+1)."""
     if l < 1:
         raise Cp2Error("delta index must be >= 1")
-    g = poly_add(one(p, m), lam(p, m))
-    total = zero(p, m)
-    cur = one(p, m)
-    for _ in range(l):
-        total = poly_add(total, cur)
-        cur = poly_mul(cur, g)
-    return total
+    return poly(p, m, [math.comb(l, i + 1) for i in range(m)])
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cp2genus import classdata, lattice
-from cp2genus.abelian import AbGroup, CyclicAction
+from cp2genus.abelian import AbGroup, CyclicAction, primitive_root
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +42,18 @@ C43_CONFIG = {
     "H_p2": {"invariant_factors": [43], "generator_residue": 3, "generator_matrix": [[3]]},
     "provenance": "synthetic test action on C_43",
 }
+
+
+def trivial_config(p, **extra) -> dict:
+    """A class-data config with trivial class groups at p, plus any extra
+    top-level keys (such as extra unit generators)."""
+
+    def action(i):
+        return {"invariant_factors": [], "generator_residue": primitive_root(p**i),
+                "generator_matrix": []}
+
+    return {"p": p, "H_p": action(1), "H_p2": action(2),
+            "provenance": f"trivial class groups at p={p}", **extra}
 
 
 @pytest.fixture(scope="session")

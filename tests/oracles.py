@@ -3,9 +3,10 @@
 Each one does the job the slow, direct way: walking orbits point by
 point, applying the generator matrix power by power, twisting a
 descriptor and re-deriving its invariants, listing a unit group and
-its cosets element by element, validating a matrix model on the
-whole matrix instead of per connected component, or computing an Ext
-group as a Smith normal form cokernel.
+its cosets element by element, summing a cyclotomic unit power by
+power, validating a matrix model on the whole matrix instead of per
+connected component, or computing an Ext group as a Smith normal form
+cokernel.
 """
 
 import math
@@ -18,6 +19,8 @@ from cp2genus.abelian import (
     AbGroup,
     CyclicAction,
     apply_action,
+    cycles,
+    fixed_point_counts,
     primitive_root,
 )
 from cp2genus.errors import Cp2Error, EnumerationGuard, NonUnit
@@ -69,6 +72,18 @@ def brute_ut_orbit_count(context, t: int) -> int:
     return walk_orbit_count(
         quotient.reps, lambda u: quotient.rep_of(modring.galois_on_unit(gen, u))
     )
+
+
+def walk_ut_fixed_counts(context, t: int) -> tuple[int, ...]:
+    """Fixed points of gen^d on the listed U_t representatives for
+    d < phi(p^2), from the cycle type of the permutation
+    rep_of(galois_on_unit(gen, .)) of the representatives."""
+    quotient = context.unit_quotient(t)
+    gen = primitive_root(context.p ** 2)
+    perm = cycles(
+        quotient.reps, lambda u: quotient.rep_of(modring.galois_on_unit(gen, u))
+    )
+    return fixed_point_counts([len(c) for c in perm], context.p * (context.p - 1))
 
 
 def brute_orbit_genus_count(D, guard: int = DEFAULT_GUARD) -> int:
@@ -247,6 +262,17 @@ def poly_shift(a: PolyMod, r: int) -> PolyMod:
     if r >= m:
         return modring.zero(a.p, m)
     return PolyMod(a.p, m, (0,) * r + a.coeffs[: m - r])
+
+
+def delta_by_products(p: int, m: int, l: int) -> PolyMod:
+    """Delta_l = 1 + (1+l) + ... + (1+l)^(l-1), summed power by power."""
+    g = modring.poly_add(modring.one(p, m), modring.lam(p, m))
+    total = modring.zero(p, m)
+    cur = modring.one(p, m)
+    for _ in range(l):
+        total = modring.poly_add(total, cur)
+        cur = poly_mul(cur, g)
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from cp2genus import classdata, modring
 from cp2genus.abelian import orbit_count
 from cp2genus.errors import ConfigError, NeedsConfig, UnsupportedPrime
 
-from conftest import C43_CONFIG
+from conftest import C43_CONFIG, trivial_config
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -106,3 +106,28 @@ def test_extra_r_generators(ctx5):
         provenance="test",
     )
     assert extra.unit_quotient(4).order == 1
+
+
+@pytest.mark.parametrize("p, key, vec, m, order", [
+    (5, "extra_ES_unit_gens", [1, 0, 0, 1, 0], 5, 1),  # collapses U_5
+    (5, "extra_R_unit_gens", [1, 0, 0, 1], 4, 1),      # collapses U_4
+    (7, "extra_R_unit_gens", [1, 0, 0, 1, 2, 0], 6, 7),  # exp(L^3) kills degree 3
+])
+def test_stable_extra_generators_load(tmp_path, p, key, vec, m, order):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(trivial_config(p, **{key: [vec]})))
+    data = classdata.load_config(path)
+    assert data.unit_quotient(m).order == order
+
+
+def test_unstable_extra_generators_rejected(tmp_path):
+    # exp(L^3 + L^5), L = log(1+l), at p = 7: sigma_k scales L^j by k^j, so
+    # the image it generates with the default units is not Galois-stable
+    # in F_7[l]/(l^6), and G(p^2) would not act on U_6
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(trivial_config(7, extra_R_unit_gens=[[1, 0, 0, 1, 2, 1]])))
+    with pytest.raises(ConfigError, match="m=6"):
+        classdata.load_config(path)
+    path.write_text(json.dumps(trivial_config(7, extra_R_unit_gens=[[0, 1]])))
+    with pytest.raises(ConfigError, match="not a unit"):
+        classdata.load_config(path)

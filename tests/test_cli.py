@@ -4,6 +4,8 @@ from cp2genus import iso
 from cp2genus.cli import main
 from cp2genus.errors import InternalError
 
+from conftest import trivial_config
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -133,6 +135,28 @@ def test_classdata_wrong_prime(capsys, c43_config_file):
         capsys, "genus-count", "--p", "5", "--classdata", str(c43_config_file), "Z",
     )
     assert code == 2 and "p=7" in err
+
+
+def test_bad_classdata_exit_3(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    code, out, err = run(capsys, "genus-count", "--p", "7", "--classdata", str(path), "Z")
+    assert code == 3 and out == "" and err.startswith("error: ") and "invalid JSON" in err
+    path.write_text(json.dumps(trivial_config(7, extra_R_unit_gens=[[1, 0, 0, 1, 2, 1]])))
+    code, out, err = run(capsys, "orbits", "--p", "7", "--classdata", str(path))
+    assert code == 3 and out == "" and err.startswith("error: ") and "m=6" in err
+
+
+def test_genus_count_p13_counts_ut_in_closed_form(capsys, tmp_path):
+    # t = 13: U_13 has 13^5 cosets, and neither engine lists them
+    path = tmp_path / "p13.json"
+    path.write_text(json.dumps(trivial_config(13)))
+    code, out, _ = run(capsys, "genus-count", "--p", "13", "--classdata", str(path),
+                       "--json", "B(0,0;0)")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["closed_form"] == {"value": 30970, "case": "MaisSimples"}
+    assert obj["enumeration"] == 30970 and obj["agree"] is True
 
 
 def test_lenient_units_flag(capsys):

@@ -9,7 +9,12 @@ from cp2genus import classdata, galois, genus, iso, lattice as lat, modring
 from cp2genus.errors import EnumerationGuard, InternalError, NotFaithful
 
 from conftest import indecomposable_templates, random_descriptor, synthetic_c43
-from oracles import brute_orbit_genus_count, brute_ut_orbit_count, diagonal_orbits
+from oracles import (
+    brute_orbit_genus_count,
+    brute_ut_orbit_count,
+    diagonal_orbits,
+    walk_ut_fixed_counts,
+)
 
 SD = genus.SemidirectDescriptor
 
@@ -190,6 +195,20 @@ def test_ut_orbit_count_matches_walk(ctx2, ctx3, ctx5):
                        (7, synthetic_c43(), range(7))):
         for m in ms:
             assert genus.ut_orbit_count(ctx, m) == brute_ut_orbit_count(ctx, m), (p, m)
+
+
+def test_ut_fixed_counts_match_walk():
+    # the closed form in the free degrees against the cycle type of the
+    # Galois permutation of the listed cosets; exp(L^3) = 1 + l^3 + 2l^4
+    # (L = log(1+l)) is a Galois-stable extra generator that moves the
+    # free degrees of U_4 .. U_6 at p = 7
+    base7 = classdata.trivial(7)
+    extra = classdata.ClassData(7, base7.H_p, base7.H_p2,
+                                extra_R_unit_gens=((1, 0, 0, 1, 2, 0),))
+    extra.validate()
+    for ctx in [classdata.trivial(p) for p in (2, 3, 5, 7, 11)] + [extra]:
+        for t in range(ctx.p + 1):
+            assert genus._ut_fixed_counts(ctx, t) == walk_ut_fixed_counts(ctx, t), (ctx, t)
 
 
 def test_orbit_engine_rejects_unstable_fixed_coordinate(ctx5, monkeypatch):

@@ -1,10 +1,18 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
 from cp2genus import modring as mr
 from cp2genus.errors import AmbientMismatch, Cp2Error, InternalError, NonUnit
-from oracles import brute_quotient, closure_elements, poly_shift, unit_group
+from oracles import (
+    brute_quotient,
+    closure_elements,
+    delta_by_products,
+    poly_shift,
+    unit_group,
+)
 
 
 def test_poly_mul_examples():
@@ -189,6 +197,13 @@ def test_twisted_shift_identity_small():
                     assert lhs == rhs
 
 
+def test_delta_poly_matches_products():
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(p + 1):
+            for l in range(1, p * p if p <= 7 else 3 * p):
+                assert mr.delta_poly(p, m, l) == delta_by_products(p, m, l), (p, m, l)
+
+
 def test_delta_truncations_in_R_image():
     for p in (2, 3, 5):
         img = mr.image_of_R_units(p, p - 1)
@@ -287,3 +302,24 @@ def test_bass_cyclic_units_lie_in_ES_image(p):
         g = mr.poly(5, 5, (1, 1))
         u = mr.poly_sub(mr.poly_add(g, mr.poly_pow(g, 4)), mr.one(5, 5))  # g + g^4 - 1
         assert u in image
+
+
+def bernoulli(n: int) -> list[Fraction]:
+    """B_0 .. B_n exactly (B_1 = -1/2), from sum_{k <= j} C(j+1, k) B_k = 0."""
+    B = [Fraction(1)]
+    for j in range(1, n + 1):
+        B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+    return B
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 37])
+def test_free_degrees_kummer_certificate(p):
+    # the default unit images leave free exactly the odd degrees j >= 3 and
+    # the even j with p | B_j (Kummer's criterion): every p <= 23 is
+    # regular, and 37 divides B_32
+    B = bernoulli(p)
+    assert (p == 37) == any(B[j].numerator % p == 0 for j in range(2, p - 2, 2))
+    for m in (p - 1, p):
+        expected = tuple(j for j in range(1, m)
+                         if j % 2 and j >= 3 or j % 2 == 0 and B[j].numerator % p == 0)
+        assert mr.compute_Um(p, m).free_degrees == expected, (p, m)
