@@ -15,26 +15,26 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import Cp2Error, EnumerationGuard, InternalError
+from .value import Value, set_field
 
 DEFAULT_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class AbGroup:
-    factors: tuple[int, ...]
+class AbGroup(Value):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        for f in self.factors:
+    def __init__(self, factors: tuple[int, ...]):
+        for f in factors:
             if f < 2:
                 raise Cp2Error(f"invariant factor {f} must be >= 2")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if b % a != 0:
-                raise Cp2Error(f"invariant factors {self.factors} violate divisibility")
+                raise Cp2Error(f"invariant factors {factors} violate divisibility")
+        set_field(self, "factors", factors)
 
     @property
     def order(self) -> int:
@@ -93,27 +93,54 @@ def reduce_element(G: AbGroup, raw) -> tuple[int, ...]:
     return tuple(raw[i] if i < len(raw) else 0 for i in range(n))
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _totient(n: int) -> int:
+    phi = n
+    for q in _prime_factors(n):
+        phi -= phi // q
+    return phi
+
+
+def unit_order(g: int, modulus: int) -> int:
+    """The multiplicative order of the unit g mod modulus: phi(modulus)
+    with each prime factor q stripped while g^(order/q) stays 1."""
+    order = _totient(modulus)
+    for q in _prime_factors(order):
+        while order % q == 0 and pow(g, order // q, modulus) == 1:
+            order //= q
+    return order
+
+
 @lru_cache(maxsize=None)
 def primitive_root(modulus: int) -> int:
-    """Smallest generator of (Z/modulus)^* for modulus in {1, 2, 4, p^i, 2p^i}."""
+    """Smallest generator of (Z/modulus)^* for modulus in {1, 2, 4, p^i, 2p^i}.
+
+    A unit g generates exactly when g^(phi/q) != 1 for every prime q
+    dividing phi = phi(modulus)."""
     if modulus in (1, 2):
         return 1
-    if modulus == 4:
-        return 3
-    units = [k for k in range(1, modulus) if math.gcd(k, modulus) == 1]
-    target = len(units)
-    for g in units[1:]:
-        x, order = g, 1
-        while x != 1:
-            x = x * g % modulus
-            order += 1
-        if order == target:
+    phi = _totient(modulus)
+    qs = _prime_factors(phi)
+    for g in range(2, modulus):
+        if math.gcd(g, modulus) == 1 and all(pow(g, phi // q, modulus) != 1 for q in qs):
             return g
     raise Cp2Error(f"(Z/{modulus})^* is not cyclic")
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(Value):
     """An action of (Z/modulus)^* on a finite abelian group.
 
     generator_matrix gives the automorphism induced by generator_residue;
@@ -121,11 +148,22 @@ class CyclicAction:
     generator_residue^d = k (mod modulus).
     """
 
-    target: AbGroup
-    modulus: int
-    acting_order: int
-    generator_residue: int
-    generator_matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("target", "modulus", "acting_order", "generator_residue",
+                 "generator_matrix", "__dict__")
+
+    def __init__(
+        self,
+        target: AbGroup,
+        modulus: int,
+        acting_order: int,
+        generator_residue: int,
+        generator_matrix: tuple[tuple[int, ...], ...],
+    ):
+        set_field(self, "target", target)
+        set_field(self, "modulus", modulus)
+        set_field(self, "acting_order", acting_order)
+        set_field(self, "generator_residue", generator_residue)
+        set_field(self, "generator_matrix", generator_matrix)
 
     def validate(self, where: str = "action"):
         n = self.target.rank

@@ -10,27 +10,38 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
-from .abelian import AbGroup, CyclicAction, primitive_root
+from .abelian import AbGroup, CyclicAction, primitive_root, unit_order
 from .errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
 from .modring import UnitQuotient, compute_Um, galois_on_unit
+from .value import Value, set_field
 
 BUILTIN_TRIVIAL = (2, 3, 5)
 _DATA_DIR = Path(__file__).parent / "data"
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(Value):
     """Everything prime-specific the rest of the package consumes."""
 
-    p: int
-    H_p: CyclicAction
-    H_p2: CyclicAction
-    extra_R_unit_gens: tuple[tuple[int, ...], ...] = ()
-    extra_ES_unit_gens: tuple[tuple[int, ...], ...] = ()
-    provenance: str = ""
+    __slots__ = ("p", "H_p", "H_p2", "extra_R_unit_gens", "extra_ES_unit_gens",
+                 "provenance")
+
+    def __init__(
+        self,
+        p: int,
+        H_p: CyclicAction,
+        H_p2: CyclicAction,
+        extra_R_unit_gens: tuple[tuple[int, ...], ...] = (),
+        extra_ES_unit_gens: tuple[tuple[int, ...], ...] = (),
+        provenance: str = "",
+    ):
+        set_field(self, "p", p)
+        set_field(self, "H_p", H_p)
+        set_field(self, "H_p2", H_p2)
+        set_field(self, "extra_R_unit_gens", extra_R_unit_gens)
+        set_field(self, "extra_ES_unit_gens", extra_ES_unit_gens)
+        set_field(self, "provenance", provenance)
 
     def validate(self):
         p = self.p
@@ -119,10 +130,7 @@ def _parse_action(obj, p: int, i: int, where: str) -> CyclicAction:
     # element is one of its powers
     if math.gcd(residue, modulus) != 1:
         raise ConfigError(f"{where}.generator_residue: not a unit mod {modulus}")
-    x, d = residue % modulus, 1
-    while x != 1:
-        x = x * residue % modulus
-        d += 1
+    d = unit_order(residue % modulus, modulus)
     if modulus > 2 and d != order:
         raise ConfigError(
             f"{where}.generator_residue: order {d} mod {modulus}, expected {order}"

@@ -14,7 +14,6 @@ isomorphism invariants directly (act_on_invariants).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from . import iso, lattice
 from .abelian import apply_action
@@ -68,11 +67,13 @@ def act_on_invariants(context, k: int, inv: IsoInvariants) -> IsoInvariants:
     u = inv.u0_class
     if u is not None:
         u = context.unit_quotient(inv.t).rep_of(galois_on_unit(k, u))
-    return replace(
-        inv,
-        R_class=apply_action(context.H_p, k % context.p, inv.R_class),
-        S_class=apply_action(context.H_p2, k, inv.S_class),
-        u0_class=u,
+    return IsoInvariants(
+        inv.padic,
+        apply_action(context.H_p, k % context.p, inv.R_class),
+        apply_action(context.H_p2, k, inv.S_class),
+        inv.t,
+        u,
+        inv.quad_char,
     )
 
 

@@ -18,7 +18,6 @@ suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -28,6 +27,7 @@ from .classdata import ClassData
 from .errors import EnumerationGuard, InternalError, NotFaithful
 from .iso import IsoInvariants
 from .lattice import Faithfulness, LatticeDescriptor
+from .value import Value, set_field
 
 DEFAULT_GUARD = 10**6
 
@@ -41,20 +41,31 @@ CASE_COM_BC = "ComBC"
 CASE_ULTIMAO = "Ultimao"
 
 
-@dataclass(frozen=True)
-class SemidirectDescriptor:
+class SemidirectDescriptor(Value):
     """The group Z^rank(module) x| C_{p^2} acting through the module."""
 
-    module: LatticeDescriptor
+    __slots__ = ("module",)
+
+    def __init__(self, module: LatticeDescriptor):
+        set_field(self, "module", module)
 
 
-@dataclass(frozen=True)
-class GenusReport:
-    closed_form: Optional[tuple[int, str]]
-    enumeration: Optional[int]
-    agree: Optional[bool]
-    bounds: Optional[tuple[int, int]]
-    notes: tuple[str, ...]
+class GenusReport(Value):
+    __slots__ = ("closed_form", "enumeration", "agree", "bounds", "notes")
+
+    def __init__(
+        self,
+        closed_form: Optional[tuple[int, str]],
+        enumeration: Optional[int],
+        agree: Optional[bool],
+        bounds: Optional[tuple[int, int]],
+        notes: tuple[str, ...],
+    ):
+        set_field(self, "closed_form", closed_form)
+        set_field(self, "enumeration", enumeration)
+        set_field(self, "agree", agree)
+        set_field(self, "bounds", bounds)
+        set_field(self, "notes", notes)
 
     @property
     def value(self) -> Optional[int]:
@@ -110,8 +121,7 @@ def ut_orbit_count(context: ClassData, t: int) -> int:
     return burnside_count(_ut_fixed_counts(context, t), context.p * (context.p - 1))
 
 
-@dataclass(frozen=True)
-class _GenusCoordinates:
+class _GenusCoordinates(Value):
     """The coordinate sets of the invariant tuples in the genus of D.
 
     The R and S classes range over the whole class group and the u0
@@ -119,11 +129,16 @@ class _GenusCoordinates:
     otherwise; chi_range lists the character's values.
     """
 
-    base: IsoInvariants
-    r_live: bool
-    s_live: bool
-    u_live: bool
-    chi_range: tuple
+    __slots__ = ("base", "r_live", "s_live", "u_live", "chi_range")
+
+    def __init__(
+        self, base: IsoInvariants, r_live: bool, s_live: bool, u_live: bool, chi_range: tuple
+    ):
+        set_field(self, "base", base)
+        set_field(self, "r_live", r_live)
+        set_field(self, "s_live", s_live)
+        set_field(self, "u_live", u_live)
+        set_field(self, "chi_range", chi_range)
 
 
 def _genus_coordinates(D: LatticeDescriptor, guard: int) -> _GenusCoordinates:
@@ -162,8 +177,9 @@ def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[Is
     r_range = Hp.elements(guard) if co.r_live else [Hp.identity()]
     s_range = Hp2.elements(guard) if co.s_live else [Hp2.identity()]
     u_range = D.context.unit_quotient(co.base.t).reps if co.u_live else [co.base.u0_class]
+    base = co.base
     return [
-        replace(co.base, R_class=rc, S_class=sc, u0_class=u, quad_char=chi)
+        IsoInvariants(base.padic, rc, sc, base.t, u, chi)
         for rc in r_range
         for sc in s_range
         for u in u_range

@@ -9,29 +9,43 @@ the unit product u0 in U_t and its quadratic character mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import lattice, modring
 from .errors import Cp2Error
 from .lattice import LatticeDescriptor
 from .modring import PolyMod
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class PadicDescriptor:
+class PadicDescriptor(Value):
     """Multiplicities of the 4p+1 indecomposable p-adic lattice types."""
 
-    p: int
-    a: int        # Z_p
-    nR: int       # Z_p[zeta_p]
-    nE: int       # Z_p C_p
-    nS: int       # Z_p[zeta_{p^2}]
-    nZS: int      # (Z_p, Z_p[zeta_{p^2}]; 1)
-    beta: tuple[int, ...]   # type B by r in [0, p-1]
-    cd: tuple[int, ...]     # merged types C and D by r in [1, p-2]
-    eps: tuple[int, ...]    # type E by r in [0, p-2]
-    eta: tuple[int, ...]    # type F by r in [0, p-2]
+    __slots__ = ("p", "a", "nR", "nE", "nS", "nZS", "beta", "cd", "eps", "eta")
+
+    def __init__(
+        self,
+        p: int,
+        a: int,        # Z_p
+        nR: int,       # Z_p[zeta_p]
+        nE: int,       # Z_p C_p
+        nS: int,       # Z_p[zeta_{p^2}]
+        nZS: int,      # (Z_p, Z_p[zeta_{p^2}]; 1)
+        beta: tuple[int, ...],   # type B by r in [0, p-1]
+        cd: tuple[int, ...],     # merged types C and D by r in [1, p-2]
+        eps: tuple[int, ...],    # type E by r in [0, p-2]
+        eta: tuple[int, ...],    # type F by r in [0, p-2]
+    ):
+        set_field(self, "p", p)
+        set_field(self, "a", a)
+        set_field(self, "nR", nR)
+        set_field(self, "nE", nE)
+        set_field(self, "nS", nS)
+        set_field(self, "nZS", nZS)
+        set_field(self, "beta", beta)
+        set_field(self, "cd", cd)
+        set_field(self, "eps", eps)
+        set_field(self, "eta", eta)
 
 
 def padic_completion(D: LatticeDescriptor) -> PadicDescriptor:
@@ -59,8 +73,7 @@ def same_genus(D1: LatticeDescriptor, D2: LatticeDescriptor) -> bool:
     return padic_completion(D1) == padic_completion(D2)
 
 
-@dataclass(frozen=True)
-class IsoInvariants:
+class IsoInvariants(Value):
     """The full isomorphism invariant of a descriptor.
 
     u0_class is the canonical U_t representative of the coset of u0,
@@ -70,12 +83,23 @@ class IsoInvariants:
     Z, Eb, Ec, B or F.  Presence patterns depend only on the genus.
     """
 
-    padic: PadicDescriptor
-    R_class: tuple[int, ...]
-    S_class: tuple[int, ...]
-    t: int
-    u0_class: Optional[PolyMod]
-    quad_char: Optional[int]
+    __slots__ = ("padic", "R_class", "S_class", "t", "u0_class", "quad_char")
+
+    def __init__(
+        self,
+        padic: PadicDescriptor,
+        R_class: tuple[int, ...],
+        S_class: tuple[int, ...],
+        t: int,
+        u0_class: Optional[PolyMod],
+        quad_char: Optional[int],
+    ):
+        set_field(self, "padic", padic)
+        set_field(self, "R_class", R_class)
+        set_field(self, "S_class", S_class)
+        set_field(self, "t", t)
+        set_field(self, "u0_class", u0_class)
+        set_field(self, "quad_char", quad_char)
 
 
 def u0_coset_applies(D: LatticeDescriptor) -> bool:

@@ -26,7 +26,6 @@ faithfulness) is read off the multiset here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -35,6 +34,7 @@ from .abelian import element_add, reduce_element
 from .classdata import ClassData
 from .errors import Cp2Error, ParseError
 from .modring import PolyMod
+from .value import Value, set_field
 
 # kind -> (a, b, c), the multiplicities of Q, Q(zeta_p) and Q(zeta_{p^2})
 CYCLOTOMIC = {
@@ -76,13 +76,22 @@ def r_range(kind: str, p: int) -> range:
     return range(0, p - 1)  # E, F
 
 
-@dataclass(frozen=True)
-class Summand:
-    kind: str
-    b: Optional[tuple[int, ...]] = None
-    c: Optional[tuple[int, ...]] = None
-    r: Optional[int] = None
-    u: Optional[PolyMod] = None
+class Summand(Value):
+    __slots__ = ("kind", "b", "c", "r", "u")
+
+    def __init__(
+        self,
+        kind: str,
+        b: Optional[tuple[int, ...]] = None,
+        c: Optional[tuple[int, ...]] = None,
+        r: Optional[int] = None,
+        u: Optional[PolyMod] = None,
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "r", r)
+        set_field(self, "u", u)
 
     def sort_key(self):
         return (
@@ -94,11 +103,13 @@ class Summand:
         )
 
 
-@dataclass(frozen=True)
-class LatticeDescriptor:
-    p: int
-    context: ClassData
-    summands: tuple[Summand, ...]
+class LatticeDescriptor(Value):
+    __slots__ = ("p", "context", "summands")
+
+    def __init__(self, p: int, context: ClassData, summands: tuple[Summand, ...]):
+        set_field(self, "p", p)
+        set_field(self, "context", context)
+        set_field(self, "summands", summands)
 
 
 def make_summand(
@@ -211,8 +222,7 @@ def rank(D: LatticeDescriptor) -> int:
     return type_rank(*rational_type(D), D.p)
 
 
-@dataclass(frozen=True)
-class GenusVector:
+class GenusVector(Value):
     """The parameter tuple (a,b,c,d,e; beta,gamma,delta,eps,eta).
 
     d and e are cumulative: d = b + #Eb and e = c + #Ec.  beta is indexed
@@ -220,16 +230,31 @@ class GenusVector:
     r in [0, p-2].
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    beta: tuple[int, ...]
-    gamma: tuple[int, ...]
-    delta: tuple[int, ...]
-    eps: tuple[int, ...]
-    eta: tuple[int, ...]
+    __slots__ = ("a", "b", "c", "d", "e", "beta", "gamma", "delta", "eps", "eta")
+
+    def __init__(
+        self,
+        a: int,
+        b: int,
+        c: int,
+        d: int,
+        e: int,
+        beta: tuple[int, ...],
+        gamma: tuple[int, ...],
+        delta: tuple[int, ...],
+        eps: tuple[int, ...],
+        eta: tuple[int, ...],
+    ):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        set_field(self, "e", e)
+        set_field(self, "beta", beta)
+        set_field(self, "gamma", gamma)
+        set_field(self, "delta", delta)
+        set_field(self, "eps", eps)
+        set_field(self, "eta", eta)
 
 
 def genus_vector(D: LatticeDescriptor) -> GenusVector:

@@ -18,12 +18,11 @@ lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lattice
 from .abelian import AbGroup
 from .errors import Cp2Error, InternalError, NontrivialClass
 from .lattice import Faithfulness, LatticeDescriptor
+from .value import Value, set_field
 
 IntMatrix = list  # list of rows, each a list of ints
 
@@ -376,11 +375,13 @@ def _pushout_block(p: int, s) -> IntMatrix:
     return [row[p:] for row in Gy[p:]]
 
 
-@dataclass(frozen=True)
-class IntegerRep:
-    n: int
-    matrix: tuple
-    source: LatticeDescriptor
+class IntegerRep(Value):
+    __slots__ = ("n", "matrix", "source")
+
+    def __init__(self, n: int, matrix: tuple, source: LatticeDescriptor):
+        set_field(self, "n", n)
+        set_field(self, "matrix", matrix)
+        set_field(self, "source", source)
 
 
 def _is_trivial_class(vec) -> bool:
@@ -438,16 +439,20 @@ def ext_group(x_name: str, p: int) -> AbGroup:
 # validation
 
 
-@dataclass(frozen=True)
-class RepCheck:
-    name: str
-    ok: bool
-    detail: str
+class RepCheck(Value):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class RepReport:
-    checks: tuple
+class RepReport(Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple):
+        set_field(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

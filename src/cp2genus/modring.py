@@ -17,38 +17,37 @@ constant terms and one pivot unit per occupied degree, and the canonical
 representative of a coset comes from clearing the pivot degrees.  For
 m <= p the p-group 1 + lR has exponent p, so this sift is an F_p row
 echelon.  The cyclotomic units Delta_l are binomial coefficient vectors,
-so U_7 at p = 7 builds in milliseconds and U_37 at p = 37 in seconds.
+so U_7 at p = 7 builds in milliseconds and U_37 at p = 37 in about a
+second.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import AmbientMismatch, Cp2Error, InternalError, NonUnit
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class PolyMod:
+class PolyMod(Value):
     """An element of F_p[l]/(l^m) as a zero-padded coefficient tuple."""
 
-    p: int
-    m: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "m", "coeffs")
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise Cp2Error(f"modulus p={self.p} must be a prime >= 2")
-        if self.m < 0:
-            raise Cp2Error(f"truncation degree m={self.m} must be >= 0")
-        if len(self.coeffs) != self.m:
-            raise Cp2Error(
-                f"coefficient vector has length {len(self.coeffs)}, expected {self.m}"
-            )
-        if self.coeffs and not (0 <= min(self.coeffs) and max(self.coeffs) < self.p):
-            raise Cp2Error(f"coefficients {self.coeffs} not reduced mod {self.p}")
+    def __init__(self, p: int, m: int, coeffs: tuple[int, ...]):
+        if p < 2:
+            raise Cp2Error(f"modulus p={p} must be a prime >= 2")
+        if m < 0:
+            raise Cp2Error(f"truncation degree m={m} must be >= 0")
+        if len(coeffs) != m:
+            raise Cp2Error(f"coefficient vector has length {len(coeffs)}, expected {m}")
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < p):
+            raise Cp2Error(f"coefficients {coeffs} not reduced mod {p}")
+        set_field(self, "p", p)
+        set_field(self, "m", m)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def constant(self) -> int:
@@ -233,8 +232,7 @@ def _leading_degree(coeffs) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class UnitSubgroup:
+class UnitSubgroup(Value):
     """A subgroup H of u(F_p[l]/(l^m)), kept by its structure, not its elements.
 
     The unit group is F_p^* x (1 + lR): the scalars times a p-group.  So
@@ -247,11 +245,21 @@ class UnitSubgroup:
     of H_1 is then a unique product of pivot powers e_d^a, 0 <= a < p.
     """
 
-    p: int
-    m: int
-    generators: tuple[PolyMod, ...]
-    constants: frozenset[int]
-    pivots: tuple[PolyMod, ...]
+    __slots__ = ("p", "m", "generators", "constants", "pivots", "__dict__")
+
+    def __init__(
+        self,
+        p: int,
+        m: int,
+        generators: tuple[PolyMod, ...],
+        constants: frozenset[int],
+        pivots: tuple[PolyMod, ...],
+    ):
+        set_field(self, "p", p)
+        set_field(self, "m", m)
+        set_field(self, "generators", generators)
+        set_field(self, "constants", constants)
+        set_field(self, "pivots", pivots)
 
     @property
     def order(self) -> int:
@@ -332,12 +340,17 @@ def subgroup_closure(gens) -> UnitSubgroup:
                 constants.add(y)
                 frontier.append(y)
     pivots: dict[int, PolyMod] = {}
+    # pivots[d]^e by (d, e); a pivot never changes once set
+    powers: dict[tuple[int, int], PolyMod] = {}
     queue = [poly_mul(g, poly(p, m, (pow(g.coeffs[0], -1, p),))) for g in gens]
     while queue:
         x = queue.pop()
         d = _leading_degree(x.coeffs)
         while d in pivots:
-            x = poly_mul(x, poly_pow(pivots[d], p - x.coeffs[d]))
+            key = (d, p - x.coeffs[d])
+            if key not in powers:
+                powers[key] = poly_pow(pivots[d], key[1])
+            x = poly_mul(x, powers[key])
             d = _leading_degree(x.coeffs)
         if d is not None:
             pivots[d] = poly_pow(x, pow(x.coeffs[d], -1, p))
@@ -394,21 +407,27 @@ def image_of_ES_units(p: int, extra_gens: tuple = ()) -> UnitSubgroup:
     return subgroup_closure(gens)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitQuotient:
+class UnitQuotient(Value):
     """The quotient U_m with canonical coset representatives.
 
     Each coset holds exactly one element with constant coefficient 1 and
     a zero coefficient at every pivot degree of the subgroup; it is the
     lexicographically smallest constant-1 coefficient vector of the
     coset, and it is the coset's representative.  free_degrees lists the
-    degrees 1 <= d < m that carry no pivot.
+    degrees 1 <= d < m that carry no pivot.  Quotients compare by identity.
     """
 
-    p: int
-    m: int
-    subgroup: UnitSubgroup
-    free_degrees: tuple[int, ...]
+    __slots__ = ("p", "m", "subgroup", "free_degrees", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, p: int, m: int, subgroup: UnitSubgroup, free_degrees: tuple[int, ...]
+    ):
+        set_field(self, "p", p)
+        set_field(self, "m", m)
+        set_field(self, "subgroup", subgroup)
+        set_field(self, "free_degrees", free_degrees)
 
     @property
     def order(self) -> int:

@@ -1,12 +1,12 @@
 """Brute-force oracles the tests compare the library's fast paths against.
 
 Each one does the job the slow, direct way: walking orbits point by
-point, applying the generator matrix power by power, twisting a
-descriptor and re-deriving its invariants, listing a unit group and
-its cosets element by element, summing a cyclotomic unit power by
-power, validating a matrix model on the whole matrix instead of per
-connected component, or computing an Ext group as a Smith normal form
-cokernel.
+point, walking the powers of a unit for its order, applying the
+generator matrix power by power, twisting a descriptor and re-deriving
+its invariants, listing a unit group and its cosets element by
+element, summing a cyclotomic unit power by power, validating a
+matrix model on the whole matrix instead of per connected component,
+or computing an Ext group as a Smith normal form cokernel.
 """
 
 import math
@@ -29,6 +29,27 @@ from cp2genus.modring import PolyMod, poly_mul
 
 def element_neg(G: AbGroup, x) -> tuple[int, ...]:
     return tuple((-a) % f for a, f in zip(x, G.factors))
+
+
+def walk_unit_order(g: int, modulus: int) -> int:
+    """The multiplicative order of the unit g mod modulus, by walking its powers."""
+    x, d = g % modulus, 1
+    while x != 1 % modulus:
+        x = x * g % modulus
+        d += 1
+    return d
+
+
+def walk_primitive_root(modulus: int) -> int:
+    """Smallest generator of (Z/modulus)^*: the first unit whose order,
+    walked power by power, is the number of units."""
+    if modulus in (1, 2):
+        return 1
+    units = [k for k in range(1, modulus) if math.gcd(k, modulus) == 1]
+    for g in units[1:]:
+        if walk_unit_order(g, modulus) == len(units):
+            return g
+    raise Cp2Error(f"(Z/{modulus})^* is not cyclic")
 
 
 def trivial_action(modulus: int, acting_order: int) -> CyclicAction:

@@ -1,9 +1,18 @@
+import math
+
 import pytest
 
 from cp2genus import abelian as ab
 from cp2genus.errors import Cp2Error, EnumerationGuard, InternalError
 
-from oracles import brute_fixed_counts, diagonal_orbits, element_neg, trivial_action
+from oracles import (
+    brute_fixed_counts,
+    diagonal_orbits,
+    element_neg,
+    trivial_action,
+    walk_primitive_root,
+    walk_unit_order,
+)
 
 
 def c43_action(mult: int) -> ab.CyclicAction:
@@ -54,6 +63,34 @@ def test_primitive_roots():
     assert ab.primitive_root(9) == 2
     assert ab.primitive_root(25) == 2
     assert ab.primitive_root(49) == 3
+
+
+def cyclic_moduli(bound: int) -> list[int]:
+    """Every modulus in {1, 2, 4, q^i, 2q^i} (q an odd prime) up to bound."""
+    out = {1, 2, 4}
+    for q in range(3, bound + 1, 2):
+        if all(q % f for f in range(3, math.isqrt(q) + 1, 2)):
+            qi = q
+            while qi <= bound:
+                out.update(n for n in (qi, 2 * qi) if n <= bound)
+                qi *= q
+    return sorted(out)
+
+
+def test_primitive_root_and_order_match_walks():
+    """The phi(n)/q power tests give the walked smallest root and unit
+    orders, for every cyclic unit group up to 2*53^2."""
+    moduli = cyclic_moduli(2 * 53**2)
+    assert {1, 2, 4, 9, 25, 49, 53**2, 2 * 53**2} <= set(moduli)
+    for n in moduli:
+        g = ab.primitive_root(n)
+        assert g == walk_primitive_root(n)
+        for k in {g, n - 1, 2}:
+            if math.gcd(k, n) == 1:
+                assert ab.unit_order(k, n) == walk_unit_order(k, n)
+    for n in (8, 12, 15):  # unit groups that are not cyclic
+        with pytest.raises(Cp2Error, match=f"\\(Z/{n}\\)\\^\\* is not cyclic"):
+            ab.primitive_root(n)
 
 
 def test_apply_action_examples():

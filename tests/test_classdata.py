@@ -60,7 +60,8 @@ def test_config_errors(tmp_path):
 
     not_generator = json.loads(json.dumps(C43_CONFIG))
     not_generator["H_p2"]["generator_residue"] = 2  # order 21 mod 49, not 42
-    with pytest.raises(ConfigError, match="generator_residue"):
+    message = r"^H_p2\.generator_residue: order 21 mod 49, expected 42$"
+    with pytest.raises(ConfigError, match=message):
         classdata.load_config(write(not_generator))
 
     bad_p = {"p": 8, "H_p": {}, "H_p2": {}}

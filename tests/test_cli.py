@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import cp2genus
 from cp2genus import iso
 from cp2genus.cli import main
 from cp2genus.errors import InternalError
@@ -183,3 +190,28 @@ def test_huge_multiplicity_exit_2(capsys):
     code, out, err = run(capsys, "check", "--p", "5", "999999999999999*Z")
     assert code == 2 and out == ""
     assert err == "error: input too large\n"
+
+
+@pytest.mark.parametrize("body", [
+    "import cp2genus.cli",
+    # what python -m cp2genus.cli check --p 2 Z runs
+    "sys.argv = ['cp2genus', 'check', '--p', '2', 'Z']\n"
+    "try:\n"
+    "    runpy.run_module('cp2genus.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code",
+], ids=["import", "run-check"])
+def test_cold_cli_does_not_import_dataclasses(body):
+    """A one-shot CLI call pays for every import; dataclasses alone pulls in
+    inspect, ast, dis and tokenize."""
+    script = (
+        "import runpy, sys\n"
+        "before = set(sys.modules)\n"
+        f"{body}\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(cp2genus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

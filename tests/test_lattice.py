@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cp2genus import classdata, iso
 from cp2genus import lattice as lat
 from cp2genus import materialize as mat
 from cp2genus import modring
@@ -220,6 +222,16 @@ def test_render_parse_roundtrip(ctx2, ctx3, ctx5):
         for _ in range(40):
             D = random_descriptor(rng, p, ctx)
             assert lat.parse(lat.render(D), p, ctx) == D
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+def test_render_parse_roundtrip_property(p, seed):
+    ctx = classdata.builtin(p)
+    D = random_descriptor(random.Random(seed), p, ctx)
+    E = lat.parse(lat.render(D), p, ctx)
+    assert E == D
+    assert iso.invariants_of(E) == iso.invariants_of(D)
 
 
 def test_json_roundtrip(ctx5):
