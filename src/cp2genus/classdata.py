@@ -18,6 +18,10 @@ from .modring import UnitQuotient, compute_Um, galois_on_unit
 from .value import Value, set_field
 
 BUILTIN_TRIVIAL = (2, 3, 5)
+# the largest p a config may declare: validating an action applies its
+# matrix p(p-1) times per generator of the class group, so a load at
+# p = 199 with rank-2 class groups already takes about half a second
+MAX_CONFIG_P = 200
 _DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -166,6 +170,8 @@ def load_config(path) -> ClassData:
         p = int(obj["p"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError("p: missing or not an integer") from None
+    if p > MAX_CONFIG_P:
+        raise ConfigError(f"p: {p} exceeds the supported bound {MAX_CONFIG_P}")
     if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
         raise ConfigError(f"p: {p} is not prime")
     data = ClassData(

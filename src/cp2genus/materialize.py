@@ -7,13 +7,20 @@ char poly (lattice.CYCLOTOMIC), and each extension block is the pushout
 (Lambda + X) / <(i0(y), -f(y))>, where i0 embeds E = phi_{p^2}(g)Lambda
 into Lambda = Z[x]/(x^{p^2}-1) and f: E -> X encodes the extension
 class through the image of phi_{p^2}(g).  Quotient bases and induced
-actions come from Smith normal form with tracked transforms.
+actions come from Smith normal form with tracked transforms; only the
+rows of the transformed action that survive in the quotient are formed.
 
 ext_group gives Ext(S, X) = (Z/p)^(rank X) in closed form, and
-validate_rep reads det(A) off the char poly it checks.
+validate_rep reads det(A) off the char poly it checks.  Matrix powers
+(rep_of's A^(p^2) = I self-check, validate_rep's B^p and B^(p^2) per
+connected component) are taken on sparse rows, since the blocks are
+mostly zero.  A component with B^(p^2) = I is diagonalizable, because
+x^(p^2) - 1 is squarefree over Q, so validate_rep reads its fixed rank
+off the char poly as the multiplicity of the root 1; Smith normal form
+computes rank(B - I) only for a component that fails the power check.
 
 All arithmetic is exact over Python integers; matrices are plain nested
-lists.
+lists, and sparse rows are lists of {column: nonzero entry} dicts.
 """
 
 from __future__ import annotations
@@ -39,23 +46,6 @@ def zeros(r: int, c: int) -> IntMatrix:
     return [[0] * c for _ in range(r)]
 
 
-def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    if A and len(A[0]) != k:
-        raise Cp2Error("matrix dimensions do not match")
-    out = zeros(n, m)
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    Oi[j] += a * Bt[j]
-    return out
-
-
 def mat_vec(A: IntMatrix, v: list) -> list:
     return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
 
@@ -64,19 +54,43 @@ def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_pow(A: IntMatrix, e: int) -> IntMatrix:
-    result = identity(len(A))
-    base = [row[:] for row in A]
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
+def sparse_rows(A: IntMatrix) -> list:
+    """A as sparse rows: row i is {j: A[i][j]} over the nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A]
+
+
+def sparse_mul(A: list, B: list) -> list:
+    """The product of two matrices given as sparse rows, as sparse rows."""
+    out = []
+    for Ai in A:
+        row = {}
+        for t, a in Ai.items():
+            for j, b in B[t].items():
+                row[j] = row.get(j, 0) + a * b
+        out.append({j: x for j, x in row.items() if x})
+    return out
+
+
+def sparse_pow(A: list, e: int) -> list:
+    """A^e for A given as sparse rows, e >= 0.
+
+    Squares from the most significant bit of e down and multiplies by A
+    at each set bit, so no squaring goes unused.  A is not modified; for
+    e = 1 the result is A itself.
+    """
+    if e == 0:
+        return [{i: 1} for i in range(len(A))]
+    result = A
+    for bit in bin(e)[3:]:
+        result = sparse_mul(result, result)
+        if bit == "1":
+            result = sparse_mul(result, A)
     return result
 
 
-def mat_eq(A: IntMatrix, B: IntMatrix) -> bool:
-    return A == B
+def is_identity(A: list) -> bool:
+    """Whether the sparse rows A are those of the identity matrix."""
+    return all(len(row) == 1 and row.get(i) == 1 for i, row in enumerate(A))
 
 
 def block_diag(blocks: list) -> IntMatrix:
@@ -344,7 +358,7 @@ def _pushout_block(p: int, s) -> IntMatrix:
     """Action of g on (Lambda + X) / <(i0(y), -f(y)) : y in E>."""
     G_X = block_diag([_component(p, c) for c in _X_OF_KIND[s.kind]])
     N = p * p + len(G_X)
-    G_L = block_diag([companion(x_pow_minus_1(p * p)), G_X])
+    G_L = sparse_rows(block_diag([companion(x_pow_minus_1(p * p)), G_X]))
 
     f0 = _f0_vector(p, s)
     # columns (i0(g^j * e), -g^j * f0), j = 0..p-1
@@ -367,12 +381,13 @@ def _pushout_block(p: int, s) -> IntMatrix:
                 "relation lattice is not a direct summand; "
                 f"diagonal entry {S[i][i]} at {i}"
             )
-    Gy = mat_mul(mat_mul(U, G_L), Uinv)
-    for i in range(p, N):
-        for j in range(p):
-            if Gy[i][j] != 0:
-                raise InternalError("relation lattice is not invariant under g")
-    return [row[p:] for row in Gy[p:]]
+    # in the basis U^-1 the first p vectors span the relations, so the
+    # quotient's action is rows and columns p..N-1 of U G_L U^-1; rows
+    # 0..p-1 would only be dropped
+    Gy = sparse_mul(sparse_mul(sparse_rows(U[p:]), G_L), sparse_rows(Uinv))
+    if any(j < p for row in Gy for j in row):
+        raise InternalError("relation lattice is not invariant under g")
+    return [[row.get(j, 0) for j in range(p, N)] for row in Gy]
 
 
 class IntegerRep(Value):
@@ -403,7 +418,7 @@ def rep_of(D: LatticeDescriptor) -> IntegerRep:
         if s in blocks:
             continue
         b = _pushout_block(p, s) if s.kind in _X_OF_KIND else type_block(p, s.kind)
-        if not mat_eq(mat_pow(b, p * p), identity(len(b))):
+        if not is_identity(sparse_pow(sparse_rows(b), p * p)):
             raise InternalError("built matrix does not satisfy A^(p^2) = I")
         blocks[s] = b
     A = block_diag([blocks[s] for s in D.summands]) if D.summands else []
@@ -500,22 +515,18 @@ def predicted_charpoly(D: LatticeDescriptor) -> list:
     return cyclotomic_product(D.p, *lattice.rational_type(D))
 
 
-def _order_from_powers(A: IntMatrix, Ap: IntMatrix, Ap2: IntMatrix, p: int) -> int:
-    """The order of A given A^p and A^(p^2): 1, p or p^2, and 0 when it
-    does not divide p^2."""
-    I = identity(len(A))
-    for order, M in ((1, A), (p, Ap), (p * p, Ap2)):
-        if mat_eq(M, I):
-            return order
-    return 0
-
-
-def multiplicative_order(A: IntMatrix, p: int) -> int:
-    Ap = mat_pow(A, p)
-    order = _order_from_powers(A, Ap, mat_pow(Ap, p), p)
-    if not order:
-        raise Cp2Error(f"matrix order does not divide {p * p}")
-    return order
+def root_one_multiplicity(f: list) -> int:
+    """The multiplicity of 1 as a root of the nonzero polynomial f
+    (ascending coefficients), by synthetic division by x - 1."""
+    k = 0
+    while len(f) > 1 and sum(f) == 0:  # f(1) = 0
+        # f = (x - 1) q with q_(i-1) = f_i + q_i, from the top down
+        q, acc = [0] * (len(f) - 1), 0
+        for i in range(len(f) - 1, 0, -1):
+            acc += f[i]
+            q[i - 1] = acc
+        f, k = q, k + 1
+    return k
 
 
 def connected_components(A: IntMatrix) -> list:
@@ -557,6 +568,12 @@ def validate_rep(rep: IntegerRep) -> RepReport:
     the lcm of the block orders (0 if any fails to divide p^2), and
     rank(A - I) is the sum of the block ranks.  det(A) is
     (-1)^n charpoly(A)(0).
+
+    Powers are taken on sparse rows.  A block B with B^(p^2) = I has a
+    minimal polynomial dividing x^(p^2) - 1, which is squarefree over Q,
+    so B is diagonalizable over C and dim ker(B - I) is the multiplicity
+    of the root 1 in its char poly.  Only a block failing the power check
+    has rank(B - I) computed by Smith normal form.
     """
     D = rep.source
     p = D.p
@@ -566,13 +583,19 @@ def validate_rep(rep: IntegerRep) -> RepReport:
     orders = []
     for comp in connected_components(A):
         B = [[A[i][j] for j in comp] for i in comp]
-        I = identity(len(B))
-        Bp = mat_pow(B, p)
-        Bp2 = mat_pow(Bp, p)
-        power_ok = power_ok and mat_eq(Bp2, I)
-        orders.append(_order_from_powers(B, Bp, Bp2, p))
-        got = polymul_z(got, charpoly(B))
-        rank += mat_rank(mat_sub(B, I))
+        Bs = sparse_rows(B)
+        Bp = sparse_pow(Bs, p)
+        Bp2 = sparse_pow(Bp, p)
+        semisimple = is_identity(Bp2)
+        power_ok = power_ok and semisimple
+        orders.append(next(
+            (order for order, M in ((1, Bs), (p, Bp), (p * p, Bp2)) if is_identity(M)), 0))
+        chi = charpoly(B)
+        got = polymul_z(got, chi)
+        if semisimple:
+            rank += len(B) - root_one_multiplicity(chi)
+        else:
+            rank += mat_rank(mat_sub(B, identity(len(B))))
     det = (-1) ** len(A) * got[0]
     checks = []
 

@@ -269,14 +269,18 @@ class UnitSubgroup(Value):
     def _clearing(self) -> tuple[tuple[int, tuple], ...]:
         """(d, table) per pivot e_d, where table[a] lists the nonzero terms
         (j, coefficient), j >= d, of e_d^(p-a) - 1: the factor e_d^(p-a)
-        turns a coefficient a at l^d of a constant-1 element into 0."""
+        turns a coefficient a at l^d of a constant-1 element into 0.  The
+        powers e_d, e_d^2, ..., e_d^(p-1) take p - 2 products per pivot."""
         p = self.p
         out = []
         for e in self.pivots:
             d = _leading_degree(e.coeffs)
+            powers = [e]  # powers[k - 1] = e^k
+            for _ in range(p - 2):
+                powers.append(poly_mul(powers[-1], e))
             table = [()]
             for a in range(1, p):
-                q = poly_pow(e, p - a).coeffs
+                q = powers[p - a - 1].coeffs
                 table.append(tuple((j, q[j]) for j in range(d, self.m) if q[j]))
             out.append((d, tuple(table)))
         return tuple(out)

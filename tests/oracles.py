@@ -5,8 +5,9 @@ point, walking the powers of a unit for its order, applying the
 generator matrix power by power, twisting a descriptor and re-deriving
 its invariants, listing a unit group and its cosets element by
 element, summing a cyclotomic unit power by power, validating a
-matrix model on the whole matrix instead of per connected component,
-or computing an Ext group as a Smith normal form cokernel.
+matrix model on the whole matrix with dense powers and a Smith normal
+form instead of per connected component, or computing an Ext group as
+a Smith normal form cokernel.
 """
 
 import math
@@ -242,6 +243,45 @@ def solve_exact(A_cols: list, b: list) -> list:
     return materialize.mat_vec(V, y)
 
 
+def mat_mul(A, B):
+    """The dense product of two integer matrices."""
+    n, k, m = len(A), len(B), len(B[0]) if B else 0
+    if A and len(A[0]) != k:
+        raise Cp2Error("matrix dimensions do not match")
+    out = materialize.zeros(n, m)
+    for i in range(n):
+        Ai, Oi = A[i], out[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                for j in range(m):
+                    Oi[j] += a * Bt[j]
+    return out
+
+
+def mat_pow(A, e: int):
+    """A^e by dense repeated squaring from the least significant bit."""
+    result = materialize.identity(len(A))
+    base = [row[:] for row in A]
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
+        e >>= 1
+    return result
+
+
+def multiplicative_order(A, p: int) -> int:
+    """The order of A (1, p or p^2) from its dense p-th and p^2-th powers."""
+    I = materialize.identity(len(A))
+    Ap = mat_pow(A, p)
+    for order, M in ((1, A), (p, Ap), (p * p, mat_pow(Ap, p))):
+        if M == I:
+            return order
+    raise Cp2Error(f"matrix order does not divide {p * p}")
+
+
 def snf_ext_group(x_name: str, p: int) -> AbGroup:
     """Ext(S, X) as the Smith normal form cokernel of the restriction
     Hom(Lambda, X) -> Hom(E, X): Hom(E, X) is the (g^p - 1)-torsion of X,
@@ -254,14 +294,14 @@ def snf_ext_group(x_name: str, p: int) -> AbGroup:
     }
     G = mat.block_diag([action[c] for c in x_name.split("+")])
     n = len(G)
-    torsion = mat.mat_sub(mat.mat_pow(G, p), mat.identity(n))
+    torsion = mat.mat_sub(mat_pow(G, p), mat.identity(n))
     K = kernel_basis(torsion)  # columns spanning Hom(E, X)
     phi_of_G = mat.zeros(n, n)
     Gp = mat.identity(n)
-    step = mat.mat_pow(G, p)
+    step = mat_pow(G, p)
     for _ in range(p):
         phi_of_G = mat_add(phi_of_G, Gp)
-        Gp = mat.mat_mul(Gp, step)
+        Gp = mat_mul(Gp, step)
     # express each image phi(G) e_i in the kernel basis
     cols = []
     for i in range(n):
@@ -381,7 +421,7 @@ def dense_validate_rep(rep) -> materialize.RepReport:
     n = rep.n
     checks = []
 
-    ok = mat.mat_pow(A, p * p) == mat.identity(n)
+    ok = mat_pow(A, p * p) == mat.identity(n)
     checks.append(RepCheck("power_identity", ok, f"A^{p*p} == I: {ok}"))
 
     det = bareiss_det(A)
@@ -393,7 +433,7 @@ def dense_validate_rep(rep) -> materialize.RepReport:
         lattice.Faithfulness.FAITHFUL: p * p,
     }[lattice.faithfulness(D)]
     try:
-        order = mat.multiplicative_order(A, p)
+        order = multiplicative_order(A, p)
     except Cp2Error:
         order = 0
     checks.append(RepCheck("order", order == expected_order,

@@ -68,6 +68,11 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="not prime"):
         classdata.load_config(write(bad_p))
 
+    # 211 is the least prime above the bound; 199, below it, loads
+    with pytest.raises(ConfigError, match=r"^p: 211 exceeds the supported bound 200$"):
+        classdata.load_config(write(trivial_config(211)))
+    assert classdata.load_config(write(trivial_config(199))).p == 199
+
     path = tmp_path / "notjson.json"
     path.write_text("{")
     with pytest.raises(ConfigError, match="JSON"):

@@ -154,6 +154,20 @@ def test_bad_classdata_exit_3(capsys, tmp_path):
     assert code == 3 and out == "" and err.startswith("error: ") and "m=6" in err
 
 
+def test_oversized_classdata_prime_exit_3(tmp_path):
+    # a prime near 10^18: trial division alone would take minutes, so the
+    # bound must reject it before any per-p work; the timeout enforces that
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 10**18 + 3, "H_p": {}, "H_p2": {}}))
+    src = str(Path(cp2genus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "cp2genus.cli", "orbits", "--p", "7", "--classdata", str(path)],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr == "error: p: 1000000000000000003 exceeds the supported bound 200\n"
+
+
 def test_genus_count_p13_counts_ut_in_closed_form(capsys, tmp_path):
     # t = 13: U_13 has 13^5 cosets, and neither engine lists them
     path = tmp_path / "p13.json"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cp2genus import lattice as lat, materialize as mat
+from cp2genus import classdata, lattice as lat, materialize as mat
 from cp2genus.errors import Cp2Error, InternalError, NontrivialClass
 
 from conftest import indecomposable_templates, synthetic_c43
@@ -12,6 +12,9 @@ from oracles import (
     dense_validate_rep,
     kernel_basis,
     mat_add,
+    mat_mul,
+    mat_pow,
+    multiplicative_order,
     snf,
     snf_ext_group,
     solve_exact,
@@ -34,9 +37,9 @@ def test_snf_roundtrip_random():
         c = rng.randint(1, 6)
         M = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         S, U, V, Uinv, Vinv = mat.snf_full(M)
-        assert mat.mat_mul(mat.mat_mul(U, M), V) == S
-        assert mat.mat_mul(U, Uinv) == mat.identity(r)
-        assert mat.mat_mul(V, Vinv) == mat.identity(c)
+        assert mat_mul(mat_mul(U, M), V) == S
+        assert mat_mul(U, Uinv) == mat.identity(r)
+        assert mat_mul(V, Vinv) == mat.identity(c)
         assert abs(bareiss_det(U)) == 1
         assert abs(bareiss_det(V)) == 1
         d = mat.diagonal(S)
@@ -84,6 +87,44 @@ def test_charpoly_matches_dense_oracle():
                 assert mat.charpoly(A) == dense_charpoly(A), A
 
 
+def test_sparse_pow_matches_dense_oracle():
+    rng = random.Random(13)
+    for n in range(1, 9):
+        for density in (1.0, 0.3, 0.1):
+            A = [[rng.randint(-2, 2) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(n)]
+            rows = mat.sparse_rows(A)
+            for e in (0, 1, 2, 3, 5, 9, 25):
+                got, want = mat.sparse_pow(rows, e), mat_pow(A, e)
+                assert all(0 not in row.values() for row in got)
+                assert [[row.get(j, 0) for j in range(n)] for row in got] == want, (A, e)
+                assert mat.is_identity(got) == (want == mat.identity(n))
+            assert rows == mat.sparse_rows(A)
+
+
+def test_fixed_rank_from_charpoly_matches_snf(ctx2, ctx3, ctx5):
+    # every block has A^(p^2) = I, so it is diagonalizable and the root 1
+    # of its char poly counts the fixed rank
+    for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, classdata.trivial(7))):
+        for D in indecomposable_templates(p, ctx):
+            A = [list(r) for r in mat.rep_of(D).matrix]
+            I = mat.identity(len(A))
+            multiplicity = mat.root_one_multiplicity(mat.charpoly(A))
+            assert multiplicity == len(A) - mat.mat_rank(mat.mat_sub(A, I)), lat.render(D)
+            assert multiplicity == lat.rational_type(D)[0]
+
+
+def test_validate_rep_rank_fallback_on_a_unipotent_block(ctx2):
+    # (1 1; 0 1) has the predicted char poly (x - 1)^2 but is not
+    # diagonalizable: its fixed rank is 1, not the multiplicity 2
+    rep = mat.IntegerRep(2, ((1, 1), (0, 1)), lat.parse("Z + Z", 2, ctx2))
+    report = _assert_matches_oracle(rep)
+    failed = {c.name: c.detail for c in report.checks if not c.ok}
+    assert failed == {"power_identity": "A^4 == I: False",
+                      "order": "order(A) = 0, expected 1",
+                      "fixed_rank": "rank ker(A - I) = 1, expected 2"}
+
+
 def test_rep_of_examples(ctx2, ctx3):
     rep = mat.rep_of(lat.parse("Z", 2, ctx2))
     assert rep.matrix == ((1,),)
@@ -92,7 +133,7 @@ def test_rep_of_examples(ctx2, ctx3):
     rep = mat.rep_of(lat.parse("Ec(0)", 2, ctx2))
     A = [list(r) for r in rep.matrix]
     assert rep.n == 3
-    assert mat.multiplicative_order(A, 2) == 4
+    assert multiplicative_order(A, 2) == 4
     assert mat.charpoly(A) == mat.polymul_z([-1, 1], mat.phi_p2(2))
     assert mat.validate_rep(rep).passed
     # nonsplit: A = 1 (+) companion would make (A - I) have even entries
@@ -155,7 +196,7 @@ def _eval_poly_at_matrix(f, A):
     for c in f:
         if c:
             val = mat_add(val, [[c * x for x in row] for row in acc])
-        acc = mat.mat_mul(acc, A)
+        acc = mat_mul(acc, A)
     return val
 
 
@@ -237,8 +278,8 @@ def test_validate_rep_on_a_conjugated_model(ctx3):
     rep = mat.rep_of(D)
     assert len(mat.connected_components(rep.matrix)) == 3
     U, Uinv = _unimodular(rep.n, random.Random(11))
-    assert mat.mat_mul(U, Uinv) == mat.identity(rep.n)
-    A = mat.mat_mul(mat.mat_mul(U, [list(r) for r in rep.matrix]), Uinv)
+    assert mat_mul(U, Uinv) == mat.identity(rep.n)
+    A = mat_mul(mat_mul(U, [list(r) for r in rep.matrix]), Uinv)
     conj = mat.IntegerRep(rep.n, tuple(tuple(r) for r in A), D)
     assert mat.connected_components(conj.matrix) == [list(range(rep.n))]
     assert _assert_matches_oracle(conj).passed

@@ -145,6 +145,20 @@ def test_rep_of_consistency():
         assert mr.poly_mul(u, mr.poly_inv(rep)) in q.subgroup
 
 
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in range(1, p + 1)]
+                         + [(13, 13)])
+def test_clearing_tables_match_poly_pow(p, m):
+    sub = mr.compute_Um(p, m).subgroup
+    clearing = sub._clearing
+    assert len(clearing) == len(sub.pivots)
+    for e, (d, table) in zip(sub.pivots, clearing):
+        assert e.coeffs[:d] == (1,) + (0,) * (d - 1) and e.coeffs[d]
+        assert len(table) == p and table[0] == ()
+        for a in range(1, p):
+            q = mr.poly_pow(e, p - a).coeffs
+            assert table[a] == tuple((j, q[j]) for j in range(d, m) if q[j]), (e, a)
+
+
 def test_galois_identity_k1():
     for p, m in ((3, 3), (5, 4)):
         for u in unit_group(p, m):
