@@ -1,4 +1,5 @@
-"""Finite abelian groups with cyclic automorphism actions and orbit counting.
+"""Finite abelian groups with cyclic automorphism actions, orbit counting,
+and Smith normal form.
 
 Groups are given by invariant factors (Smith form convention: each factor
 divides the next); elements are exponent tuples, one residue per factor.
@@ -6,15 +7,16 @@ A CyclicAction records how the unit group (Z/p^i)^* acts through a chosen
 generator, which is how the ideal class groups H(Z[zeta_{p^i}]) carry
 their Galois action here.
 
-Orbit counts come from one engine: the cycle type of the generator's
-permutation gives the fixed-point count of every power of it, and
-Burnside's lemma averages those counts.
+Orbit counts come from one engine without listing the group: the fixed
+points of a generator power M^d on G = (+) Z/f_i are ker(M^d - I), whose
+order equals that of coker(M^d - I), the product of the Smith invariants
+of [M^d - I | diag(f)]; Burnside's lemma averages those counts.  Only
+AbGroup.elements lists a group, and it keeps the size guard.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -52,12 +54,9 @@ class AbGroup(Value):
             0 <= xi < f for xi, f in zip(x, self.factors)
         )
 
-    def check_guard(self, guard: int):
+    def elements(self, guard: int = DEFAULT_GUARD):
         if self.order > guard:
             raise EnumerationGuard(f"group of order {self.order} exceeds guard {guard}")
-
-    def elements(self, guard: int = DEFAULT_GUARD):
-        self.check_guard(guard)
         return list(product(*(range(f) for f in self.factors)))
 
 
@@ -231,15 +230,24 @@ class CyclicAction(Value):
         return tuple(powers)
 
     @cached_property
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths of the generator on the group; the acting group is
-        cyclic, so these cycles are its orbits."""
-        return tuple(len(c) for c in orbits(self, guard=self.target.order))
-
-    @cached_property
     def fixed_counts(self) -> tuple[int, ...]:
-        """Fixed points of generator^d on the group, for d in range(acting_order)."""
-        return fixed_point_counts(self.cycle_type, self.acting_order)
+        """Fixed points of generator^d on the group, for d in range(acting_order).
+
+        M^d fixes |ker(M^d - I)| = |coker(M^d - I)| points of the finite
+        group, the product of the Smith invariants of [M^d - I | diag(f)].
+        M^d generates the same cyclic group as M^gcd(d, N), N the acting
+        order, so only the divisors of N need a Smith form.
+        """
+        N, fs = self.acting_order, self.target.factors
+        n = len(fs)
+        fixed = {}
+        for e in range(1, N + 1):
+            if N % e == 0:
+                P = self._matrix_powers[e % N]
+                rows = [[P[i][j] - (i == j) for j in range(n)]
+                        + [fs[i] * (i == j) for j in range(n)] for i in range(n)]
+                fixed[e] = math.prod(diagonal(snf_full(rows)[0]))
+        return tuple(fixed[math.gcd(d, N)] for d in range(N))
 
     def dlog(self, k: int) -> int:
         """Exponent d with generator_residue^d = k (mod modulus)."""
@@ -268,44 +276,6 @@ def apply_action(A: CyclicAction, k: int, x) -> tuple[int, ...]:
     return _mat_vec(A._matrix_powers[A.dlog(k)], A.target.factors, x)
 
 
-def cycles(points, step) -> list[list]:
-    """The cycles of the permutation step of the finite set points.
-
-    Raises InternalError when step turns out not to be a permutation.
-    """
-    seen: set = set()
-    parts = []
-    for e in points:
-        if e in seen:
-            continue
-        cycle = [e]
-        seen.add(e)
-        x = step(e)
-        while x not in seen:
-            cycle.append(x)
-            seen.add(x)
-            x = step(x)
-        if x != e:
-            raise InternalError(f"not a permutation: the walk from {e} runs into {x}")
-        parts.append(cycle)
-    return parts
-
-
-def orbits(A: CyclicAction, guard: int = DEFAULT_GUARD) -> list[list[tuple[int, ...]]]:
-    """Partition of the group into orbits of the action: the cycles of the generator."""
-    return cycles(A.target.elements(guard), A._apply_matrix)
-
-
-def fixed_point_counts(cycle_type, order: int) -> tuple[int, ...]:
-    """Fixed points of s^d for d in range(order), where s is a permutation
-    with the given cycle lengths: a cycle of length L is fixed pointwise
-    by s^d exactly when L divides d."""
-    by_length = Counter(cycle_type)
-    return tuple(
-        sum(L * n for L, n in by_length.items() if d % L == 0) for d in range(order)
-    )
-
-
 def burnside_count(fixed, order: int) -> int:
     """Burnside's lemma for a cyclic group <g> of the given order: the
     number of orbits is the average of the fixed-point counts of g^d."""
@@ -317,7 +287,138 @@ def burnside_count(fixed, order: int) -> int:
     return total // order
 
 
-def orbit_count(A: CyclicAction, guard: int = DEFAULT_GUARD) -> int:
+def orbit_count(A: CyclicAction) -> int:
     """Number of orbits of the action, as a Burnside average."""
-    A.target.check_guard(guard)
     return burnside_count(A.fixed_counts, A.acting_order)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form of integer matrices (plain nested lists)
+
+
+def identity(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _row_op(S, U, Uinv, i, j, T):
+    """Rows i, j of S and U get T; columns i, j of Uinv get T^{-1} (det T = +-1)."""
+    a, b, c, d = T
+    det = a * d - b * c
+    for X in (S, U):
+        for col in range(len(X[0])):
+            x, y = X[i][col], X[j][col]
+            X[i][col] = a * x + b * y
+            X[j][col] = c * x + d * y
+    # T^{-1} = (1/det) [[d, -b], [-c, a]] with det = +-1
+    ia, ib, ic, id_ = d * det, -b * det, -c * det, a * det
+    for row in Uinv:
+        x, y = row[i], row[j]
+        row[i] = x * ia + y * ic
+        row[j] = x * ib + y * id_
+
+
+def _col_op(S, V, i, j, T):
+    """Columns i, j of S and V get T."""
+    a, b, c, d = T
+    for X in (S, V):
+        for row in X:
+            x, y = row[i], row[j]
+            row[i] = a * x + c * y
+            row[j] = b * x + d * y
+
+
+def _xgcd(a: int, b: int):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _elim_transform(a: int, b: int):
+    """Unimodular (x, y, z, w) sending (a, b) to (g, 0) with g = gcd.
+
+    When a divides b the transform is a plain subtraction that leaves
+    the pivot row/column untouched (important for termination).
+    """
+    if b % a == 0:
+        return (1, 0, -(b // a), 1)
+    g, x, y = _xgcd(a, b)
+    if g < 0:
+        g, x, y = -g, -x, -y
+    return (x, y, -(b // g), a // g)
+
+
+def snf_full(M: list):
+    """(S, U, V, Uinv) with U M V = S in Smith normal form.
+
+    S is diagonal with d_1 | d_2 | ..., all entries >= 0; U and V are
+    unimodular, and Uinv is the exact inverse of U.
+    """
+    r = len(M)
+    c = len(M[0]) if r else 0
+    S = [row[:] for row in M]
+    U, Uinv = identity(r), identity(r)
+    V = identity(c)
+
+    def clear_at(k):
+        while True:
+            # move a pivot to (k, k)
+            if S[k][k] == 0:
+                found = False
+                for i in range(k, r):
+                    for j in range(k, c):
+                        if S[i][j] != 0:
+                            if i != k:
+                                _row_op(S, U, Uinv, k, i, (0, 1, 1, 0))
+                            if j != k:
+                                _col_op(S, V, k, j, (0, 1, 1, 0))
+                            found = True
+                            break
+                    if found:
+                        break
+                if not found:
+                    return
+            for i in range(k + 1, r):
+                if S[i][k]:
+                    x, y, z, w = _elim_transform(S[k][k], S[i][k])
+                    _row_op(S, U, Uinv, k, i, (x, y, z, w))
+            if all(S[k][j] == 0 for j in range(k + 1, c)):
+                return
+            for j in range(k + 1, c):
+                if S[k][j]:
+                    x, y, z, w = _elim_transform(S[k][k], S[k][j])
+                    _col_op(S, V, k, j, (x, z, y, w))
+            if all(S[i][k] == 0 for i in range(k + 1, r)):
+                return
+
+    for k in range(min(r, c)):
+        clear_at(k)
+
+    # enforce the divisibility chain; each fix dirties only the trailing
+    # block, which is re-diagonalized before the next scan
+    while True:
+        viol = None
+        for k in range(min(r, c) - 1):
+            a, b = S[k][k], S[k + 1][k + 1]
+            if b != 0 and (a == 0 or b % a != 0):
+                viol = k
+                break
+        if viol is None:
+            break
+        _col_op(S, V, viol, viol + 1, (1, 0, 1, 1))  # col k += col k+1
+        for k in range(viol, min(r, c)):
+            clear_at(k)
+    # normalize signs
+    for k in range(min(r, c)):
+        if S[k][k] < 0:
+            for X in (S, U):
+                X[k] = [-v for v in X[k]]
+            for row in Uinv:
+                row[k] = -row[k]
+    return S, U, V, Uinv
+
+
+def diagonal(S: list) -> list:
+    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]

@@ -19,6 +19,7 @@ import json
 import sys
 
 from . import classdata, galois, genus, iso, lattice, materialize
+from .abelian import orbit_count
 from .errors import ConfigError, Cp2Error, InternalError, NeedsConfig, ParseError, UnsupportedPrime
 
 
@@ -138,12 +139,11 @@ def cmd_profinite_iso(args) -> int:
 
 def cmd_genus_count(args) -> int:
     E = genus.SemidirectDescriptor(_parse_descriptor(args, args.descriptor))
-    rep = genus.genus_report(E, guard=args.max_enum)
+    rep = genus.genus_report(E)
     lines = []
     if rep.closed_form:
         lines.append(f"closed form: {rep.closed_form[0]} (case {rep.closed_form[1]})")
-    if rep.enumeration is not None:
-        lines.append(f"enumeration: {rep.enumeration}")
+    lines.append(f"enumeration: {rep.enumeration}")
     if rep.agree is not None:
         lines.append(f"engines agree: {rep.agree}")
     if rep.bounds:
@@ -178,8 +178,6 @@ def cmd_um(args) -> int:
 
 def cmd_orbits(args) -> int:
     ctx = _context(args)
-    from .abelian import orbit_count
-
     hp = orbit_count(ctx.H_p)
     hp2 = orbit_count(ctx.H_p2)
     obj = {"p": args.p, "H_p_orbits": hp, "H_p2_orbits": hp2}
@@ -218,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="boolean commands: no output, answer in the exit code")
     common.add_argument("--lenient-units", dest="lenient_units", action="store_true",
                         help="canonicalize non-canonical unit parameters instead of rejecting")
-    common.add_argument("--max-enum", dest="max_enum", type=int, default=10**6,
-                        help="size guard for genus enumeration (default 10^6)")
 
     ap = argparse.ArgumentParser(
         prog="cp2genus",

@@ -8,8 +8,11 @@ For a faithful semidirect product the genus size is computed two ways:
 
 * the orbit engine: count orbits of the diagonal G(p^2) action on the
   isomorphism-invariant tuples of the genus by Burnside's lemma, from
-  the fixed-point counts of each coordinate set separately; on U_t they
-  are a closed form in its free degrees, so no coset is listed.
+  the fixed-point counts of each coordinate set separately.  On the
+  class groups they come from Smith invariants (abelian.CyclicAction
+  .fixed_counts) and on U_t they are a closed form in its free degrees,
+  so no count lists a class, a coset or a tuple, and no count has a
+  size guard.  Only enumerate_genus lists the genus, under the guard.
 
 The two engines agree on every tested shape with trivial class groups;
 with nontrivial class data any disagreement is reported, never
@@ -22,14 +25,12 @@ from functools import lru_cache
 from typing import Optional
 
 from . import galois, iso, lattice, modring
-from .abelian import CyclicAction, burnside_count, orbit_count, primitive_root
+from .abelian import DEFAULT_GUARD, CyclicAction, burnside_count, orbit_count, primitive_root
 from .classdata import ClassData
 from .errors import EnumerationGuard, InternalError, NotFaithful
 from .iso import IsoInvariants
 from .lattice import Faithfulness, LatticeDescriptor
 from .value import Value, set_field
-
-DEFAULT_GUARD = 10**6
 
 CASE_TRIVIAL = "TrivialModule"
 CASE_NONFAITHFUL = "NonFaithfulNontrivial"
@@ -56,7 +57,7 @@ class GenusReport(Value):
     def __init__(
         self,
         closed_form: Optional[tuple[int, str]],
-        enumeration: Optional[int],
+        enumeration: int,
         agree: Optional[bool],
         bounds: Optional[tuple[int, int]],
         notes: tuple[str, ...],
@@ -68,10 +69,8 @@ class GenusReport(Value):
         set_field(self, "notes", notes)
 
     @property
-    def value(self) -> Optional[int]:
-        if self.enumeration is not None:
-            return self.enumeration
-        return self.closed_form[0] if self.closed_form else None
+    def value(self) -> int:
+        return self.enumeration
 
 
 def _require_faithful(E: SemidirectDescriptor):
@@ -141,16 +140,13 @@ class _GenusCoordinates(Value):
         set_field(self, "chi_range", chi_range)
 
 
-def _genus_coordinates(D: LatticeDescriptor, guard: int) -> _GenusCoordinates:
+def _genus_coordinates(D: LatticeDescriptor) -> _GenusCoordinates:
     """Class coordinates range over the full class group exactly when some
     summand carries the corresponding ideal slot; the U_t coordinate
     ranges over all cosets exactly when the coset invariant applies and
     an extension summand is present; the quadratic character takes both
     signs exactly when it applies and the merged C/D part is nonzero.
-
-    Raises EnumerationGuard when the genus has more than guard tuples.
     """
-    ctx = D.context
     base = iso.invariants_of(D)
     r_live = lattice.has_R_slot(D)
     s_live = lattice.has_S_slot(D)
@@ -160,24 +156,25 @@ def _genus_coordinates(D: LatticeDescriptor, guard: int) -> _GenusCoordinates:
         chi_range = (1, -1)
     else:
         chi_range = (base.quad_char,)
-
-    r_size = ctx.H_p.target.order if r_live else 1
-    s_size = ctx.H_p2.target.order if s_live else 1
-    u_size = ctx.unit_quotient(base.t).order if u_live else 1
-    total = r_size * s_size * u_size * len(chi_range)
-    if total > guard:
-        raise EnumerationGuard(f"genus of size {total} exceeds guard {guard}")
     return _GenusCoordinates(base, r_live, s_live, u_live, chi_range)
 
 
 def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[IsoInvariants]:
-    """Every isomorphism-invariant tuple realized in the genus of D."""
-    co = _genus_coordinates(D, guard)
-    Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
-    r_range = Hp.elements(guard) if co.r_live else [Hp.identity()]
-    s_range = Hp2.elements(guard) if co.s_live else [Hp2.identity()]
-    u_range = D.context.unit_quotient(co.base.t).reps if co.u_live else [co.base.u0_class]
+    """Every isomorphism-invariant tuple realized in the genus of D.
+
+    Raises EnumerationGuard when the genus has more than guard tuples.
+    """
+    co = _genus_coordinates(D)
     base = co.base
+    Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
+    quotient = D.context.unit_quotient(base.t) if co.u_live else None
+    total = ((Hp.order if co.r_live else 1) * (Hp2.order if co.s_live else 1)
+             * (quotient.order if quotient is not None else 1) * len(co.chi_range))
+    if total > guard:
+        raise EnumerationGuard(f"genus of size {total} exceeds guard {guard}")
+    r_range = Hp.elements() if co.r_live else [Hp.identity()]
+    s_range = Hp2.elements() if co.s_live else [Hp2.identity()]
+    u_range = quotient.reps if quotient is not None else [base.u0_class]
     return [
         IsoInvariants(base.padic, rc, sc, base.t, u, chi)
         for rc in r_range
@@ -193,7 +190,7 @@ def _driven_fixed_counts(A: CyclicAction, gen: int, order: int) -> tuple[int, ..
     return tuple(A.fixed_counts[e * d % A.acting_order] for d in range(order))
 
 
-def orbit_genus_count(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> int:
+def orbit_genus_count(D: LatticeDescriptor) -> int:
     """Number of orbits of the diagonal Galois action on the genus of D.
 
     For a faithful module this is exactly the number of isomorphism
@@ -203,7 +200,7 @@ def orbit_genus_count(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> int:
     listing the tuples.
     """
     ctx = D.context
-    co = _genus_coordinates(D, guard)
+    co = _genus_coordinates(D)
     order = ctx.p * (ctx.p - 1)
     gen = primitive_root(ctx.p ** 2)
     ones = (1,) * order
@@ -288,20 +285,16 @@ def genus_bounds(E: SemidirectDescriptor) -> tuple[int, int]:
     return (orb_hp2, 2 * orb_hp * orb_hp2 * orb_ut)
 
 
-def genus_report(E: SemidirectDescriptor, guard: int = DEFAULT_GUARD) -> GenusReport:
+def genus_report(E: SemidirectDescriptor) -> GenusReport:
     """Run both engines, record agreement, and check the genus bounds."""
     D = E.module
     notes = []
     closed = closed_form_count(E)
     if closed is None:
         notes.append("no closed-form case matches this shape; enumeration only")
-    enumeration = None
-    try:
-        enumeration = orbit_genus_count(D, guard)
-    except EnumerationGuard as exc:
-        notes.append(f"enumeration skipped: {exc}")
+    enumeration = orbit_genus_count(D)
     agree = None
-    if closed is not None and enumeration is not None:
+    if closed is not None:
         agree = closed[0] == enumeration
         if not agree:
             notes.append(

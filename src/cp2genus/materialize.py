@@ -7,8 +7,9 @@ char poly (lattice.CYCLOTOMIC), and each extension block is the pushout
 (Lambda + X) / <(i0(y), -f(y))>, where i0 embeds E = phi_{p^2}(g)Lambda
 into Lambda = Z[x]/(x^{p^2}-1) and f: E -> X encodes the extension
 class through the image of phi_{p^2}(g).  Quotient bases and induced
-actions come from Smith normal form with tracked transforms; only the
-rows of the transformed action that survive in the quotient are formed.
+actions come from Smith normal form with tracked transforms
+(abelian.snf_full); only the rows of the transformed action that
+survive in the quotient are formed.
 
 ext_group gives Ext(S, X) = (Z/p)^(rank X) in closed form, and
 validate_rep reads det(A) off the char poly it checks.  Matrix powers
@@ -26,7 +27,7 @@ lists, and sparse rows are lists of {column: nonzero entry} dicts.
 from __future__ import annotations
 
 from . import lattice
-from .abelian import AbGroup
+from .abelian import AbGroup, diagonal, identity, snf_full
 from .errors import Cp2Error, InternalError, NontrivialClass
 from .lattice import Faithfulness, LatticeDescriptor
 from .value import Value, set_field
@@ -36,10 +37,6 @@ IntMatrix = list  # list of rows, each a list of ints
 
 # ---------------------------------------------------------------------------
 # matrix utilities
-
-
-def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def zeros(r: int, c: int) -> IntMatrix:
@@ -116,139 +113,6 @@ def companion(monic: list) -> IntMatrix:
     for i in range(n):
         M[i][n - 1] = -monic[i]
     return M
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-
-def _row_op(S, U, Uinv, i, j, T):
-    """Rows i, j of S and U get T; columns i, j of Uinv get T^{-1} (det T = +-1)."""
-    a, b, c, d = T
-    det = a * d - b * c
-    for X in (S, U):
-        for col in range(len(X[0])):
-            x, y = X[i][col], X[j][col]
-            X[i][col] = a * x + b * y
-            X[j][col] = c * x + d * y
-    # T^{-1} = (1/det) [[d, -b], [-c, a]] with det = +-1
-    ia, ib, ic, id_ = d * det, -b * det, -c * det, a * det
-    for row in Uinv:
-        x, y = row[i], row[j]
-        row[i] = x * ia + y * ic
-        row[j] = x * ib + y * id_
-
-
-def _col_op(S, V, Vinv, i, j, T):
-    a, b, c, d = T
-    det = a * d - b * c
-    for X in (S, V):
-        for row in X:
-            x, y = row[i], row[j]
-            row[i] = a * x + c * y
-            row[j] = b * x + d * y
-    ia, ib, ic, id_ = d * det, -b * det, -c * det, a * det
-    for col in range(len(Vinv[0])):
-        x, y = Vinv[i][col], Vinv[j][col]
-        Vinv[i][col] = ia * x + ib * y
-        Vinv[j][col] = ic * x + id_ * y
-
-
-def _xgcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def _elim_transform(a: int, b: int):
-    """Unimodular (x, y, z, w) sending (a, b) to (g, 0) with g = gcd.
-
-    When a divides b the transform is a plain subtraction that leaves
-    the pivot row/column untouched (important for termination).
-    """
-    if b % a == 0:
-        return (1, 0, -(b // a), 1)
-    g, x, y = _xgcd(a, b)
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return (x, y, -(b // g), a // g)
-
-
-def snf_full(M: IntMatrix):
-    """(S, U, V, Uinv, Vinv) with U M V = S in Smith normal form.
-
-    S is diagonal with d_1 | d_2 | ..., all entries >= 0; U and V are
-    unimodular with the returned exact inverses.
-    """
-    r = len(M)
-    c = len(M[0]) if r else 0
-    S = [row[:] for row in M]
-    U, Uinv = identity(r), identity(r)
-    V, Vinv = identity(c), identity(c)
-
-    def clear_at(k):
-        while True:
-            # move a pivot to (k, k)
-            if S[k][k] == 0:
-                found = False
-                for i in range(k, r):
-                    for j in range(k, c):
-                        if S[i][j] != 0:
-                            if i != k:
-                                _row_op(S, U, Uinv, k, i, (0, 1, 1, 0))
-                            if j != k:
-                                _col_op(S, V, Vinv, k, j, (0, 1, 1, 0))
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    return
-            for i in range(k + 1, r):
-                if S[i][k]:
-                    x, y, z, w = _elim_transform(S[k][k], S[i][k])
-                    _row_op(S, U, Uinv, k, i, (x, y, z, w))
-            if all(S[k][j] == 0 for j in range(k + 1, c)):
-                return
-            for j in range(k + 1, c):
-                if S[k][j]:
-                    x, y, z, w = _elim_transform(S[k][k], S[k][j])
-                    _col_op(S, V, Vinv, k, j, (x, z, y, w))
-            if all(S[i][k] == 0 for i in range(k + 1, r)):
-                return
-
-    for k in range(min(r, c)):
-        clear_at(k)
-
-    # enforce the divisibility chain; each fix dirties only the trailing
-    # block, which is re-diagonalized before the next scan
-    while True:
-        viol = None
-        for k in range(min(r, c) - 1):
-            a, b = S[k][k], S[k + 1][k + 1]
-            if b != 0 and (a == 0 or b % a != 0):
-                viol = k
-                break
-        if viol is None:
-            break
-        _col_op(S, V, Vinv, viol, viol + 1, (1, 0, 1, 1))  # col k += col k+1
-        for k in range(viol, min(r, c)):
-            clear_at(k)
-    # normalize signs
-    for k in range(min(r, c)):
-        if S[k][k] < 0:
-            for X in (S, U):
-                X[k] = [-v for v in X[k]]
-            for row in Uinv:
-                row[k] = -row[k]
-    return S, U, V, Uinv, Vinv
-
-
-def diagonal(S: IntMatrix) -> list:
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
 def mat_rank(M: IntMatrix) -> int:
@@ -374,7 +238,7 @@ def _pushout_block(p: int, s) -> IntMatrix:
         fj = mat_vec(G_X, fj)
     B = [[cols[j][i] for j in range(p)] for i in range(N)]
 
-    S, U, _, Uinv, _ = snf_full(B)
+    S, U, _, Uinv = snf_full(B)
     for i in range(p):
         if S[i][i] != 1:
             raise InternalError(

@@ -11,6 +11,7 @@ a Smith normal form cokernel.
 """
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -20,11 +21,9 @@ from cp2genus.abelian import (
     AbGroup,
     CyclicAction,
     apply_action,
-    cycles,
-    fixed_point_counts,
     primitive_root,
 )
-from cp2genus.errors import Cp2Error, EnumerationGuard, NonUnit
+from cp2genus.errors import Cp2Error, EnumerationGuard, InternalError, NonUnit
 from cp2genus.modring import PolyMod, poly_mul
 
 
@@ -59,18 +58,54 @@ def trivial_action(modulus: int, acting_order: int) -> CyclicAction:
 
 def brute_fixed_counts(A: CyclicAction) -> tuple[int, ...]:
     """Fixed points of generator^d for each d < acting_order, by applying
-    the generator matrix d times to every element."""
-    elems = A.target.elements()
-    counts = []
-    for d in range(A.acting_order):
-        fixed = 0
-        for e in elems:
-            x = e
-            for _ in range(d):
-                x = A._apply_matrix(x)
-            fixed += x == e
-        counts.append(fixed)
+    the generator matrix to every element acting_order - 1 times and
+    checking after the d-th application whether it is back."""
+    counts = [0] * A.acting_order
+    for e in A.target.elements():
+        x = e
+        for d in range(A.acting_order):
+            counts[d] += x == e
+            x = A._apply_matrix(x)
     return tuple(counts)
+
+
+def cycles(points, step) -> list[list]:
+    """The cycles of the permutation step of the finite set points.
+
+    Raises InternalError when step turns out not to be a permutation.
+    """
+    seen: set = set()
+    parts = []
+    for e in points:
+        if e in seen:
+            continue
+        cycle = [e]
+        seen.add(e)
+        x = step(e)
+        while x not in seen:
+            cycle.append(x)
+            seen.add(x)
+            x = step(x)
+        if x != e:
+            raise InternalError(f"not a permutation: the walk from {e} runs into {x}")
+        parts.append(cycle)
+    return parts
+
+
+def orbits(A: CyclicAction) -> list[list[tuple[int, ...]]]:
+    """Partition of the listed group into orbits of the action: the
+    cycles of the generator."""
+    return cycles(A.target.elements(), A._apply_matrix)
+
+
+def fixed_point_counts(cycle_type, order: int) -> tuple[int, ...]:
+    """Fixed points of s^d for d in range(order), where s is a permutation
+    with the given cycle lengths: a cycle of length L is fixed pointwise
+    by s^d exactly when L divides d."""
+    by_length = Counter(cycle_type)
+    return tuple(
+        sum(L * n for L, n in by_length.items() if d % L == 0) for d in range(order)
+    )
 
 
 def walk_orbit_count(points, step) -> int:
@@ -178,7 +213,7 @@ def diagonal_orbits(
 
 def snf(M):
     """(S, U, V) with U M V = S in Smith normal form."""
-    S, U, V, _, _ = materialize.snf_full(M)
+    S, U, V, _ = materialize.snf_full(M)
     return S, U, V
 
 
@@ -214,7 +249,7 @@ def kernel_basis(M) -> list:
     """Columns spanning the integer kernel lattice of M (saturated)."""
     r = len(M)
     c = len(M[0]) if r else 0
-    S, U, V, Uinv, Vinv = materialize.snf_full(M)
+    S, U, V, Uinv = materialize.snf_full(M)
     cols = []
     for j in range(c):
         d = S[j][j] if j < min(r, c) else 0
@@ -228,7 +263,7 @@ def solve_exact(A_cols: list, b: list) -> list:
     n = len(b)
     k = len(A_cols)
     M = [[A_cols[j][i] for j in range(k)] for i in range(n)]
-    S, U, V, _, _ = materialize.snf_full(M)
+    S, U, V, _ = materialize.snf_full(M)
     rhs = materialize.mat_vec(U, b)
     y = [0] * k
     for i in range(n):

@@ -187,10 +187,42 @@ def test_lenient_units_flag(capsys):
     assert code == 0 and "B(0,0;0)" in out
 
 
-def test_max_enum_guard(capsys):
-    code, out, _ = run(capsys, "genus-count", "--p", "5", "--max-enum", "2", "B(0,0;0)")
-    assert code == 0
-    assert "enumeration skipped" in out
+def test_max_enum_flag_removed(capsys):
+    code, out, _ = run(capsys, "genus-count", "--p", "5", "--json", "B(0,0;0)")
+    obj = json.loads(out)
+    assert code == 0 and obj["enumeration"] == 2
+    assert not any("enumeration skipped" in n for n in obj["notes"])
+    with pytest.raises(SystemExit) as exc:
+        main(["genus-count", "--p", "5", "--max-enum", "2", "B(0,0;0)"])
+    assert exc.value.code == 2
+
+
+def big_class_config(factor: int, mult: int) -> dict:
+    """p = 7 class data with H(Z[zeta_49]) = C_factor, the generator 3
+    acting as multiplication by mult."""
+    return {**trivial_config(7), "H_p2": {"invariant_factors": [factor],
+                                          "generator_residue": 3,
+                                          "generator_matrix": [[mult]]}}
+
+
+@pytest.mark.parametrize("factor, mult, orbits", [
+    # the trivial action: every class is its own orbit
+    (2000003, 1, 2000003),
+    # multiplication by 499502, of order 6 mod the prime 1000003: M^d fixes
+    # all q classes when 6 | d (7 of the 42 powers) and only 0 otherwise,
+    # so Burnside gives (7q + 35)/42 = (q + 5)/6
+    (1000003, 499502, 166668),
+])
+def test_class_group_beyond_listing_guard(capsys, tmp_path, factor, mult, orbits):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big_class_config(factor, mult)))
+    code, out, _ = run(capsys, "orbits", "--p", "7", "--json", "--classdata", str(path))
+    assert code == 0 and json.loads(out)["H_p2_orbits"] == orbits
+    code, out, _ = run(capsys, "genus-count", "--p", "7", "--json", "--classdata", str(path),
+                       "c(0)")
+    obj = json.loads(out)
+    assert code == 0 and obj["closed_form"] == {"value": orbits, "case": "SoCs"}
+    assert obj["enumeration"] == orbits and obj["agree"] is True
 
 
 def test_orbits_command(capsys):

@@ -109,12 +109,12 @@ def test_genus_report_agreement(ctx2, ctx3, ctx5):
             assert not any("violates" in n for n in rep.notes)
 
 
-def test_genus_report_guard_note(ctx5):
+def test_genus_report_counts_without_guard(ctx5):
+    # the orbit engine lists nothing, so the report always carries its value
     E = SD(lat.parse("B(0,0;0)", 5, ctx5))
-    rep = genus.genus_report(E, guard=2)
-    assert rep.enumeration is None
-    assert any("enumeration skipped" in n for n in rep.notes)
-    assert rep.value == rep.closed_form[0]
+    rep = genus.genus_report(E)
+    assert rep.enumeration == rep.closed_form[0] == rep.value == 2
+    assert not any("enumeration skipped" in n for n in rep.notes)
 
 
 @settings(max_examples=60, deadline=None)

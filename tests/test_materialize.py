@@ -36,10 +36,9 @@ def test_snf_roundtrip_random():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         M = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        S, U, V, Uinv, Vinv = mat.snf_full(M)
+        S, U, V, Uinv = mat.snf_full(M)
         assert mat_mul(mat_mul(U, M), V) == S
         assert mat_mul(U, Uinv) == mat.identity(r)
-        assert mat_mul(V, Vinv) == mat.identity(c)
         assert abs(bareiss_det(U)) == 1
         assert abs(bareiss_det(V)) == 1
         d = mat.diagonal(S)
