@@ -6,19 +6,20 @@ per distinct summand: Z, b, c and Eb get the companion matrix of their
 char poly (lattice.CYCLOTOMIC), and each extension block is the pushout
 (Lambda + X) / <(i0(y), -f(y))>, where i0 embeds E = phi_{p^2}(g)Lambda
 into Lambda = Z[x]/(x^{p^2}-1) and f: E -> X encodes the extension
-class through the image of phi_{p^2}(g).  Quotient bases and induced
-actions come from Smith normal form with tracked transforms
-(abelian.snf_full); only the rows of the transformed action that
-survive in the quotient are formed.
+class through the image of phi_{p^2}(g).  The relation matrix has the
+identity in its first p rows, so its unit pivots give the quotient
+basis in closed form (no Smith normal form); only the rows of the
+transformed action that survive in the quotient are formed.
 
-ext_group gives Ext(S, X) = (Z/p)^(rank X) in closed form, and
-validate_rep reads det(A) off the char poly it checks.  Matrix powers
-(rep_of's A^(p^2) = I self-check, validate_rep's B^p and B^(p^2) per
-connected component) are taken on sparse rows, since the blocks are
-mostly zero.  A component with B^(p^2) = I is diagonalizable, because
-x^(p^2) - 1 is squarefree over Q, so validate_rep reads its fixed rank
-off the char poly as the multiplicity of the root 1; Smith normal form
-computes rank(B - I) only for a component that fails the power check.
+ext_group gives Ext(S, X) = (Z/p)^(rank X) in closed form.  Matrix
+powers (rep_of's A^(p^2) = I self-check, validate_rep's B^p and
+B^(p^2) per distinct connected component) are taken on sparse rows,
+since the blocks are mostly zero.  A component with B^(p^2) = I is
+diagonalizable, because x^(p^2) - 1 is squarefree over Q, so
+validate_rep reads its rational type (a, b, c), and with it the char
+poly Phi_1^a Phi_p^b Phi_{p^2}^c and the fixed rank a, off tr B and
+tr B^p; det(A) comes from the char poly.  Berkowitz charpoly and Smith
+normal form run only on a component that fails the power check.
 
 All arithmetic is exact over Python integers; matrices are plain nested
 lists, and sparse rows are lists of {column: nonzero entry} dicts.
@@ -219,36 +220,32 @@ def _f0_vector(p: int, s) -> list:
 
 
 def _pushout_block(p: int, s) -> IntMatrix:
-    """Action of g on (Lambda + X) / <(i0(y), -f(y)) : y in E>."""
+    """Action of g on (Lambda + X) / <(i0(y), -f(y)) : y in E>.
+
+    The relations are the columns (i0(g^j e), -g^j f0), j = 0..p-1, of
+    an N x p matrix [[I_p], [C]]: i0(g^j e) has its ones in the rows
+    i p + j, so rows 0..p-1 are the identity.  Subtracting C times them
+    from the other rows is the unimodular U = [[I, 0], [-C, I]], with
+    U [[I_p], [C]] = [[I_p], [0]] and U^-1 = [[I, 0], [C, I]].  In the
+    basis U^-1 the first p vectors span the relations, so the quotient's
+    action is rows and columns p..N-1 of U G_L U^-1, and columns 0..p-1
+    of those rows vanish exactly when the relations are g-invariant.
+    """
     G_X = block_diag([_component(p, c) for c in _X_OF_KIND[s.kind]])
     N = p * p + len(G_X)
     G_L = sparse_rows(block_diag([companion(x_pow_minus_1(p * p)), G_X]))
 
-    f0 = _f0_vector(p, s)
-    # columns (i0(g^j * e), -g^j * f0), j = 0..p-1
-    cols = []
-    fj = f0
-    for j in range(p):
-        col = [0] * N
-        for i in range(p):
-            col[i * p + j] = 1
-        for i, v in enumerate(fj):
-            col[p * p + i] = -v
-        cols.append(col)
-        fj = mat_vec(G_X, fj)
-    B = [[cols[j][i] for j in range(p)] for i in range(N)]
+    # C as sparse rows: row i p + j of the relations (i >= 1) is e_j, and
+    # row p^2 + t holds -(g^j f0)_t in column j
+    fs = [_f0_vector(p, s)]
+    for _ in range(1, p):
+        fs.append(mat_vec(G_X, fs[-1]))
+    C = [{q % p: 1} for q in range(p, p * p)]
+    C += [{j: -f[t] for j, f in enumerate(fs) if f[t]} for t in range(len(G_X))]
+    U_low = [{**{j: -x for j, x in row.items()}, p + r: 1} for r, row in enumerate(C)]
+    Uinv = [{j: 1} for j in range(p)] + [{**row, p + r: 1} for r, row in enumerate(C)]
 
-    S, U, _, Uinv = snf_full(B)
-    for i in range(p):
-        if S[i][i] != 1:
-            raise InternalError(
-                "relation lattice is not a direct summand; "
-                f"diagonal entry {S[i][i]} at {i}"
-            )
-    # in the basis U^-1 the first p vectors span the relations, so the
-    # quotient's action is rows and columns p..N-1 of U G_L U^-1; rows
-    # 0..p-1 would only be dropped
-    Gy = sparse_mul(sparse_mul(sparse_rows(U[p:]), G_L), sparse_rows(Uinv))
+    Gy = sparse_mul(sparse_mul(U_low, G_L), Uinv)
     if any(j < p for row in Gy for j in row):
         raise InternalError("relation lattice is not invariant under g")
     return [[row.get(j, 0) for j in range(p, N)] for row in Gy]
@@ -379,20 +376,6 @@ def predicted_charpoly(D: LatticeDescriptor) -> list:
     return cyclotomic_product(D.p, *lattice.rational_type(D))
 
 
-def root_one_multiplicity(f: list) -> int:
-    """The multiplicity of 1 as a root of the nonzero polynomial f
-    (ascending coefficients), by synthetic division by x - 1."""
-    k = 0
-    while len(f) > 1 and sum(f) == 0:  # f(1) = 0
-        # f = (x - 1) q with q_(i-1) = f_i + q_i, from the top down
-        q, acc = [0] * (len(f) - 1), 0
-        for i in range(len(f) - 1, 0, -1):
-            acc += f[i]
-            q[i - 1] = acc
-        f, k = q, k + 1
-    return k
-
-
 def connected_components(A: IntMatrix) -> list:
     """The connected components of A as ascending index lists, ordered by
     their smallest index: i and j are joined when A[i][j] or A[j][i] is
@@ -422,44 +405,75 @@ def connected_components(A: IntMatrix) -> list:
     return out
 
 
+def _component_type(p: int, B: tuple) -> tuple:
+    """(order, (a, b, c), chi, fixed rank) of one component B.
+
+    When B^(p^2) = I, B is diagonalizable with p^2-th roots of unity as
+    eigenvalues, and its char poly is rational, so it is
+    Phi_1^a Phi_p^b Phi_{p^2}^c.  The primitive p-th roots sum to -1
+    and the primitive p^2-th ones to 0, so tr B = a - b and
+    tr B^p = a + (p - 1) b - p c, while n = a + (p - 1) b + p (p - 1) c;
+    solving gives (a, b, c), and the fixed rank is a.  chi is then [1].
+    Any other B has order 0, type (0, 0, 0), its Berkowitz char poly as
+    chi and rank(B - I) from Smith normal form.
+    """
+    n = len(B)
+    Bs = sparse_rows(B)
+    Bp = sparse_pow(Bs, p)
+    Bp2 = sparse_pow(Bp, p)
+    for order, M in ((1, Bs), (p, Bp), (p * p, Bp2)):
+        if is_identity(M):
+            break
+    else:
+        fixed = n - mat_rank(mat_sub(B, identity(n)))
+        return 0, (0, 0, 0), charpoly(B), fixed
+    tr1 = sum(row[i] for i, row in enumerate(B))
+    trp = sum(row.get(i, 0) for i, row in enumerate(Bp))
+    c, rc = divmod(n - trp, p * p)
+    b, rb = divmod(n - p * (p - 1) * c - tr1, p)
+    a = tr1 + b
+    if rc or rb or min(a, b, c) < 0:
+        raise InternalError(
+            f"traces {tr1}, {trp} of a component with B^{p * p} = I "
+            "give no rational type"
+        )
+    return order, (a, b, c), [1], a
+
+
 def validate_rep(rep: IntegerRep) -> RepReport:
     """Check the matrix model against everything the descriptor predicts.
 
     The checks run per connected component of A, found from A itself, so
-    any IntegerRep is checked, not only the block structure rep_of built.
-    Each invariant of the block-diagonal form is exact: A^(p^2) = I on
-    every block, the char poly is the product over blocks, the order is
-    the lcm of the block orders (0 if any fails to divide p^2), and
-    rank(A - I) is the sum of the block ranks.  det(A) is
-    (-1)^n charpoly(A)(0).
+    any IntegerRep is checked, not only the block structure rep_of built;
+    equal components are checked once.  Each invariant of the
+    block-diagonal form is exact: A^(p^2) = I on every block, the char
+    poly is the product over blocks, the order is the lcm of the block
+    orders (0 if any fails to divide p^2), and rank(A - I) is the sum of
+    the block ranks.  det(A) is (-1)^n charpoly(A)(0).
 
-    Powers are taken on sparse rows.  A block B with B^(p^2) = I has a
-    minimal polynomial dividing x^(p^2) - 1, which is squarefree over Q,
-    so B is diagonalizable over C and dim ker(B - I) is the multiplicity
-    of the root 1 in its char poly.  Only a block failing the power check
-    has rank(B - I) computed by Smith normal form.
+    Powers are taken on sparse rows.  A block with B^(p^2) = I gets its
+    rational type, and so its char poly and fixed rank, from tr B and
+    tr B^p (_component_type); only a block failing the power check runs
+    Berkowitz and Smith normal form.
     """
     D = rep.source
     p = D.p
     A = rep.matrix
-    n = rep.n
-    power_ok, got, rank = True, [1], 0
-    orders = []
+    types = {}
+    total, chis, fixed, orders = [0, 0, 0], [], 0, []
     for comp in connected_components(A):
-        B = [[A[i][j] for j in comp] for i in comp]
-        Bs = sparse_rows(B)
-        Bp = sparse_pow(Bs, p)
-        Bp2 = sparse_pow(Bp, p)
-        semisimple = is_identity(Bp2)
-        power_ok = power_ok and semisimple
-        orders.append(next(
-            (order for order, M in ((1, Bs), (p, Bp), (p * p, Bp2)) if is_identity(M)), 0))
-        chi = charpoly(B)
+        B = tuple(tuple(A[i][j] for j in comp) for i in comp)
+        if B not in types:
+            types[B] = _component_type(p, B)
+        order, abc, chi, fixed_B = types[B]
+        orders.append(order)
+        total = [x + y for x, y in zip(total, abc)]
+        chis.append(chi)
+        fixed += fixed_B
+    power_ok = 0 not in orders
+    got = cyclotomic_product(p, *total)
+    for chi in chis:
         got = polymul_z(got, chi)
-        if semisimple:
-            rank += len(B) - root_one_multiplicity(chi)
-        else:
-            rank += mat_rank(mat_sub(B, identity(len(B))))
     det = (-1) ** len(A) * got[0]
     checks = []
 
@@ -487,7 +501,6 @@ def validate_rep(rep: IntegerRep) -> RepReport:
     )
 
     expected_fixed = lattice.rational_type(D)[0]
-    fixed = n - rank
     checks.append(
         RepCheck(
             "fixed_rank",

@@ -6,8 +6,10 @@ generator matrix power by power, twisting a descriptor and re-deriving
 its invariants, listing a unit group and its cosets element by
 element, summing a cyclotomic unit power by power, validating a
 matrix model on the whole matrix with dense powers and a Smith normal
-form instead of per connected component, or computing an Ext group as
-a Smith normal form cokernel.
+form instead of per connected component, counting the root 1 of a
+char poly by synthetic division instead of reading it off traces,
+building a pushout block from a Smith normal form of its relations,
+or computing an Ext group as a Smith normal form cokernel.
 """
 
 import math
@@ -443,6 +445,55 @@ def dense_charpoly(A) -> list:
             new[d] = s
         coeffs = new
     return list(reversed(coeffs))
+
+
+def root_one_multiplicity(f: list) -> int:
+    """The multiplicity of 1 as a root of the nonzero polynomial f
+    (ascending coefficients), by synthetic division by x - 1."""
+    k = 0
+    while len(f) > 1 and sum(f) == 0:  # f(1) = 0
+        # f = (x - 1) q with q_(i-1) = f_i + q_i, from the top down
+        q, acc = [0] * (len(f) - 1), 0
+        for i in range(len(f) - 1, 0, -1):
+            acc += f[i]
+            q[i - 1] = acc
+        f, k = q, k + 1
+    return k
+
+
+def snf_pushout_block(p: int, s) -> list:
+    """materialize._pushout_block with the quotient basis taken from a
+    Smith normal form of the dense relation matrix."""
+    mat = materialize
+    G_X = mat.block_diag([mat._component(p, c) for c in mat._X_OF_KIND[s.kind]])
+    N = p * p + len(G_X)
+    G_L = mat.block_diag([mat.companion(mat.x_pow_minus_1(p * p)), G_X])
+
+    # columns (i0(g^j * e), -g^j * f0), j = 0..p-1
+    cols = []
+    fj = mat._f0_vector(p, s)
+    for j in range(p):
+        col = [0] * N
+        for i in range(p):
+            col[i * p + j] = 1
+        for i, v in enumerate(fj):
+            col[p * p + i] = -v
+        cols.append(col)
+        fj = mat.mat_vec(G_X, fj)
+    B = [[cols[j][i] for j in range(p)] for i in range(N)]
+
+    S, U, _, Uinv = mat.snf_full(B)
+    for i in range(p):
+        if S[i][i] != 1:
+            raise InternalError(
+                "relation lattice is not a direct summand; "
+                f"diagonal entry {S[i][i]} at {i}"
+            )
+    # in the basis U^-1 the first p vectors span the relations
+    Gy = mat_mul(mat_mul(U, G_L), Uinv)
+    if any(Gy[i][j] for i in range(p, N) for j in range(p)):
+        raise InternalError("relation lattice is not invariant under g")
+    return [row[p:] for row in Gy[p:]]
 
 
 def dense_validate_rep(rep) -> materialize.RepReport:

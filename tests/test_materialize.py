@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cp2genus import classdata, lattice as lat, materialize as mat
 from cp2genus.errors import Cp2Error, InternalError, NontrivialClass
 
-from conftest import indecomposable_templates, synthetic_c43
+from conftest import indecomposable_templates, random_descriptor, synthetic_c43
 from oracles import (
     bareiss_det,
     dense_charpoly,
@@ -15,8 +16,10 @@ from oracles import (
     mat_mul,
     mat_pow,
     multiplicative_order,
+    root_one_multiplicity,
     snf,
     snf_ext_group,
+    snf_pushout_block,
     solve_exact,
 )
 
@@ -102,15 +105,88 @@ def test_sparse_pow_matches_dense_oracle():
 
 
 def test_fixed_rank_from_charpoly_matches_snf(ctx2, ctx3, ctx5):
-    # every block has A^(p^2) = I, so it is diagonalizable and the root 1
-    # of its char poly counts the fixed rank
+    # every block has A^(p^2) = I, so it is diagonalizable: the rational
+    # type read off tr A and tr A^p gives its char poly, and the root 1 of
+    # that char poly counts the fixed rank
     for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, classdata.trivial(7))):
         for D in indecomposable_templates(p, ctx):
             A = [list(r) for r in mat.rep_of(D).matrix]
             I = mat.identity(len(A))
-            multiplicity = mat.root_one_multiplicity(mat.charpoly(A))
+            _, abc, chi, fixed = mat._component_type(p, tuple(map(tuple, A)))
+            assert abc == lat.rational_type(D), lat.render(D)
+            assert (chi, fixed) == ([1], abc[0])
+            berkowitz = mat.charpoly(A)
+            assert berkowitz == mat.cyclotomic_product(p, *abc)
+            multiplicity = root_one_multiplicity(berkowitz)
             assert multiplicity == len(A) - mat.mat_rank(mat.mat_sub(A, I)), lat.render(D)
-            assert multiplicity == lat.rational_type(D)[0]
+            assert multiplicity == abc[0]
+
+
+def test_pushout_block_matches_snf_oracle(ctx2, ctx3, ctx5):
+    # the closed-form unit pivots give the same quotient basis as a Smith
+    # normal form of the relations, so every block is bit-identical
+    rng = random.Random(3)
+    kinds = set()
+    for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, classdata.trivial(7))):
+        summands = [lat.make_summand(p, ctx, "Ec")]
+        for kind in lat.EXTENSION_KINDS:
+            if kind == "D" and p % 4 != 1:
+                continue
+            for r in lat.r_range(kind, p):
+                reps = ctx.unit_quotient(lat.unit_index(kind, r, p)).reps
+                units = [reps[0], *rng.sample(reps[1:], min(3, len(reps) - 1))]
+                summands += [lat.make_summand(p, ctx, kind, r=r, u=u) for u in units]
+        for s in summands:
+            assert mat._pushout_block(p, s) == snf_pushout_block(p, s), (p, s)
+            kinds.add(s.kind)
+    assert kinds == set(mat._X_OF_KIND)
+
+
+def test_validate_rep_trace_path_on_a_wrong_model(ctx2):
+    # the swap has order 2, so its type comes from traces: tr B = 0 and
+    # tr B^2 = 2 give (a, b, c) = (1, 1, 0), where Z + Z predicts (2, 0, 0)
+    rep = mat.IntegerRep(2, ((0, 1), (1, 0)), lat.parse("Z + Z", 2, ctx2))
+    assert mat._component_type(2, rep.matrix) == (2, (1, 1, 0), [1], 1)
+    report = _assert_matches_oracle(rep)
+    failed = {c.name: c.detail for c in report.checks if not c.ok}
+    assert failed == {"order": "order(A) = 2, expected 1",
+                      "char_poly": "char poly matches prediction: False",
+                      "fixed_rank": "rank ker(A - I) = 1, expected 2"}
+
+
+def test_validate_rep_checks_each_distinct_component_once(ctx3, monkeypatch):
+    D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + 2*Z + B(0,0;2)", 3, ctx3)
+    rep = mat.rep_of(D)
+    calls = []
+    check = mat._component_type
+
+    def counting(p, B):
+        calls.append(B)
+        return check(p, B)
+
+    monkeypatch.setattr(mat, "_component_type", counting)
+    report = mat.validate_rep(rep)
+    components = [tuple(tuple(rep.matrix[i][j] for j in comp) for i in comp)
+                  for comp in mat.connected_components(rep.matrix)]
+    assert len(components) == 9
+    assert len(calls) == len(set(calls)) == len(set(components)) == 4
+    assert report.passed
+    assert report == dense_validate_rep(rep)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+def test_validate_rep_property(p, seed):
+    ctx = classdata.builtin(p)  # trivial class groups
+    rng = random.Random(seed)
+    while True:
+        D = random_descriptor(rng, p, ctx, max_summands=4)
+        if lat.rank(D) <= 30:
+            break
+    rep = mat.rep_of(D)
+    report = mat.validate_rep(rep)
+    assert report.passed, (lat.render(D), [c.detail for c in report.checks if not c.ok])
+    assert report == dense_validate_rep(rep), lat.render(D)
 
 
 def test_validate_rep_rank_fallback_on_a_unipotent_block(ctx2):
