@@ -10,8 +10,10 @@ their Galois action here.
 Orbit counts come from one engine without listing the group: the fixed
 points of a generator power M^d on G = (+) Z/f_i are ker(M^d - I), whose
 order equals that of coker(M^d - I), the product of the Smith invariants
-of [M^d - I | diag(f)]; Burnside's lemma averages those counts.  Only
-AbGroup.elements lists a group, and it keeps the size guard.
+of [M^d - I | diag(f)].  They depend on d only through e = gcd(d, N), N
+the acting order, so they are kept per divisor e | N, and Burnside's
+lemma weights each by phi(N/e).  Only AbGroup.elements lists a group,
+and it keeps the size guard.
 """
 
 from __future__ import annotations
@@ -139,6 +141,15 @@ def primitive_root(modulus: int) -> int:
     raise Cp2Error(f"(Z/{modulus})^* is not cyclic")
 
 
+@lru_cache(maxsize=None)
+def divisor_weights(n: int) -> tuple[tuple[int, int], ...]:
+    """((e, phi(n/e)), ...) over the divisors e of n >= 1, ascending: exactly
+    phi(n/e) residues d mod n have gcd(d, n) = e."""
+    small = [q for q in range(1, math.isqrt(n) + 1) if n % q == 0]
+    divisors = sorted(set(small + [n // q for q in small]))
+    return tuple((e, _totient(n // e)) for e in divisors)
+
+
 class CyclicAction(Value):
     """An action of (Z/modulus)^* on a finite abelian group.
 
@@ -165,21 +176,22 @@ class CyclicAction(Value):
         set_field(self, "generator_matrix", generator_matrix)
 
     def validate(self, where: str = "action"):
-        n = self.target.rank
+        n, m = self.target.rank, self.modulus
         if len(self.generator_matrix) != n or any(
             len(row) != n for row in self.generator_matrix
         ):
             raise Cp2Error(f"{where}: generator_matrix is not {n}x{n}")
         if self.acting_order < 1:
             raise Cp2Error(f"{where}: acting_order must be >= 1")
-        if math.gcd(self.generator_residue, self.modulus) != 1:
+        if math.gcd(self.generator_residue, m) != 1:
+            raise Cp2Error(f"{where}.generator_residue: not a unit mod {m}")
+        # exact order: every acting unit is a power of the residue, which
+        # the orbit engine relies on
+        d = unit_order(self.generator_residue, m)
+        if d != self.acting_order:
             raise Cp2Error(
-                f"{where}: generator_residue {self.generator_residue} "
-                f"is not a unit mod {self.modulus}"
-            )
-        if pow(self.generator_residue, self.acting_order, self.modulus) != 1:
-            raise Cp2Error(
-                f"{where}: generator_residue^acting_order != 1 mod {self.modulus}"
+                f"{where}.generator_residue: order {d} mod {m}, "
+                f"expected {self.acting_order}"
             )
         # well-definedness on the quotient: factor_i | M[i][j]*factor_j
         fs = self.target.factors
@@ -190,79 +202,58 @@ class CyclicAction(Value):
                         f"{where}: matrix entry [{i}][{j}] does not define "
                         f"a map on the group"
                     )
-        # applying acting_order times must give the identity; this also
-        # forces the matrix to act as an automorphism
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            x = e
-            for _ in range(self.acting_order):
-                x = self._apply_matrix(x)
-            if x != e:
-                raise Cp2Error(
-                    f"{where}: matrix^acting_order is not the identity on the group"
-                )
-
-    def _apply_matrix(self, x) -> tuple[int, ...]:
-        return _mat_vec(self.generator_matrix, self.target.factors, x)
+        # M^acting_order = M * M^(acting_order - 1) must be the identity on
+        # the group; this also forces the matrix to act as an automorphism
+        table = self._unit_matrices
+        inverse = table[pow(self.generator_residue, -1, m)]
+        if _mat_mul(self.generator_matrix, inverse, fs) != table[1 % m]:
+            raise Cp2Error(
+                f"{where}: matrix^acting_order is not the identity on the group"
+            )
 
     @cached_property
-    def _dlog_table(self) -> dict[int, int]:
-        table: dict[int, int] = {}
-        x = 1
-        for d in range(self.acting_order):
-            table.setdefault(x, d)
-            x = x * self.generator_residue % self.modulus
+    def _unit_matrices(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """{generator_residue^d: generator_matrix^d} for d below the acting
+        order, row i of each power reduced mod factor i (valid because the
+        matrix is well defined on the group)."""
+        n, fs, M = self.target.rank, self.target.factors, self.generator_matrix
+        g, m = self.generator_residue, self.modulus
+        x, power = 1 % m, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        table: dict[int, tuple[tuple[int, ...], ...]] = {}
+        for _ in range(self.acting_order):
+            table.setdefault(x, power)
+            x = x * g % m
+            power = _mat_mul(M, power, fs)
         return table
 
     @cached_property
-    def _matrix_powers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """generator_matrix^d for d in range(acting_order), row i reduced
-        mod factor i (valid because the matrix is well defined on the group)."""
-        n, fs, M = self.target.rank, self.target.factors, self.generator_matrix
-        power = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        powers = []
-        for _ in range(self.acting_order):
-            powers.append(power)
-            power = tuple(
-                tuple(sum(M[i][l] * power[l][j] for l in range(n)) % fs[i] for j in range(n))
-                for i in range(n)
-            )
-        return tuple(powers)
+    def fixed_counts(self) -> dict[int, int]:
+        """{e: fixed points of generator^e on the group} over the divisors
+        e of the acting order N.
 
-    @cached_property
-    def fixed_counts(self) -> tuple[int, ...]:
-        """Fixed points of generator^d on the group, for d in range(acting_order).
-
-        M^d fixes |ker(M^d - I)| = |coker(M^d - I)| points of the finite
-        group, the product of the Smith invariants of [M^d - I | diag(f)].
-        M^d generates the same cyclic group as M^gcd(d, N), N the acting
-        order, so only the divisors of N need a Smith form.
+        M^e fixes |ker(M^e - I)| = |coker(M^e - I)| points of the finite
+        group, the product of the Smith invariants of [M^e - I | diag(f)].
+        M^d generates the same cyclic group as M^gcd(d, N), so generator^d
+        fixes fixed_counts[gcd(d, N)] points.
         """
-        N, fs = self.acting_order, self.target.factors
+        g, m, fs = self.generator_residue, self.modulus, self.target.factors
         n = len(fs)
         fixed = {}
-        for e in range(1, N + 1):
-            if N % e == 0:
-                P = self._matrix_powers[e % N]
-                rows = [[P[i][j] - (i == j) for j in range(n)]
-                        + [fs[i] * (i == j) for j in range(n)] for i in range(n)]
-                fixed[e] = math.prod(diagonal(snf_full(rows)[0]))
-        return tuple(fixed[math.gcd(d, N)] for d in range(N))
+        for e, _ in divisor_weights(self.acting_order):
+            P = self._unit_matrices[pow(g, e, m)]
+            rows = [[P[i][j] - (i == j) for j in range(n)]
+                    + [fs[i] * (i == j) for j in range(n)] for i in range(n)]
+            fixed[e] = math.prod(diagonal(snf_full(rows)[0]))
+        return fixed
 
-    def dlog(self, k: int) -> int:
-        """Exponent d with generator_residue^d = k (mod modulus)."""
-        k %= self.modulus
-        if self.modulus == 1:
-            return 0
-        if math.gcd(k, self.modulus) != 1:
-            raise Cp2Error(f"{k} is not a unit mod {self.modulus}")
-        try:
-            return self._dlog_table[k]
-        except KeyError:
-            raise Cp2Error(
-                f"{k} is not a power of generator {self.generator_residue} "
-                f"mod {self.modulus}"
-            ) from None
+
+def _mat_mul(A, B, factors) -> tuple[tuple[int, ...], ...]:
+    """A @ B with row i reduced mod factors[i]."""
+    n = len(factors)
+    return tuple(
+        tuple(sum(A[i][l] * B[l][j] for l in range(n)) % factors[i] for j in range(n))
+        for i in range(n)
+    )
 
 
 def _mat_vec(M, factors, x) -> tuple[int, ...]:
@@ -273,13 +264,22 @@ def _mat_vec(M, factors, x) -> tuple[int, ...]:
 
 def apply_action(A: CyclicAction, k: int, x) -> tuple[int, ...]:
     _check_member(A.target, x)
-    return _mat_vec(A._matrix_powers[A.dlog(k)], A.target.factors, x)
+    k %= A.modulus
+    power = A._unit_matrices.get(k)
+    if power is None:
+        if math.gcd(k, A.modulus) != 1:
+            raise Cp2Error(f"{k} is not a unit mod {A.modulus}")
+        raise Cp2Error(
+            f"{k} is not a power of generator {A.generator_residue} mod {A.modulus}"
+        )
+    return _mat_vec(power, A.target.factors, x)
 
 
-def burnside_count(fixed, order: int) -> int:
-    """Burnside's lemma for a cyclic group <g> of the given order: the
-    number of orbits is the average of the fixed-point counts of g^d."""
-    total = sum(fixed)
+def burnside_count(fixed: dict[int, int], order: int) -> int:
+    """Burnside's lemma for a cyclic group <g> of the given order, where
+    g^d fixes fixed[gcd(d, order)] points: the number of orbits is
+    sum over e | order of phi(order/e) * fixed[e], divided by the order."""
+    total = sum(w * fixed[e] for e, w in divisor_weights(order))
     if total % order != 0:
         raise InternalError(
             f"fixed-point total {total} is not divisible by the group order {order}"

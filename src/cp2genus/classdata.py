@@ -12,15 +12,15 @@ import json
 import math
 from pathlib import Path
 
-from .abelian import AbGroup, CyclicAction, primitive_root, unit_order
+from .abelian import AbGroup, CyclicAction, primitive_root
 from .errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
 from .modring import UnitQuotient, compute_Um, galois_on_unit
 from .value import Value, set_field
 
 BUILTIN_TRIVIAL = (2, 3, 5)
-# the largest p a config may declare: validating an action applies its
-# matrix p(p-1) times per generator of the class group, so a load at
-# p = 199 with rank-2 class groups already takes about half a second
+# the largest p a config may declare: validating an action builds its
+# p(p-1) matrix powers, so a load at p = 199 already takes about a
+# quarter of a second with rank-2 class groups and half a second at rank 3
 MAX_CONFIG_P = 200
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -130,15 +130,8 @@ def _parse_action(obj, p: int, i: int, where: str) -> CyclicAction:
         group = AbGroup(factors)
     except Exception as exc:
         raise ConfigError(f"{where}.invariant_factors: {exc}") from None
-    # the residue must generate the full unit group so every Galois
-    # element is one of its powers
-    if math.gcd(residue, modulus) != 1:
-        raise ConfigError(f"{where}.generator_residue: not a unit mod {modulus}")
-    d = unit_order(residue % modulus, modulus)
-    if modulus > 2 and d != order:
-        raise ConfigError(
-            f"{where}.generator_residue: order {d} mod {modulus}, expected {order}"
-        )
+    # validate checks that the residue generates the full unit group, so
+    # every Galois element is one of its powers
     action = CyclicAction(group, modulus, order, residue % modulus, matrix)
     try:
         action.validate(where)

@@ -8,11 +8,13 @@ For a faithful semidirect product the genus size is computed two ways:
 
 * the orbit engine: count orbits of the diagonal G(p^2) action on the
   isomorphism-invariant tuples of the genus by Burnside's lemma, from
-  the fixed-point counts of each coordinate set separately.  On the
-  class groups they come from Smith invariants (abelian.CyclicAction
-  .fixed_counts) and on U_t they are a closed form in its free degrees,
-  so no count lists a class, a coset or a tuple, and no count has a
-  size guard.  Only enumerate_genus lists the genus, under the guard.
+  the fixed-point counts of each coordinate set separately.  Each count
+  depends on the power gen^d only through e = gcd(d, N), N = p(p-1), so
+  the counts are kept per divisor e | N.  On the class groups they come
+  from Smith invariants (abelian.CyclicAction.fixed_counts) and on U_t
+  they are a closed form in its free degrees, so no count lists a
+  class, a coset or a tuple, and no count has a size guard.  Only
+  enumerate_genus lists the genus, under the guard.
 
 The two engines agree on every tested shape with trivial class groups;
 with nontrivial class data any disagreement is reported, never
@@ -21,11 +23,13 @@ suppressed.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Optional
 
 from . import galois, iso, lattice, modring
-from .abelian import DEFAULT_GUARD, CyclicAction, burnside_count, orbit_count, primitive_root
+from .abelian import (DEFAULT_GUARD, burnside_count, divisor_weights, orbit_count,
+                      primitive_root)
 from .classdata import ClassData
 from .errors import EnumerationGuard, InternalError, NotFaithful
 from .iso import IsoInvariants
@@ -98,21 +102,23 @@ def profinite_isomorphic(E1: SemidirectDescriptor, E2: SemidirectDescriptor) -> 
 
 
 @lru_cache(maxsize=None)
-def _ut_fixed_counts(context: ClassData, t: int) -> tuple[int, ...]:
-    """Fixed points of gen^d on U_t for d < phi(p^2), gen the primitive
-    root mod p^2, in closed form.  For t <= p, l^p = 0 makes the truncated
-    log a filtered isomorphism 1 + lR -> (lR, +), and l -> (1+l)^k - 1
-    sends L = log(1+l) to k*L: the action is diagonal in the basis L^j
-    with eigenvalue k^j mod p, distinct characters for j < p.  So a
-    Galois-stable image (ClassData.validate checks extra generators) is
-    spanned by the L^j at its pivot degrees, and gen^d fixes
-    p^#{free j : (p-1) | d*j} cosets.
+def _ut_fixed_counts(context: ClassData, t: int) -> dict[int, int]:
+    """{e: fixed points of gen^e on U_t} over the divisors e of phi(p^2),
+    gen the primitive root mod p^2, in closed form.  For t <= p, l^p = 0
+    makes the truncated log a filtered isomorphism 1 + lR -> (lR, +), and
+    l -> (1+l)^k - 1 sends L = log(1+l) to k*L: the action is diagonal in
+    the basis L^j with eigenvalue k^j mod p, distinct characters for
+    j < p.  So a Galois-stable image (ClassData.validate checks extra
+    generators) is spanned by the L^j at its pivot degrees, and gen^d
+    fixes p^#{free j : (p-1) | d*j} cosets, which depends on d only
+    through gcd(d, p - 1) and so through gcd(d, phi(p^2)).
     """
     p = context.p
     free = context.unit_quotient(t).free_degrees
-    return tuple(
-        p ** sum(1 for j in free if d * j % (p - 1) == 0) for d in range(p * (p - 1))
-    )
+    return {
+        e: p ** sum(1 for j in free if e * j % (p - 1) == 0)
+        for e, _ in divisor_weights(p * (p - 1))
+    }
 
 
 def ut_orbit_count(context: ClassData, t: int) -> int:
@@ -184,43 +190,41 @@ def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[Is
     ]
 
 
-def _driven_fixed_counts(A: CyclicAction, gen: int, order: int) -> tuple[int, ...]:
-    """Fixed points of gen^d acting through A, for d in range(order)."""
-    e = A.dlog(gen)
-    return tuple(A.fixed_counts[e * d % A.acting_order] for d in range(order))
-
-
 def orbit_genus_count(D: LatticeDescriptor) -> int:
     """Number of orbits of the diagonal Galois action on the genus of D.
 
     For a faithful module this is exactly the number of isomorphism
     classes of groups in the profinite genus of Z^n x| C_{p^2}.  The
-    genus is the product of its coordinate sets and G(p^2) is cyclic, so
-    Burnside's lemma gives (1/|G|) sum_d prod_i fix_i(gen^d) without
-    listing the tuples.
+    genus is the product of its coordinate sets and G(p^2) is cyclic of
+    order N = p(p-1), so Burnside's lemma gives
+    (1/N) sum_{e | N} phi(N/e) prod_i fix_i(gen^e) without listing the
+    tuples.  Each class-group generator generates its unit group
+    (CyclicAction.validate), so gen^d fixes as many classes as
+    generator^gcd(d, N) on H_p2 and generator^gcd(d, p - 1) on H_p.
     """
     ctx = D.context
     co = _genus_coordinates(D)
-    order = ctx.p * (ctx.p - 1)
-    gen = primitive_root(ctx.p ** 2)
-    ones = (1,) * order
+    p = ctx.p
+    order = p * (p - 1)
+    weights = divisor_weights(order)
+    ones = {e: 1 for e, _ in weights}
     # a singleton class coordinate is the identity class, fixed by every
     # automorphism; the character carries the trivial action
-    fix_r = _driven_fixed_counts(ctx.H_p, gen, order) if co.r_live else ones
-    fix_s = _driven_fixed_counts(ctx.H_p2, gen, order) if co.s_live else ones
+    fix_r = ctx.H_p.fixed_counts if co.r_live else ones
+    fix_s = ctx.H_p2.fixed_counts if co.s_live else ones
     if co.u_live:
         fix_u = _ut_fixed_counts(ctx, co.base.t)
     else:
         u = co.base.u0_class
         if u is not None:
             quotient = ctx.unit_quotient(co.base.t)
+            gen = primitive_root(p * p)
             if quotient.rep_of(modring.galois_on_unit(gen, u)) != u:
                 raise InternalError(f"the fixed coset coordinate {u} is not Galois-stable")
         fix_u = ones
     n_chi = len(co.chi_range)
-    return burnside_count(
-        (fix_r[d] * fix_s[d] * fix_u[d] * n_chi for d in range(order)), order
-    )
+    fixed = {e: fix_r[math.gcd(e, p - 1)] * fix_s[e] * fix_u[e] * n_chi for e, _ in weights}
+    return burnside_count(fixed, order)
 
 
 def closed_form_count(E: SemidirectDescriptor) -> Optional[tuple[int, str]]:

@@ -58,6 +58,19 @@ def trivial_action(modulus: int, acting_order: int) -> CyclicAction:
     return CyclicAction(AbGroup(()), modulus, acting_order, primitive_root(modulus), ())
 
 
+def apply_matrix(A: CyclicAction, x) -> tuple[int, ...]:
+    """The generator matrix of A applied once to the element x."""
+    M, fs = A.generator_matrix, A.target.factors
+    return tuple(sum(M[i][j] * x[j] for j in range(len(x))) % fs[i] for i in range(len(x)))
+
+
+def per_power(fixed: dict, order: int) -> tuple[int, ...]:
+    """Per-divisor fixed counts spread over every power d < order of the
+    acting generator, which fixes as many points as its power gcd(d, order):
+    the shape the walks below produce."""
+    return tuple(fixed[math.gcd(d, order)] for d in range(order))
+
+
 def brute_fixed_counts(A: CyclicAction) -> tuple[int, ...]:
     """Fixed points of generator^d for each d < acting_order, by applying
     the generator matrix to every element acting_order - 1 times and
@@ -67,7 +80,7 @@ def brute_fixed_counts(A: CyclicAction) -> tuple[int, ...]:
         x = e
         for d in range(A.acting_order):
             counts[d] += x == e
-            x = A._apply_matrix(x)
+            x = apply_matrix(A, x)
     return tuple(counts)
 
 
@@ -97,7 +110,7 @@ def cycles(points, step) -> list[list]:
 def orbits(A: CyclicAction) -> list[list[tuple[int, ...]]]:
     """Partition of the listed group into orbits of the action: the
     cycles of the generator."""
-    return cycles(A.target.elements(), A._apply_matrix)
+    return cycles(A.target.elements(), lambda x: apply_matrix(A, x))
 
 
 def fixed_point_counts(cycle_type, order: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +8,13 @@ from cp2genus import abelian as ab
 from cp2genus.errors import Cp2Error, EnumerationGuard, InternalError
 
 from oracles import (
+    apply_matrix,
     brute_fixed_counts,
     cycles,
     diagonal_orbits,
     element_neg,
     orbits,
+    per_power,
     trivial_action,
     walk_primitive_root,
     walk_unit_order,
@@ -96,6 +99,15 @@ def test_primitive_root_and_order_match_walks():
             ab.primitive_root(n)
 
 
+def test_divisor_weights_match_gcd_tally():
+    """phi(n/e) residues d mod n have gcd(d, n) = e, for every n <= 300
+    and every acting order p(p-1) with p <= 199."""
+    primes = [q for q in range(2, 200) if all(q % f for f in range(2, math.isqrt(q) + 1))]
+    for n in list(range(1, 301)) + [q * (q - 1) for q in primes]:
+        tally = Counter(math.gcd(d, n) for d in range(n))
+        assert ab.divisor_weights(n) == tuple(sorted(tally.items())), n
+
+
 def test_apply_action_examples():
     A = c43_action(6)
     assert ab.apply_action(A, 1, (1,)) == (1,)
@@ -141,7 +153,7 @@ def test_burnside_matches_direct():
     actions += [c2x4_action(), trivial_action(49, 42)]
     for A in actions:
         A.validate()
-        assert A.fixed_counts == brute_fixed_counts(A)
+        assert per_power(A.fixed_counts, A.acting_order) == brute_fixed_counts(A)
         assert ab.orbit_count(A) == len(orbits(A))
 
 
@@ -176,7 +188,7 @@ def diagonal_actions(draw):
 @given(diagonal_actions())
 def test_smith_fixed_counts_match_walks(A):
     A.validate()
-    assert A.fixed_counts == brute_fixed_counts(A)
+    assert per_power(A.fixed_counts, A.acting_order) == brute_fixed_counts(A)
     assert ab.orbit_count(A) == len(orbits(A))
 
 
@@ -187,7 +199,7 @@ def test_apply_action_matches_repeated_generator():
         for x in A.target.elements():
             y = x
             for _ in range(d):
-                y = A._apply_matrix(y)
+                y = apply_matrix(A, y)
             assert ab.apply_action(A, k, x) == y
 
 

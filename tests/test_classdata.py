@@ -3,8 +3,8 @@ import json
 import pytest
 
 from cp2genus import classdata, modring
-from cp2genus.abelian import orbit_count
-from cp2genus.errors import ConfigError, NeedsConfig, UnsupportedPrime
+from cp2genus.abelian import AbGroup, CyclicAction, apply_action, divisor_weights, orbit_count
+from cp2genus.errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
 
 from conftest import C43_CONFIG, trivial_config
 
@@ -80,6 +80,32 @@ def test_config_errors(tmp_path):
 
     with pytest.raises(ConfigError):
         classdata.load_config(tmp_path / "missing.json")
+
+
+def test_validate_requires_generating_residue():
+    # 2 has order 21 mod 49, so its powers miss half of (Z/49)^*
+    data = classdata.ClassData(7, CyclicAction(AbGroup(()), 7, 6, 3, ()),
+                               CyclicAction(AbGroup(()), 49, 42, 2, ()))
+    message = r"^H_p2\.generator_residue: order 21 mod 49, expected 42$"
+    with pytest.raises(Cp2Error, match=message):
+        data.validate()
+
+
+def test_largest_supported_prime(tmp_path):
+    # H_p2 = C_2^3 under the 3-cycle permutation matrix M at p = 199: <M>
+    # has order 3, and I, M, M^2 fix 8, 2 and 2 points, so 12/3 = 4 orbits
+    cfg = trivial_config(199)
+    cfg["H_p2"].update(invariant_factors=[2, 2, 2],
+                       generator_matrix=[[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    path = tmp_path / "p199.json"
+    path.write_text(json.dumps(cfg))
+    data = classdata.load_config(path)
+    H = data.H_p2
+    assert H.fixed_counts == {e: 8 if e % 3 == 0 else 2 for e, _ in divisor_weights(199 * 198)}
+    assert orbit_count(H) == 4
+    g = H.generator_residue
+    assert apply_action(H, g, (1, 0, 0)) == (0, 1, 0)
+    assert apply_action(H, pow(g, 3, 199**2), (1, 1, 0)) == (1, 1, 0)
 
 
 def test_extra_es_generators_shrink_U5(ctx5):

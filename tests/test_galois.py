@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cp2genus import galois, iso, lattice as lat, modring
 from cp2genus.errors import Cp2Error
@@ -27,6 +28,19 @@ def test_twist_composition_exhaustive(ctx2, ctx3, ctx5):
                 for k2 in units:
                     assert galois.twist(galois.twist(D, k2), k1) == \
                         galois.twist(D, (k1 * k2) % (p * p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_twist_group_law_property(ctx2, ctx3, ctx5, ctx7_synthetic, p, seed, data):
+    """twist is an action of (Z/p^2)^*: twist(twist(D, k), l) = twist(D, kl)
+    and twist(D, 1) = D, at p = 7 on the synthetic C_43 class group too."""
+    ctx = {2: ctx2, 3: ctx3, 5: ctx5, 7: ctx7_synthetic}[p]
+    D = random_descriptor(random.Random(seed), p, ctx)
+    k = data.draw(st.sampled_from(galois.galois_units(p)))
+    l = data.draw(st.sampled_from(galois.galois_units(p)))
+    assert galois.twist(D, 1) == D
+    assert galois.twist(galois.twist(D, k), l) == galois.twist(D, k * l % (p * p))
 
 
 def test_twist_preserves_genus_and_rank(ctx3, ctx5):
