@@ -246,6 +246,11 @@ class CyclicAction(Value):
             fixed[e] = math.prod(diagonal(snf_full(rows)[0]))
         return fixed
 
+    @cached_property
+    def n_orbits(self) -> int:
+        """The number of orbits, a Burnside average of fixed_counts."""
+        return burnside_count(self.fixed_counts, self.acting_order)
+
 
 def _mat_mul(A, B, factors) -> tuple[tuple[int, ...], ...]:
     """A @ B with row i reduced mod factors[i]."""
@@ -288,8 +293,8 @@ def burnside_count(fixed: dict[int, int], order: int) -> int:
 
 
 def orbit_count(A: CyclicAction) -> int:
-    """Number of orbits of the action, as a Burnside average."""
-    return burnside_count(A.fixed_counts, A.acting_order)
+    """Number of orbits of the action, as a Burnside average (cached on A)."""
+    return A.n_orbits
 
 
 # ---------------------------------------------------------------------------

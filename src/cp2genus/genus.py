@@ -121,6 +121,7 @@ def _ut_fixed_counts(context: ClassData, t: int) -> dict[int, int]:
     }
 
 
+@lru_cache(maxsize=None)
 def ut_orbit_count(context: ClassData, t: int) -> int:
     """Orbits of the Galois action on the coset representatives of U_t."""
     return burnside_count(_ut_fixed_counts(context, t), context.p * (context.p - 1))

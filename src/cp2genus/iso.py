@@ -113,6 +113,11 @@ def quad_char_applies(D: LatticeDescriptor) -> bool:
 
 
 def invariants_of(D: LatticeDescriptor) -> IsoInvariants:
+    return _invariants(D, padic_completion(D))
+
+
+def _invariants(D: LatticeDescriptor, padic: PadicDescriptor) -> IsoInvariants:
+    """invariants_of(D), given its p-adic completion padic."""
     p = D.p
     rc, sc = lattice.ideal_classes(D)
     t = lattice.t_of(D)
@@ -125,7 +130,7 @@ def invariants_of(D: LatticeDescriptor) -> IsoInvariants:
         c0 = lattice.u0(D).constant
         quad = 1 if pow(c0, (p - 1) // 2, p) == 1 else -1
     return IsoInvariants(
-        padic=padic_completion(D),
+        padic=padic,
         R_class=rc,
         S_class=sc,
         t=t,
@@ -138,9 +143,10 @@ def isomorphic(D1: LatticeDescriptor, D2: LatticeDescriptor) -> bool:
     """Isomorphism as Z[C_{p^2}]-lattices, decided by the invariants."""
     if D1.p != D2.p or D1.context != D2.context:
         raise Cp2Error("descriptors live over different primes or class data")
-    if not same_genus(D1, D2):
+    padic = padic_completion(D1)
+    if padic != padic_completion(D2):
         return False
-    return invariants_of(D1) == invariants_of(D2)
+    return _invariants(D1, padic) == _invariants(D2, padic)
 
 
 def padic_to_json(pd: PadicDescriptor) -> dict:

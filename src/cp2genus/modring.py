@@ -209,6 +209,8 @@ def galois_on_unit(k: int, x: PolyMod) -> PolyMod:
 
     Defined on every element, not only units; k must be coprime to p.
     The map is F_p-linear, so it is applied as a matrix-vector product.
+    For m <= p, l^p = 0 gives (1+l)^p = 1 + l^p = 1, so the map sees k
+    only mod p; for m > p it sees k mod p^2.
     """
     p, m = x.p, x.m
     if math.gcd(k, p) != 1:
@@ -217,7 +219,8 @@ def galois_on_unit(k: int, x: PolyMod) -> PolyMod:
         return x
     out = [0] * m
     # mu has no constant term, so mu^j vanishes below degree j
-    for j, (c, col) in enumerate(zip(x.coeffs, _galois_columns(p, m, k % (p * p)))):
+    k %= p if m <= p else p * p
+    for j, (c, col) in enumerate(zip(x.coeffs, _galois_columns(p, m, k))):
         if c:
             for i in range(j, m):
                 out[i] += c * col[i]

@@ -36,6 +36,31 @@ def synthetic_c43() -> classdata.ClassData:
     return data
 
 
+def classdata_both_nontrivial() -> classdata.ClassData:
+    """p = 7 with H_p = C_3 under multiplication by 2 and H_p2 = C_43
+    under multiplication by 3, both generated by the residue 3.
+    Synthetic test data."""
+    data = classdata.ClassData(
+        p=7,
+        H_p=CyclicAction(AbGroup((3,)), 7, 6, 3, ((2,),)),
+        H_p2=CyclicAction(AbGroup((43,)), 49, 42, 3, ((3,),)),
+        provenance="synthetic, both class groups nontrivial",
+    )
+    data.validate()
+    return data
+
+
+def exp_l3_extra() -> classdata.ClassData:
+    """Trivial class groups at p = 7 plus the extra R unit generator
+    exp(L^3) = 1 + l^3 + 2l^4, L = log(1+l).  It is Galois-stable and
+    moves the free degrees of U_4 .. U_6."""
+    base = classdata.trivial(7)
+    data = classdata.ClassData(7, base.H_p, base.H_p2,
+                               extra_R_unit_gens=((1, 0, 0, 1, 2, 0),))
+    data.validate()
+    return data
+
+
 C43_CONFIG = {
     "p": 7,
     "H_p": {"invariant_factors": [], "generator_residue": 3, "generator_matrix": []},
@@ -122,3 +147,20 @@ def random_descriptor(rng: random.Random, p, ctx, max_summands=3, faithful=False
         )
         if not faithful or lattice.faithfulness(D) == lattice.Faithfulness.FAITHFUL:
             return D
+
+
+def genus_mate(rng: random.Random, D):
+    """A random descriptor in the genus of D: every summand keeps its kind
+    and exponent r and gets random ideal classes and unit parameter."""
+    p, ctx = D.p, D.context
+    summands = []
+    for s in D.summands:
+        b = c = u = None
+        if s.b is not None:
+            b = tuple(rng.randrange(f) for f in ctx.H_p.target.factors)
+        if s.c is not None:
+            c = tuple(rng.randrange(f) for f in ctx.H_p2.target.factors)
+        if s.u is not None:
+            u = rng.choice(ctx.unit_quotient(lattice.unit_index(s.kind, s.r, p)).reps)
+        summands.append(lattice.make_summand(p, ctx, s.kind, b=b, c=c, r=s.r, u=u))
+    return lattice.descriptor(p, ctx, summands)

@@ -3,8 +3,9 @@
 Each one does the job the slow, direct way: walking orbits point by
 point, walking the powers of a unit for its order, applying the
 generator matrix power by power, twisting a descriptor and re-deriving
-its invariants, listing a unit group and its cosets element by
-element, summing a cyclotomic unit power by power, validating a
+its invariants, scanning every Galois unit for a twist, substituting
+(1+l)^k - 1 for l with the unreduced k, listing a unit group and its
+cosets element by element, summing a cyclotomic unit power by power, validating a
 matrix model on the whole matrix with dense powers and a Smith normal
 form instead of per connected component, counting the root 1 of a
 char poly by synthetic division instead of reading it off traces,
@@ -177,6 +178,32 @@ def twist_search(D1, D2):
         if iso.isomorphic(D1, galois.twist(D2, k)):
             return k
     return None
+
+
+def scan_twisted_isomorphic(D1, D2):
+    """Smallest k with D1 isomorphic to twist(D2, k), acting on the
+    invariants of D2 with each of the phi(p^2) units in turn."""
+    if not iso.same_genus(D1, D2):
+        return None
+    target = iso.invariants_of(D1)
+    inv = iso.invariants_of(D2)
+    for k in galois.galois_units(D1.p):
+        if galois.act_on_invariants(D2.context, k, inv) == target:
+            return k
+    return None
+
+
+def galois_by_substitution(k: int, x: PolyMod) -> PolyMod:
+    """x(mu) with mu = (1+l)^k - 1 for the unreduced k: the sum of
+    c_j mu^j over the coefficients c_j of x, by Horner's rule."""
+    p, m = x.p, x.m
+    mu = modring.poly_sub(modring.poly_pow(modring.poly_add(modring.one(p, m),
+                                                            modring.lam(p, m)), k),
+                          modring.one(p, m))
+    out = modring.zero(p, m)
+    for c in reversed(x.coeffs):
+        out = modring.poly_add(poly_mul(out, mu), modring.poly(p, m, [c]))
+    return out
 
 
 def diagonal_orbits(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cp2genus import galois, iso, lattice as lat, modring
 from cp2genus.errors import Cp2Error
 
-from conftest import random_descriptor, synthetic_c43
-from oracles import closure_elements, twist_search
+from conftest import (classdata_both_nontrivial, exp_l3_extra, genus_mate, random_descriptor,
+                      synthetic_c43)
+from oracles import closure_elements, scan_twisted_isomorphic, twist_search
 
 
 def test_twist_identity(ctx2, ctx3, ctx5):
@@ -148,3 +150,69 @@ def test_twisted_isomorphic_negative(ctx3, ctx5):
 def test_twisted_isomorphic_context_mismatch(ctx3, ctx5):
     with pytest.raises(Cp2Error):
         galois.twisted_isomorphic(lat.parse("Z", 3, ctx3), lat.parse("Z", 5, ctx5))
+
+
+def search_corpus(rng, ctx2, ctx3, ctx5):
+    """(p, D) pairs over trivial data at p <= 5, the synthetic C_43, both
+    class groups nontrivial (where the residue filter acts on R classes)
+    and the stable extra generator exp(L^3) at p = 7.  max_m=6 leaves U_7
+    out at p = 7: building it takes seconds."""
+    both = classdata_both_nontrivial()
+    out = [(p, random_descriptor(rng, p, ctx, max_m=6))
+           for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, synthetic_c43()), (7, both),
+                          (7, exp_l3_extra()))
+           for _ in range(4)]
+    out += [(7, lat.parse(text, 7, both)) for text in ("b(1) + c(1)", "Eb(2) + C(1,5;2)")]
+    return out
+
+
+def test_twisted_isomorphic_matches_scan(ctx2, ctx3, ctx5):
+    # D against each of its twists, against itself and against a genus mate
+    rng = random.Random(15)
+    for p, D in search_corpus(rng, ctx2, ctx3, ctx5):
+        twists = [galois.twist(D, k) for k in galois.galois_units(p)]
+        for other in twists + [D, genus_mate(rng, D)]:
+            found = galois.twisted_isomorphic(D, other)
+            assert found == scan_twisted_isomorphic(D, other), (lat.render(D), lat.render(other))
+        assert None not in [galois.twisted_isomorphic(D, T) for T in twists]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_twisted_isomorphic_matches_scan_property(ctx2, ctx3, ctx5, ctx7_synthetic, p, seed,
+                                                  data):
+    ctx = {2: ctx2, 3: ctx3, 5: ctx5, 7: ctx7_synthetic}[p]
+    rng = random.Random(seed)
+    D = random_descriptor(rng, p, ctx, max_m=6)
+    k = data.draw(st.sampled_from(galois.galois_units(p)))
+    for other in (galois.twist(D, k), genus_mate(rng, D), random_descriptor(rng, p, ctx, max_m=6)):
+        assert galois.twisted_isomorphic(D, other) == scan_twisted_isomorphic(D, other)
+
+
+def test_search_work_is_linear_in_p(monkeypatch):
+    # at most p - 1 coset computations (one per residue, not per unit) and
+    # one p-adic completion per descriptor
+    ctx, p = synthetic_c43(), 7
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    rng = random.Random(16)
+    pairs = []
+    for _ in range(20):
+        D = random_descriptor(rng, p, ctx, max_m=6)
+        pairs += [(D, galois.twist(D, rng.choice(galois.galois_units(p)))), (D, genus_mate(rng, D))]
+    monkeypatch.setattr(galois, "galois_on_unit", counted("galois_on_unit", galois.galois_on_unit))
+    monkeypatch.setattr(iso, "padic_completion", counted("padic_completion", iso.padic_completion))
+    most = 0
+    for D1, D2 in pairs:
+        calls.clear()
+        galois.twisted_isomorphic(D1, D2)
+        assert calls["galois_on_unit"] <= p - 1
+        assert calls["padic_completion"] == 2
+        most = max(most, calls["galois_on_unit"])
+    assert most == p - 1  # some searches moved a u0 coset

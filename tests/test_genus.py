@@ -5,14 +5,16 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cp2genus import classdata, galois, genus, iso, lattice as lat, modring
+from cp2genus import abelian, classdata, galois, genus, iso, lattice as lat, modring
 from cp2genus.errors import EnumerationGuard, InternalError, NotFaithful
 
-from conftest import indecomposable_templates, random_descriptor, synthetic_c43
+from conftest import (classdata_both_nontrivial, exp_l3_extra, indecomposable_templates,
+                      random_descriptor, synthetic_c43)
 from oracles import (
     brute_orbit_genus_count,
     brute_ut_orbit_count,
     diagonal_orbits,
+    orbits,
     per_power,
     walk_ut_fixed_counts,
 )
@@ -193,9 +195,10 @@ def test_orbit_engine_matches_walk_nontrivial_classes():
 
 def test_ut_orbit_count_matches_walk(ctx2, ctx3, ctx5):
     for p, ctx, ms in ((2, ctx2, range(3)), (3, ctx3, range(4)), (5, ctx5, range(6)),
-                       (7, synthetic_c43(), range(7))):
+                       (7, synthetic_c43(), range(7)), (7, exp_l3_extra(), range(7))):
         for m in ms:
-            assert genus.ut_orbit_count(ctx, m) == brute_ut_orbit_count(ctx, m), (p, m)
+            for _ in range(2):  # the second read comes from the cache
+                assert genus.ut_orbit_count(ctx, m) == brute_ut_orbit_count(ctx, m), (p, m)
 
 
 def test_ut_fixed_counts_match_walk():
@@ -203,14 +206,34 @@ def test_ut_fixed_counts_match_walk():
     # Galois permutation of the listed cosets; exp(L^3) = 1 + l^3 + 2l^4
     # (L = log(1+l)) is a Galois-stable extra generator that moves the
     # free degrees of U_4 .. U_6 at p = 7
-    base7 = classdata.trivial(7)
-    extra = classdata.ClassData(7, base7.H_p, base7.H_p2,
-                                extra_R_unit_gens=((1, 0, 0, 1, 2, 0),))
-    extra.validate()
-    for ctx in [classdata.trivial(p) for p in (2, 3, 5, 7, 11)] + [extra]:
+    for ctx in [classdata.trivial(p) for p in (2, 3, 5, 7, 11)] + [exp_l3_extra()]:
         for t in range(ctx.p + 1):
             fixed = per_power(genus._ut_fixed_counts(ctx, t), ctx.p * (ctx.p - 1))
             assert fixed == walk_ut_fixed_counts(ctx, t), (ctx, t)
+
+
+def test_cached_orbit_counts_match_walk(ctx2, ctx3, ctx5, monkeypatch):
+    # the orbit counts cached on each CyclicAction (per (context, t) on
+    # U_t: test_ut_orbit_count_matches_walk) equal the walked orbits, also
+    # when read a second time; once warm, a genus report calls
+    # burnside_count only in the orbit engine
+    for ctx in (ctx2, ctx3, ctx5, synthetic_c43(), classdata_both_nontrivial()):
+        for A in (ctx.H_p, ctx.H_p2):
+            assert abelian.orbit_count(A) == abelian.orbit_count(A) == len(orbits(A))
+    calls = []
+
+    def counted(fixed, order):
+        calls.append(order)
+        return burnside(fixed, order)
+
+    burnside = abelian.burnside_count
+    monkeypatch.setattr(abelian, "burnside_count", counted)
+    monkeypatch.setattr(genus, "burnside_count", counted)
+    E = SD(lat.parse("E(0,0;1) + Z", 7, synthetic_c43()))
+    genus.genus_report(E)
+    calls.clear()
+    genus.genus_report(E)
+    assert calls == [42]
 
 
 def test_orbit_engine_rejects_unstable_fixed_coordinate(ctx5, monkeypatch):
@@ -291,20 +314,6 @@ def test_doubly_nontrivial_data_disagreement_is_reported():
     assert rep.enumeration == diagonal_orbits(49, (data.H_p, data.H_p2), ())
     lo, hi = rep.bounds
     assert lo <= rep.closed_form[0] <= hi and lo <= rep.enumeration <= hi
-
-
-def classdata_both_nontrivial():
-    from cp2genus.abelian import AbGroup, CyclicAction
-    from cp2genus.classdata import ClassData
-
-    data = ClassData(
-        p=7,
-        H_p=CyclicAction(AbGroup((3,)), 7, 6, 3, ((2,),)),
-        H_p2=CyclicAction(AbGroup((43,)), 49, 42, 3, ((3,),)),
-        provenance="synthetic, both class groups nontrivial",
-    )
-    data.validate()
-    return data
 
 
 def test_genus_bounds_values(ctx5):

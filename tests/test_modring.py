@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     brute_quotient,
     closure_elements,
     delta_by_products,
+    galois_by_substitution,
     poly_shift,
     unit_group,
 )
@@ -194,6 +196,33 @@ def test_galois_is_ring_map():
         for y in us[:10]:
             assert mr.galois_on_unit(k, mr.poly_mul(x, y)) == \
                 mr.poly_mul(mr.galois_on_unit(k, x), mr.galois_on_unit(k, y))
+
+
+def test_galois_sees_k_mod_p_certificate():
+    # in F_p[l]/(l^m) with m <= p, (1+l)^p = 1 + l^p = 1, so the map
+    # l -> (1+l)^k - 1 depends on k only mod p: checked against the
+    # substitution with the unreduced k, on every unit k and seeded x
+    rng = random.Random(15)
+    for p in (2, 3, 5, 7):
+        units = [k for k in range(1, p * p) if k % p != 0]
+        for m in range(1, p + 1):
+            xs = [mr.poly(p, m, [rng.randrange(p) for _ in range(m)]) for _ in range(4)]
+            for k in units:
+                for x in xs:
+                    direct = galois_by_substitution(k, x)
+                    assert direct == galois_by_substitution(k % p, x), (p, m, k, x)
+                    assert mr.galois_on_unit(k, x) == direct
+                    assert mr.galois_on_unit(k, x) == mr.galois_on_unit(k % p, x)
+
+
+def test_galois_sees_k_mod_p_squared_beyond_m_p():
+    # at m = p + 1, l^p survives: (1+l)^(p+1) - 1 = l + l^p (mod l^(p+1)),
+    # not l, so reducing k mod p there would be wrong
+    for p in (2, 3, 5, 7):
+        m, x = p + 1, mr.lam(p, p + 1)
+        assert galois_by_substitution(p + 1, x) == mr.poly(p, m, [0, 1] + [0] * (p - 2) + [1])
+        assert mr.galois_on_unit(p + 1, x) == galois_by_substitution(p + 1, x)
+        assert mr.galois_on_unit(p + 1, x) != mr.galois_on_unit(1, x)
 
 
 def test_twisted_shift_identity_small():
