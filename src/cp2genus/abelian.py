@@ -151,29 +151,15 @@ def divisor_weights(n: int) -> tuple[tuple[int, int], ...]:
 
 
 class CyclicAction(Value):
-    """An action of (Z/modulus)^* on a finite abelian group.
+    """An action of (Z/modulus)^* on the AbGroup target.
 
-    generator_matrix gives the automorphism induced by generator_residue;
-    every unit k acts as the d-th matrix power where
-    generator_residue^d = k (mod modulus).
+    generator_matrix (a tuple of int rows) gives the automorphism induced
+    by the unit generator_residue of order acting_order; every unit k acts
+    as the d-th matrix power where generator_residue^d = k (mod modulus).
     """
 
     __slots__ = ("target", "modulus", "acting_order", "generator_residue",
                  "generator_matrix", "__dict__")
-
-    def __init__(
-        self,
-        target: AbGroup,
-        modulus: int,
-        acting_order: int,
-        generator_residue: int,
-        generator_matrix: tuple[tuple[int, ...], ...],
-    ):
-        set_field(self, "target", target)
-        set_field(self, "modulus", modulus)
-        set_field(self, "acting_order", acting_order)
-        set_field(self, "generator_residue", generator_residue)
-        set_field(self, "generator_matrix", generator_matrix)
 
     def validate(self, where: str = "action"):
         n, m = self.target.rank, self.modulus
@@ -269,6 +255,11 @@ def _mat_vec(M, factors, x) -> tuple[int, ...]:
 
 def apply_action(A: CyclicAction, k: int, x) -> tuple[int, ...]:
     _check_member(A.target, x)
+    return _act(A, k, x)
+
+
+def _act(A: CyclicAction, k: int, x) -> tuple[int, ...]:
+    """apply_action for an x already known to lie in A.target."""
     k %= A.modulus
     power = A._unit_matrices.get(k)
     if power is None:

@@ -15,7 +15,7 @@ from pathlib import Path
 from .abelian import AbGroup, CyclicAction, primitive_root
 from .errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
 from .modring import UnitQuotient, compute_Um, galois_on_unit
-from .value import Value, set_field
+from .value import Value
 
 BUILTIN_TRIVIAL = (2, 3, 5)
 # the largest p a config may declare: validating an action builds its
@@ -26,26 +26,17 @@ _DATA_DIR = Path(__file__).parent / "data"
 
 
 class ClassData(Value):
-    """Everything prime-specific the rest of the package consumes."""
+    """Everything prime-specific the rest of the package consumes.
+
+    H_p and H_p2 are the CyclicActions of (Z/p)^* and (Z/p^2)^* on the
+    class groups; the extra unit generators (tuples of coefficient
+    tuples, default none) enlarge every unit image, and provenance is a
+    free-form note (default "").
+    """
 
     __slots__ = ("p", "H_p", "H_p2", "extra_R_unit_gens", "extra_ES_unit_gens",
                  "provenance")
-
-    def __init__(
-        self,
-        p: int,
-        H_p: CyclicAction,
-        H_p2: CyclicAction,
-        extra_R_unit_gens: tuple[tuple[int, ...], ...] = (),
-        extra_ES_unit_gens: tuple[tuple[int, ...], ...] = (),
-        provenance: str = "",
-    ):
-        set_field(self, "p", p)
-        set_field(self, "H_p", H_p)
-        set_field(self, "H_p2", H_p2)
-        set_field(self, "extra_R_unit_gens", extra_R_unit_gens)
-        set_field(self, "extra_ES_unit_gens", extra_ES_unit_gens)
-        set_field(self, "provenance", provenance)
+    _defaults = {"extra_R_unit_gens": (), "extra_ES_unit_gens": (), "provenance": ""}
 
     def validate(self):
         p = self.p

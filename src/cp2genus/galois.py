@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from . import iso, lattice
-from .abelian import apply_action
+from .abelian import _act, _check_member, apply_action
 from .errors import Cp2Error
 from .iso import IsoInvariants
 from .lattice import LatticeDescriptor, Summand
@@ -40,14 +40,12 @@ def twist_summand(s: Summand, k: int, p: int, context) -> Summand:
         return s
     b = apply_action(context.H_p, k % p, s.b) if s.b is not None else None
     c = apply_action(context.H_p2, k, s.c) if s.c is not None else None
-    if s.kind in ("b", "Eb"):
-        return Summand(s.kind, b=b)
-    if s.kind in ("c", "Ec"):
-        return Summand(s.kind, c=c)
+    if s.kind in ("b", "Eb", "c", "Ec"):
+        return Summand(s.kind, b, c, None, None)
     m = lattice.unit_index(s.kind, s.r, p)
     quotient = context.unit_quotient(m)
     u = quotient.rep_of(galois_on_unit(k, s.u))
-    return Summand(s.kind, b=b, c=c, r=s.r, u=u)
+    return Summand(s.kind, b, c, s.r, u)
 
 
 def twist(D: LatticeDescriptor, k: int) -> LatticeDescriptor:
@@ -69,17 +67,20 @@ def act_on_invariants(context, k: int, inv: IsoInvariants) -> IsoInvariants:
     u0 coset by the ring map l -> (1+l)^k - 1; the genus, t and the
     quadratic character (the constant term of u0) do not change.
     """
-    u = inv.u0_class
-    if u is not None:
-        u = context.unit_quotient(inv.t).rep_of(galois_on_unit(k, u))
     return IsoInvariants(
         inv.padic,
         apply_action(context.H_p, k % context.p, inv.R_class),
         apply_action(context.H_p2, k, inv.S_class),
         inv.t,
-        u,
+        _move_coset(context, k, inv),
         inv.quad_char,
     )
+
+
+def _move_coset(context, k: int, inv: IsoInvariants):
+    """The u0 coset of twist(D, k), given inv = invariants_of(D)."""
+    u = inv.u0_class
+    return u if u is None else context.unit_quotient(inv.t).rep_of(galois_on_unit(k, u))
 
 
 def twisted_isomorphic(D1: LatticeDescriptor, D2: LatticeDescriptor):
@@ -90,10 +91,12 @@ def twisted_isomorphic(D1: LatticeDescriptor, D2: LatticeDescriptor):
     The R class, the u0 coset and the quadratic character of twist(D2, k)
     depend on k only through r = k mod p (see the module docstring), so
     they are matched for the p - 1 residues r, acting on the invariants
-    of D2 rather than re-deriving them from each twist.  Then the units
-    k are walked in increasing order, and the first one whose residue
-    matched and which moves the S class of D2 onto that of D1 is the
-    answer: at most p - 1 coset computations instead of p(p - 1).
+    of D2 rather than re-deriving them from each twist (t and the
+    character do not move at all).  Then the units k are walked in
+    increasing order, and the first one whose residue matched and which
+    moves the S class of D2 onto that of D1 is the answer: at most p - 1
+    coset computations instead of p(p - 1).  The classes of D2 are
+    checked for membership once, not per unit.
     """
     if D1.p != D2.p or D1.context != D2.context:
         raise Cp2Error("descriptors live over different primes or class data")
@@ -103,13 +106,14 @@ def twisted_isomorphic(D1: LatticeDescriptor, D2: LatticeDescriptor):
     p, context = D1.p, D1.context
     target = iso._invariants(D1, padic)
     inv = iso._invariants(D2, padic)
-    wanted = (target.R_class, target.t, target.u0_class, target.quad_char)
-    residues = set()
-    for r in range(1, p):
-        moved = act_on_invariants(context, r, inv)
-        if (moved.R_class, moved.t, moved.u0_class, moved.quad_char) == wanted:
-            residues.add(r)
+    if (inv.t, inv.quad_char) != (target.t, target.quad_char):
+        return None
+    H_p, H_p2 = context.H_p, context.H_p2
+    _check_member(H_p.target, inv.R_class)
+    _check_member(H_p2.target, inv.S_class)
+    residues = {r for r in range(1, p) if _act(H_p, r, inv.R_class) == target.R_class
+                and _move_coset(context, r, inv) == target.u0_class}
     for k in galois_units(p):
-        if k % p in residues and apply_action(context.H_p2, k, inv.S_class) == target.S_class:
+        if k % p in residues and _act(H_p2, k, inv.S_class) == target.S_class:
             return k
     return None

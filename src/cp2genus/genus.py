@@ -34,7 +34,7 @@ from .classdata import ClassData
 from .errors import EnumerationGuard, InternalError, NotFaithful
 from .iso import IsoInvariants
 from .lattice import Faithfulness, LatticeDescriptor
-from .value import Value, set_field
+from .value import Value
 
 CASE_TRIVIAL = "TrivialModule"
 CASE_NONFAITHFUL = "NonFaithfulNontrivial"
@@ -47,30 +47,19 @@ CASE_ULTIMAO = "Ultimao"
 
 
 class SemidirectDescriptor(Value):
-    """The group Z^rank(module) x| C_{p^2} acting through the module."""
+    """The group Z^rank(module) x| C_{p^2} acting through the
+    LatticeDescriptor module."""
 
     __slots__ = ("module",)
 
-    def __init__(self, module: LatticeDescriptor):
-        set_field(self, "module", module)
-
 
 class GenusReport(Value):
-    __slots__ = ("closed_form", "enumeration", "agree", "bounds", "notes")
+    """A genus count: closed_form is (count, case name) or None,
+    enumeration the orbit-engine count, agree whether the two match (None
+    without a closed form), bounds (lower, upper) or None, notes a tuple
+    of strings."""
 
-    def __init__(
-        self,
-        closed_form: Optional[tuple[int, str]],
-        enumeration: int,
-        agree: Optional[bool],
-        bounds: Optional[tuple[int, int]],
-        notes: tuple[str, ...],
-    ):
-        set_field(self, "closed_form", closed_form)
-        set_field(self, "enumeration", enumeration)
-        set_field(self, "agree", agree)
-        set_field(self, "bounds", bounds)
-        set_field(self, "notes", notes)
+    __slots__ = ("closed_form", "enumeration", "agree", "bounds", "notes")
 
     @property
     def value(self) -> int:
@@ -132,19 +121,11 @@ class _GenusCoordinates(Value):
 
     The R and S classes range over the whole class group and the u0
     coset over all of U_t when live, and keep their base values
-    otherwise; chi_range lists the character's values.
+    otherwise; chi_range lists the character's values.  base is the
+    IsoInvariants of D and the *_live fields are bools.
     """
 
     __slots__ = ("base", "r_live", "s_live", "u_live", "chi_range")
-
-    def __init__(
-        self, base: IsoInvariants, r_live: bool, s_live: bool, u_live: bool, chi_range: tuple
-    ):
-        set_field(self, "base", base)
-        set_field(self, "r_live", r_live)
-        set_field(self, "s_live", s_live)
-        set_field(self, "u_live", u_live)
-        set_field(self, "chi_range", chi_range)
 
 
 def _genus_coordinates(D: LatticeDescriptor) -> _GenusCoordinates:
@@ -152,17 +133,14 @@ def _genus_coordinates(D: LatticeDescriptor) -> _GenusCoordinates:
     summand carries the corresponding ideal slot; the U_t coordinate
     ranges over all cosets exactly when the coset invariant applies and
     an extension summand is present; the quadratic character takes both
-    signs exactly when it applies and the merged C/D part is nonzero.
+    signs exactly when lattice.sigma(D) = 2.
     """
     base = iso.invariants_of(D)
     r_live = lattice.has_R_slot(D)
     s_live = lattice.has_S_slot(D)
     has_ext = any(s.kind in lattice.EXTENSION_KINDS for s in D.summands)
     u_live = base.u0_class is not None and has_ext
-    if base.quad_char is not None and sum(base.padic.cd) >= 1:
-        chi_range = (1, -1)
-    else:
-        chi_range = (base.quad_char,)
+    chi_range = (1, -1) if lattice.sigma(D) == 2 else (base.quad_char,)
     return _GenusCoordinates(base, r_live, s_live, u_live, chi_range)
 
 

@@ -9,43 +9,22 @@ the unit product u0 in U_t and its quadratic character mod p.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import lattice, modring
 from .errors import Cp2Error
 from .lattice import LatticeDescriptor
-from .modring import PolyMod
-from .value import Value, set_field
+from .value import Value
 
 
 class PadicDescriptor(Value):
-    """Multiplicities of the 4p+1 indecomposable p-adic lattice types."""
+    """Multiplicities of the 4p+1 indecomposable p-adic lattice types.
+
+    a counts Z_p, nR Z_p[zeta_p], nE Z_p C_p, nS Z_p[zeta_{p^2}] and nZS
+    (Z_p, Z_p[zeta_{p^2}]; 1).  The int tuples count type B by r in
+    [0, p-1] (beta), the merged types C and D by r in [1, p-2] (cd), and
+    types E (eps) and F (eta) by r in [0, p-2].
+    """
 
     __slots__ = ("p", "a", "nR", "nE", "nS", "nZS", "beta", "cd", "eps", "eta")
-
-    def __init__(
-        self,
-        p: int,
-        a: int,        # Z_p
-        nR: int,       # Z_p[zeta_p]
-        nE: int,       # Z_p C_p
-        nS: int,       # Z_p[zeta_{p^2}]
-        nZS: int,      # (Z_p, Z_p[zeta_{p^2}]; 1)
-        beta: tuple[int, ...],   # type B by r in [0, p-1]
-        cd: tuple[int, ...],     # merged types C and D by r in [1, p-2]
-        eps: tuple[int, ...],    # type E by r in [0, p-2]
-        eta: tuple[int, ...],    # type F by r in [0, p-2]
-    ):
-        set_field(self, "p", p)
-        set_field(self, "a", a)
-        set_field(self, "nR", nR)
-        set_field(self, "nE", nE)
-        set_field(self, "nS", nS)
-        set_field(self, "nZS", nZS)
-        set_field(self, "beta", beta)
-        set_field(self, "cd", cd)
-        set_field(self, "eps", eps)
-        set_field(self, "eta", eta)
 
 
 def padic_completion(D: LatticeDescriptor) -> PadicDescriptor:
@@ -53,18 +32,8 @@ def padic_completion(D: LatticeDescriptor) -> PadicDescriptor:
     n = lattice.counts(D)
     gv = lattice.genus_vector(D)
     cd = tuple(g + d for g, d in zip(gv.gamma, gv.delta))
-    return PadicDescriptor(
-        p=p,
-        a=n["Z"],
-        nR=n["b"],
-        nE=n["Eb"],
-        nS=n["c"],
-        nZS=n["Ec"],
-        beta=gv.beta,
-        cd=cd,
-        eps=gv.eps,
-        eta=gv.eta,
-    )
+    return PadicDescriptor(p, n["Z"], n["b"], n["Eb"], n["c"], n["Ec"], gv.beta, cd,
+                           gv.eps, gv.eta)
 
 
 def same_genus(D1: LatticeDescriptor, D2: LatticeDescriptor) -> bool:
@@ -76,30 +45,16 @@ def same_genus(D1: LatticeDescriptor, D2: LatticeDescriptor) -> bool:
 class IsoInvariants(Value):
     """The full isomorphism invariant of a descriptor.
 
-    u0_class is the canonical U_t representative of the coset of u0,
-    present exactly when the descriptor has no summand of kind b, Eb,
-    c or Ec.  quad_char is the Legendre symbol of u0's constant term,
-    present exactly when p = 1 (mod 4) and there is no summand of kind
-    Z, Eb, Ec, B or F.  Presence patterns depend only on the genus.
+    padic is its PadicDescriptor, R_class and S_class are class-group
+    elements (int tuples) and t is the truncation index.  u0_class is
+    the canonical U_t representative of the coset of u0, present exactly
+    when the descriptor has no summand of kind b, Eb, c or Ec.
+    quad_char is the Legendre symbol of u0's constant term, present
+    exactly when p = 1 (mod 4) and there is no summand of kind Z, Eb,
+    Ec, B or F.  Presence patterns depend only on the genus.
     """
 
     __slots__ = ("padic", "R_class", "S_class", "t", "u0_class", "quad_char")
-
-    def __init__(
-        self,
-        padic: PadicDescriptor,
-        R_class: tuple[int, ...],
-        S_class: tuple[int, ...],
-        t: int,
-        u0_class: Optional[PolyMod],
-        quad_char: Optional[int],
-    ):
-        set_field(self, "padic", padic)
-        set_field(self, "R_class", R_class)
-        set_field(self, "S_class", S_class)
-        set_field(self, "t", t)
-        set_field(self, "u0_class", u0_class)
-        set_field(self, "quad_char", quad_char)
 
 
 def u0_coset_applies(D: LatticeDescriptor) -> bool:
@@ -121,22 +76,15 @@ def _invariants(D: LatticeDescriptor, padic: PadicDescriptor) -> IsoInvariants:
     p = D.p
     rc, sc = lattice.ideal_classes(D)
     t = lattice.t_of(D)
-    u0_class = None
-    if u0_coset_applies(D):
+    coset, quad_applies = u0_coset_applies(D), quad_char_applies(D)
+    u0 = lattice.u0(D) if coset or quad_applies else None
+    u0_class = quad = None
+    if coset:
         quotient = D.context.unit_quotient(t)
-        u0_class = quotient.rep_of(modring.truncate_poly(lattice.u0(D), t))
-    quad = None
-    if quad_char_applies(D):
-        c0 = lattice.u0(D).constant
-        quad = 1 if pow(c0, (p - 1) // 2, p) == 1 else -1
-    return IsoInvariants(
-        padic=padic,
-        R_class=rc,
-        S_class=sc,
-        t=t,
-        u0_class=u0_class,
-        quad_char=quad,
-    )
+        u0_class = quotient.rep_of(modring.truncate_poly(u0, t))
+    if quad_applies:
+        quad = 1 if pow(u0.constant, (p - 1) // 2, p) == 1 else -1
+    return IsoInvariants(padic, rc, sc, t, u0_class, quad)
 
 
 def isomorphic(D1: LatticeDescriptor, D2: LatticeDescriptor) -> bool:

@@ -34,7 +34,7 @@ from .abelian import element_add, reduce_element
 from .classdata import ClassData
 from .errors import Cp2Error, ParseError
 from .modring import PolyMod
-from .value import Value, set_field
+from .value import Value
 
 # kind -> (a, b, c), the multiplicities of Q, Q(zeta_p) and Q(zeta_{p^2})
 CYCLOTOMIC = {
@@ -77,21 +77,12 @@ def r_range(kind: str, p: int) -> range:
 
 
 class Summand(Value):
-    __slots__ = ("kind", "b", "c", "r", "u")
+    """One indecomposable summand: kind is a key of CYCLOTOMIC, b and c
+    class exponent tuples, r the exponent and u the PolyMod unit
+    parameter; the fields a kind has no slot for are None (the default)."""
 
-    def __init__(
-        self,
-        kind: str,
-        b: Optional[tuple[int, ...]] = None,
-        c: Optional[tuple[int, ...]] = None,
-        r: Optional[int] = None,
-        u: Optional[PolyMod] = None,
-    ):
-        set_field(self, "kind", kind)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "r", r)
-        set_field(self, "u", u)
+    __slots__ = ("kind", "b", "c", "r", "u")
+    _defaults = {"b": None, "c": None, "r": None, "u": None}
 
     def sort_key(self):
         return (
@@ -103,13 +94,13 @@ class Summand(Value):
         )
 
 
-class LatticeDescriptor(Value):
-    __slots__ = ("p", "context", "summands")
+_Z = Summand("Z")
 
-    def __init__(self, p: int, context: ClassData, summands: tuple[Summand, ...]):
-        set_field(self, "p", p)
-        set_field(self, "context", context)
-        set_field(self, "summands", summands)
+
+class LatticeDescriptor(Value):
+    """A prime p, its ClassData context and a sorted tuple of Summands."""
+
+    __slots__ = ("p", "context", "summands")
 
 
 def make_summand(
@@ -133,45 +124,34 @@ def make_summand(
     if kind not in KINDS:
         raise Cp2Error(f"unknown summand kind {kind!r}")
     if kind == "Z":
-        return Summand("Z")
+        return _Z
     if kind == "D" and p % 4 != 1:
         raise Cp2Error(f"type D summands require p = 1 (mod 4); p={p}")
     Hp, Hp2 = context.H_p.target, context.H_p2.target
     b = () if b is None else b
     c = () if c is None else c
-    if kind == "b":
-        return Summand("b", b=reduce_element(Hp, b))
-    if kind == "Eb":
-        return Summand("Eb", b=reduce_element(Hp, b))
-    if kind == "c":
-        return Summand("c", c=reduce_element(Hp2, c))
-    if kind == "Ec":
-        return Summand("Ec", c=reduce_element(Hp2, c))
+    if kind in ("b", "Eb"):
+        return Summand(kind, reduce_element(Hp, b), None, None, None)
+    if kind in ("c", "Ec"):
+        return Summand(kind, None, reduce_element(Hp2, c), None, None)
     # extension kinds B..F
     if r is None:
         raise Cp2Error(f"type {kind} needs an exponent r")
-    if r not in r_range(kind, p):
-        rng = r_range(kind, p)
+    rng = r_range(kind, p)
+    if r not in rng:
         raise Cp2Error(
             f"type {kind} exponent r={r} out of range "
             f"[{rng.start}, {rng.stop - 1}] for p={p}"
         )
     m = unit_index(kind, r, p)
     quotient = context.unit_quotient(m)
-    if u is None:
-        upoly = modring.one(p, m)
-    elif isinstance(u, PolyMod):
+    if isinstance(u, PolyMod):
         if u.p != p:
             raise Cp2Error(f"unit {u} has wrong characteristic for p={p}")
-        if u.m != m:
-            if not lenient:
-                raise Cp2Error(f"unit {u} should live in F_{p}[l]/(l^{m})")
-            u_ = u.coeffs[:m] + (0,) * max(0, m - u.m)
-            upoly = PolyMod(p, m, u_)
-        else:
-            upoly = u
-    else:
-        upoly = modring.poly(p, m, u, truncate=lenient)
+        if u.m != m and not lenient:
+            raise Cp2Error(f"unit {u} should live in F_{p}[l]/(l^{m})")
+        u = u.coeffs
+    upoly = modring.one(p, m) if u is None else modring.poly(p, m, u, truncate=lenient)
     if not upoly.is_unit() or upoly.constant != 1:
         raise Cp2Error(f"unit parameter {upoly} must be = 1 (mod l)")
     rep = quotient.rep_of(upoly)
@@ -180,9 +160,7 @@ def make_summand(
             f"unit {upoly} is not the canonical representative of its "
             f"coset (that is {rep}); re-run leniently to canonicalize"
         )
-    return Summand(
-        kind, b=reduce_element(Hp, b), c=reduce_element(Hp2, c), r=r, u=rep
-    )
+    return Summand(kind, reduce_element(Hp, b), reduce_element(Hp2, c), r, rep)
 
 
 def descriptor(p: int, context: ClassData, summands) -> LatticeDescriptor:
@@ -225,36 +203,13 @@ def rank(D: LatticeDescriptor) -> int:
 class GenusVector(Value):
     """The parameter tuple (a,b,c,d,e; beta,gamma,delta,eps,eta).
 
-    d and e are cumulative: d = b + #Eb and e = c + #Ec.  beta is indexed
+    a..e are ints and beta..eta int tuples.  d and e are cumulative:
+    d = b + #Eb and e = c + #Ec.  beta is indexed
     by r in [0, p-1]; gamma and delta by r in [1, p-2]; eps and eta by
     r in [0, p-2].
     """
 
     __slots__ = ("a", "b", "c", "d", "e", "beta", "gamma", "delta", "eps", "eta")
-
-    def __init__(
-        self,
-        a: int,
-        b: int,
-        c: int,
-        d: int,
-        e: int,
-        beta: tuple[int, ...],
-        gamma: tuple[int, ...],
-        delta: tuple[int, ...],
-        eps: tuple[int, ...],
-        eta: tuple[int, ...],
-    ):
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "d", d)
-        set_field(self, "e", e)
-        set_field(self, "beta", beta)
-        set_field(self, "gamma", gamma)
-        set_field(self, "delta", delta)
-        set_field(self, "eps", eps)
-        set_field(self, "eta", eta)
 
 
 def genus_vector(D: LatticeDescriptor) -> GenusVector:
@@ -276,18 +231,8 @@ def genus_vector(D: LatticeDescriptor) -> GenusVector:
             eps[s.r] += 1
         elif s.kind == "F":
             eta[s.r] += 1
-    return GenusVector(
-        a=n["Z"],
-        b=n["b"],
-        c=n["c"],
-        d=n["b"] + n["Eb"],
-        e=n["c"] + n["Ec"],
-        beta=tuple(beta),
-        gamma=tuple(gamma),
-        delta=tuple(delta),
-        eps=tuple(eps),
-        eta=tuple(eta),
-    )
+    return GenusVector(n["Z"], n["b"], n["c"], n["b"] + n["Eb"], n["c"] + n["Ec"],
+                       tuple(beta), tuple(gamma), tuple(delta), tuple(eps), tuple(eta))
 
 
 def u0(D: LatticeDescriptor) -> PolyMod:
@@ -471,11 +416,9 @@ class _Parser:
         if kind != "NAME":
             raise ParseError("expected a summand (Z, b, c, Eb, Ec, B, C, D, E, F)", at)
         if name == "Z":
-            return Summand("Z")
+            return _Z
         if name not in ("b", "c", "Eb", "Ec", "B", "C", "D", "E", "F"):
             raise ParseError(f"unknown summand kind {name!r}", at)
-        if name == "D" and self.p % 4 != 1:
-            raise ParseError(f"type D summands require p = 1 (mod 4); p={self.p}", at)
         self.expect_sym("(")
         first = self.parse_class()
         if name in ("b", "Eb"):
@@ -487,28 +430,19 @@ class _Parser:
         self.expect_sym(",")
         second = self.parse_class()
         self.expect_sym(";")
-        r_at = self.peek()[2]
         r = self.expect_nat()
-        if r not in r_range(name, self.p):
-            rng = r_range(name, self.p)
-            raise ParseError(
-                f"type {name} exponent r={r} out of range "
-                f"[{rng.start}, {rng.stop - 1}] for p={self.p}",
-                r_at,
-            )
         u = None
         k, v, _ = self.peek()
         if k == "SYM" and v == ",":
             self.next()
-            u = self.parse_unit(r_kind=name, r=r)
+            u = self.parse_unit()
         self.expect_sym(")")
         return self._summand(name, b=first, c=second, r=r, u=u, at=at)
 
     def _summand(self, kind, b=None, c=None, r=None, u=None, at=0) -> Summand:
+        """make_summand, its errors reported at the summand's position."""
         try:
-            return make_summand(
-                self.p, self.context, kind, b=b, c=c, r=r, u=u, lenient=self.lenient
-            )
+            return make_summand(self.p, self.context, kind, b, c, r, u, self.lenient)
         except Cp2Error as exc:
             raise ParseError(str(exc), at) from None
 
@@ -523,9 +457,15 @@ class _Parser:
                 break
         return tuple(vals)
 
-    def parse_unit(self, r_kind: str, r: int):
-        """poly in l: term {+ term}, term = nat | [nat] 'l' ['^' nat]."""
-        m = unit_index(r_kind, r, self.p)
+    def parse_unit(self) -> list[int]:
+        """poly in l: term {+ term}, term = nat | [nat] 'l' ['^' nat].
+
+        Returns the coefficients by degree, for make_summand to reduce
+        and truncate.  Every unit lives in some F_p[l]/(l^m) with m <= p,
+        so all degrees >= p are folded into one coefficient at degree p,
+        nonzero exactly when one of them is nonzero mod p: a large
+        exponent costs no memory.
+        """
         coeffs: dict[int, int] = {}
         while True:
             coef = 1
@@ -546,20 +486,20 @@ class _Parser:
                 raise ParseError(f"unexpected {val!r} in unit", at2)
             elif coef == 1 and self.tokens[self.pos - 1][0] != "NAT":
                 raise ParseError("expected a unit term", at)
-            if exp >= m and not self.lenient and coef % self.p != 0:
-                raise ParseError(
-                    f"unit term of degree {exp} exceeds truncation l^{m}", at
-                )
             coeffs[exp] = coeffs.get(exp, 0) + coef
             kind, val, _ = self.peek()
             if kind == "SYM" and val == "+":
                 self.next()
                 continue
             break
-        vec = [0] * (max(coeffs) + 1 if coeffs else 1)
+        p = self.p
+        vec = [0] * (p + 1)
         for e, cf in coeffs.items():
-            vec[e] = cf % self.p
-        return modring.poly(self.p, m, vec, truncate=True)
+            if e < p:
+                vec[e] = cf
+            elif cf % p:
+                vec[p] = 1
+        return vec
 
 
 def parse(text: str, p: int, context: ClassData, lenient: bool = False) -> LatticeDescriptor:

@@ -31,7 +31,7 @@ from . import lattice
 from .abelian import AbGroup, diagonal, identity, snf_full
 from .errors import Cp2Error, InternalError, NontrivialClass
 from .lattice import Faithfulness, LatticeDescriptor
-from .value import Value, set_field
+from .value import Value
 
 IntMatrix = list  # list of rows, each a list of ints
 
@@ -252,12 +252,10 @@ def _pushout_block(p: int, s) -> IntMatrix:
 
 
 class IntegerRep(Value):
-    __slots__ = ("n", "matrix", "source")
+    """The n x n integer matrix (a tuple of int rows) of g on the lattice
+    of the LatticeDescriptor source."""
 
-    def __init__(self, n: int, matrix: tuple, source: LatticeDescriptor):
-        set_field(self, "n", n)
-        set_field(self, "matrix", matrix)
-        set_field(self, "source", source)
+    __slots__ = ("n", "matrix", "source")
 
 
 def _is_trivial_class(vec) -> bool:
@@ -316,19 +314,15 @@ def ext_group(x_name: str, p: int) -> AbGroup:
 
 
 class RepCheck(Value):
-    __slots__ = ("name", "ok", "detail")
+    """One named check of validate_rep: ok is a bool, detail a string."""
 
-    def __init__(self, name: str, ok: bool, detail: str):
-        set_field(self, "name", name)
-        set_field(self, "ok", ok)
-        set_field(self, "detail", detail)
+    __slots__ = ("name", "ok", "detail")
 
 
 class RepReport(Value):
-    __slots__ = ("checks",)
+    """The tuple of RepChecks of one validate_rep call."""
 
-    def __init__(self, checks: tuple):
-        set_field(self, "checks", checks)
+    __slots__ = ("checks",)
 
     @property
     def passed(self) -> bool:
@@ -381,11 +375,16 @@ def connected_components(A: IntMatrix) -> list:
     their smallest index: i and j are joined when A[i][j] or A[j][i] is
     nonzero.  Permuting rows and columns alike so that each component is
     contiguous makes A block-diagonal."""
-    n = len(A)
+    return _components(sparse_rows(A))
+
+
+def _components(rows: list) -> list:
+    """connected_components of the matrix with these sparse rows."""
+    n = len(rows)
     adjacent = [[] for _ in range(n)]
-    for i, row in enumerate(A):
-        for j, x in enumerate(row):
-            if x and i != j:
+    for i, row in enumerate(rows):
+        for j in row:
+            if i != j:
                 adjacent[i].append(j)
                 adjacent[j].append(i)
     seen = [False] * n
@@ -405,8 +404,16 @@ def connected_components(A: IntMatrix) -> list:
     return out
 
 
+def _block(rows: list, comp) -> tuple:
+    """Rows and columns comp (a union of components) of the matrix with
+    these sparse rows, renumbered from 0, as a hashable tuple of
+    ((column, entry), ...) rows in column order."""
+    local = {i: k for k, i in enumerate(comp)}
+    return tuple(tuple((local[j], x) for j, x in rows[i].items()) for i in comp)
+
+
 def _component_type(p: int, B: tuple) -> tuple:
-    """(order, (a, b, c), chi, fixed rank) of one component B.
+    """(order, (a, b, c), chi, fixed rank) of one component B (see _block).
 
     When B^(p^2) = I, B is diagonalizable with p^2-th roots of unity as
     eigenvalues, and its char poly is rational, so it is
@@ -418,16 +425,17 @@ def _component_type(p: int, B: tuple) -> tuple:
     chi and rank(B - I) from Smith normal form.
     """
     n = len(B)
-    Bs = sparse_rows(B)
+    Bs = [dict(row) for row in B]
     Bp = sparse_pow(Bs, p)
     Bp2 = sparse_pow(Bp, p)
     for order, M in ((1, Bs), (p, Bp), (p * p, Bp2)):
         if is_identity(M):
             break
     else:
-        fixed = n - mat_rank(mat_sub(B, identity(n)))
-        return 0, (0, 0, 0), charpoly(B), fixed
-    tr1 = sum(row[i] for i, row in enumerate(B))
+        dense = [[row.get(j, 0) for j in range(n)] for row in Bs]
+        fixed = n - mat_rank(mat_sub(dense, identity(n)))
+        return 0, (0, 0, 0), charpoly(dense), fixed
+    tr1 = sum(row.get(i, 0) for i, row in enumerate(Bs))
     trp = sum(row.get(i, 0) for i, row in enumerate(Bp))
     c, rc = divmod(n - trp, p * p)
     b, rb = divmod(n - p * (p - 1) * c - tr1, p)
@@ -443,13 +451,14 @@ def _component_type(p: int, B: tuple) -> tuple:
 def validate_rep(rep: IntegerRep) -> RepReport:
     """Check the matrix model against everything the descriptor predicts.
 
-    The checks run per connected component of A, found from A itself, so
-    any IntegerRep is checked, not only the block structure rep_of built;
-    equal components are checked once.  Each invariant of the
-    block-diagonal form is exact: A^(p^2) = I on every block, the char
-    poly is the product over blocks, the order is the lcm of the block
-    orders (0 if any fails to divide p^2), and rank(A - I) is the sum of
-    the block ranks.  det(A) is (-1)^n charpoly(A)(0).
+    The checks run per connected component of A, taken from the sparse
+    rows of A (read once), so any IntegerRep is checked, not only the
+    block structure rep_of built; equal components are checked once.
+    Each invariant of the block-diagonal form is exact: A^(p^2) = I on
+    every block, the char poly is the product over blocks, the order is
+    the lcm of the block orders (0 if any fails to divide p^2), and
+    rank(A - I) is the sum of the block ranks.  det(A) is
+    (-1)^n charpoly(A)(0).
 
     Powers are taken on sparse rows.  A block with B^(p^2) = I gets its
     rational type, and so its char poly and fixed rank, from tr B and
@@ -459,10 +468,11 @@ def validate_rep(rep: IntegerRep) -> RepReport:
     D = rep.source
     p = D.p
     A = rep.matrix
+    rows = sparse_rows(A)
     types = {}
     total, chis, fixed, orders = [0, 0, 0], [], 0, []
-    for comp in connected_components(A):
-        B = tuple(tuple(A[i][j] for j in comp) for i in comp)
+    for comp in _components(rows):
+        B = _block(rows, comp)
         if B not in types:
             types[B] = _component_type(p, B)
         order, abc, chi, fixed_B = types[B]

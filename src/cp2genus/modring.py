@@ -246,23 +246,10 @@ class UnitSubgroup(Value):
     one pivot 1 + l^d + (higher terms) per degree d, listed by increasing
     degree, the p-th power of each a product of later ones.  Every element
     of H_1 is then a unique product of pivot powers e_d^a, 0 <= a < p.
+    generators and pivots are PolyMod tuples, constants a frozenset of ints.
     """
 
     __slots__ = ("p", "m", "generators", "constants", "pivots", "__dict__")
-
-    def __init__(
-        self,
-        p: int,
-        m: int,
-        generators: tuple[PolyMod, ...],
-        constants: frozenset[int],
-        pivots: tuple[PolyMod, ...],
-    ):
-        set_field(self, "p", p)
-        set_field(self, "m", m)
-        set_field(self, "generators", generators)
-        set_field(self, "constants", constants)
-        set_field(self, "pivots", pivots)
 
     @property
     def order(self) -> int:
@@ -421,20 +408,13 @@ class UnitQuotient(Value):
     a zero coefficient at every pivot degree of the subgroup; it is the
     lexicographically smallest constant-1 coefficient vector of the
     coset, and it is the coset's representative.  free_degrees lists the
-    degrees 1 <= d < m that carry no pivot.  Quotients compare by identity.
+    degrees 1 <= d < m that carry no pivot of the UnitSubgroup subgroup.
+    Quotients compare by identity.
     """
 
     __slots__ = ("p", "m", "subgroup", "free_degrees", "__dict__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self, p: int, m: int, subgroup: UnitSubgroup, free_degrees: tuple[int, ...]
-    ):
-        set_field(self, "p", p)
-        set_field(self, "m", m)
-        set_field(self, "subgroup", subgroup)
-        set_field(self, "free_degrees", free_degrees)
 
     @property
     def order(self) -> int:

@@ -536,6 +536,32 @@ def snf_pushout_block(p: int, s) -> list:
     return [row[p:] for row in Gy[p:]]
 
 
+def dense_connected_components(A) -> list:
+    """materialize.connected_components by a scan of all n^2 entries."""
+    n = len(A)
+    adjacent = [[] for _ in range(n)]
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            if x and i != j:
+                adjacent[i].append(j)
+                adjacent[j].append(i)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [start], [start]
+        while stack:
+            for j in adjacent[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        out.append(sorted(comp))
+    return out
+
+
 def dense_validate_rep(rep) -> materialize.RepReport:
     """validate_rep on the whole n x n matrix, without splitting it into
     connected components."""

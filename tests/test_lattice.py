@@ -81,6 +81,24 @@ def test_unit_strict_vs_lenient(ctx3, ctx5):
         lat.parse("B(0,0;1,1+l^4)", 5, ctx5)  # degree beyond truncation
 
 
+def test_unit_terms_are_reduced_before_truncation(ctx5):
+    # l^4 + 4l^4 = 5l^4 = 0 at p = 5, so nothing lies beyond l^4
+    plain = lat.parse("B(0,0;1)", 5, ctx5)
+    assert lat.parse("B(0,0;1,1+l^4+4l^4)", 5, ctx5) == plain
+    with pytest.raises(ParseError) as err:
+        lat.parse("Z + B(0,0;1,1+l^4)", 5, ctx5)
+    assert str(err.value) == "coefficients exceed truncation degree 4 (at position 4)"
+
+
+def test_large_unit_exponents_cost_no_memory(ctx5):
+    plain = lat.parse("B(0,0;0)", 5, ctx5)
+    assert lat.parse("B(0,0;0,1+l^999999999)", 5, ctx5, lenient=True) == plain
+    assert lat.parse("B(0,0;0,1+5l^999999999)", 5, ctx5) == plain
+    assert lat.parse("B(0,0;0,1+l^999999999+4l^999999999)", 5, ctx5) == plain
+    with pytest.raises(ParseError):
+        lat.parse("B(0,0;0,1+l^999999999+4l^999999998)", 5, ctx5)
+
+
 def test_unit_must_be_one_mod_l(ctx5):
     with pytest.raises(ParseError):
         lat.parse("B(0,0;0,2)", 5, ctx5)

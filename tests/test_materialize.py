@@ -10,6 +10,7 @@ from conftest import indecomposable_templates, random_descriptor, synthetic_c43
 from oracles import (
     bareiss_det,
     dense_charpoly,
+    dense_connected_components,
     dense_validate_rep,
     kernel_basis,
     mat_add,
@@ -112,7 +113,8 @@ def test_fixed_rank_from_charpoly_matches_snf(ctx2, ctx3, ctx5):
         for D in indecomposable_templates(p, ctx):
             A = [list(r) for r in mat.rep_of(D).matrix]
             I = mat.identity(len(A))
-            _, abc, chi, fixed = mat._component_type(p, tuple(map(tuple, A)))
+            whole = mat._block(mat.sparse_rows(A), range(len(A)))
+            _, abc, chi, fixed = mat._component_type(p, whole)
             assert abc == lat.rational_type(D), lat.render(D)
             assert (chi, fixed) == ([1], abc[0])
             berkowitz = mat.charpoly(A)
@@ -146,7 +148,8 @@ def test_validate_rep_trace_path_on_a_wrong_model(ctx2):
     # the swap has order 2, so its type comes from traces: tr B = 0 and
     # tr B^2 = 2 give (a, b, c) = (1, 1, 0), where Z + Z predicts (2, 0, 0)
     rep = mat.IntegerRep(2, ((0, 1), (1, 0)), lat.parse("Z + Z", 2, ctx2))
-    assert mat._component_type(2, rep.matrix) == (2, (1, 1, 0), [1], 1)
+    whole = mat._block(mat.sparse_rows(rep.matrix), range(2))
+    assert mat._component_type(2, whole) == (2, (1, 1, 0), [1], 1)
     report = _assert_matches_oracle(rep)
     failed = {c.name: c.detail for c in report.checks if not c.ok}
     assert failed == {"order": "order(A) = 2, expected 1",
@@ -357,6 +360,7 @@ def test_validate_rep_on_a_conjugated_model(ctx3):
     A = mat_mul(mat_mul(U, [list(r) for r in rep.matrix]), Uinv)
     conj = mat.IntegerRep(rep.n, tuple(tuple(r) for r in A), D)
     assert mat.connected_components(conj.matrix) == [list(range(rep.n))]
+    assert dense_connected_components(conj.matrix) == [list(range(rep.n))]
     assert _assert_matches_oracle(conj).passed
 
 
@@ -369,9 +373,33 @@ def test_validate_rep_corrupted_block_matches_oracle(ctx3):
         for j in second:
             A = [list(r) for r in rep.matrix]
             A[i][j] += 1
+            assert mat.connected_components(A) == dense_connected_components(A)
             bad = mat.IntegerRep(rep.n, tuple(tuple(r) for r in A), D)
             failing |= {c.name for c in _assert_matches_oracle(bad).checks if not c.ok}
     assert failing == {"power_identity", "unimodular", "order", "char_poly"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+def test_connected_components_match_dense_oracle(p, seed):
+    # a model with its rows and columns permuted alike, and a few entries
+    # changed so that some components merge or lose their diagonal
+    ctx = classdata.builtin(p)
+    rng = random.Random(seed)
+    while True:
+        D = random_descriptor(rng, p, ctx, max_summands=4)
+        if lat.rank(D) <= 40:
+            break
+    rep = mat.rep_of(D)
+    n = rep.n
+    perm = rng.sample(range(n), n)
+    A = [[rep.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        A[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 0, 1, 2))
+    components = mat.connected_components(A)
+    assert components == dense_connected_components(A)
+    assert sorted(i for comp in components for i in comp) == list(range(n))
+    _assert_matches_oracle(mat.IntegerRep(n, tuple(map(tuple, A)), D))
 
 
 def test_validate_rep_large_model(ctx5):

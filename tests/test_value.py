@@ -15,6 +15,7 @@ from cp2genus import genus, iso, lattice, materialize, modring
 from cp2genus.abelian import AbGroup, CyclicAction
 from cp2genus.classdata import ClassData
 from cp2genus.errors import Cp2Error
+from cp2genus.value import Value
 
 from conftest import synthetic_c43
 
@@ -114,5 +115,50 @@ def test_keyword_construction_with_defaults():
 ])
 def test_validation_at_construction(make, message):
     with pytest.raises(Cp2Error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def _value_classes(cls=Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_classes(sub)
+
+
+def test_only_validating_classes_write_a_constructor():
+    classes = set(_value_classes())
+    assert set(FIELDS) <= classes
+    assert {cls for cls in classes if "__init__" in vars(cls)
+            and cls.__init__.__qualname__ != "Value.__init_subclass__.<locals>.__init__"
+            } == {modring.PolyMod, AbGroup}
+
+
+def test_positional_and_keyword_construction_agree(ctx5):
+    for x in instances(ctx5):
+        cls = type(x)
+        values = {f: getattr(x, f) for f in FIELDS[cls]}
+        by_position, by_keyword = cls(*values.values()), cls(**values)
+        if cls is modring.UnitQuotient:  # compares by identity
+            assert [getattr(by_keyword, f) for f in values] == list(values.values())
+            continue
+        assert by_position == by_keyword == x
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: materialize.RepCheck("ok", True),
+     "RepCheck() missing required arguments: detail"),
+    (lambda: lattice.Summand(b=()),
+     "Summand() missing required arguments: kind"),
+    (lambda: materialize.RepCheck("ok", True, "", None),
+     "RepCheck() takes 3 positional arguments but 4 were given"),
+    (lambda: genus.SemidirectDescriptor(),
+     "SemidirectDescriptor() missing required arguments: module"),
+    (lambda: lattice.Summand("Z", d=1),
+     "Summand() got an unexpected keyword argument 'd'"),
+    (lambda: lattice.Summand("Z", kind="Z"),
+     "Summand() got multiple values for argument 'kind'"),
+])
+def test_generated_constructor_refuses_bad_arguments(make, message):
+    with pytest.raises(TypeError) as info:
         make()
     assert str(info.value) == message
