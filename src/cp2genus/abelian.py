@@ -72,6 +72,11 @@ def _check_member(G: AbGroup, x):
 def element_add(G: AbGroup, x, y) -> tuple[int, ...]:
     _check_member(G, x)
     _check_member(G, y)
+    return _add(G, x, y)
+
+
+def _add(G: AbGroup, x, y) -> tuple[int, ...]:
+    """element_add for x and y already known to lie in G."""
     return tuple((a + b) % f for a, b, f in zip(x, y, G.factors))
 
 

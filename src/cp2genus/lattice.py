@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import modring
-from .abelian import element_add, reduce_element
+from .abelian import _add, reduce_element
 from .classdata import ClassData
 from .errors import Cp2Error, ParseError
 from .modring import PolyMod
@@ -302,15 +302,19 @@ def faithfulness(D: LatticeDescriptor) -> str:
 
 
 def ideal_classes(D: LatticeDescriptor) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The R- and S-ideal classes: sums of all b's and of all c's."""
+    """The R- and S-ideal classes: sums of all b's and of all c's.
+
+    make_summand (or a twist) has already reduced every class into its
+    group, so the sums skip the membership checks of element_add.
+    """
     Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
     rc = Hp.identity()
     sc = Hp2.identity()
     for s in D.summands:
         if s.b is not None:
-            rc = element_add(Hp, rc, s.b)
+            rc = _add(Hp, rc, s.b)
         if s.c is not None:
-            sc = element_add(Hp2, sc, s.c)
+            sc = _add(Hp2, sc, s.c)
     return rc, sc
 
 
@@ -334,11 +338,15 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("NAT", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError(f"number of {j - i} digits is too long", i) from None
+            tokens.append(("NAT", value, i))
             i = j
             continue
         if ch.isalpha():

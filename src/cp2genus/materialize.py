@@ -6,26 +6,34 @@ per distinct summand: Z, b, c and Eb get the companion matrix of their
 char poly (lattice.CYCLOTOMIC), and each extension block is the pushout
 (Lambda + X) / <(i0(y), -f(y))>, where i0 embeds E = phi_{p^2}(g)Lambda
 into Lambda = Z[x]/(x^{p^2}-1) and f: E -> X encodes the extension
-class through the image of phi_{p^2}(g).  The relation matrix has the
-identity in its first p rows, so its unit pivots give the quotient
-basis in closed form (no Smith normal form); only the rows of the
-transformed action that survive in the quotient are formed.
+class through the image of phi_{p^2}(g).  The relation matrix is
+[[I_p], [C]], so U = [[I, 0], [-C, I]] gives the quotient basis in
+closed form (no Smith normal form), and the quotient action is
+Q = G22 - C G12 for the action G split at index p.  G_L is a cyclic
+shift, so G12 is a single 1 and Q is G22 with one column replaced by
+-C[:, 0]; the block is written down directly as sparse rows.
 
 ext_group gives Ext(S, X) = (Z/p)^(rank X) in closed form.  Matrix
-powers (rep_of's A^(p^2) = I self-check, validate_rep's B^p and
-B^(p^2) per distinct connected component) are taken on sparse rows,
-since the blocks are mostly zero.  A component with B^(p^2) = I is
-diagonalizable, because x^(p^2) - 1 is squarefree over Q, so
-validate_rep reads its rational type (a, b, c), and with it the char
-poly Phi_1^a Phi_p^b Phi_{p^2}^c and the fixed rank a, off tr B and
-tr B^p; det(A) comes from the char poly.  Berkowitz charpoly and Smith
-normal form run only on a component that fails the power check.
+powers (B^p and B^(p^2) per distinct block) are taken on sparse rows,
+since the blocks are mostly zero.  A block with B^(p^2) = I is
+diagonalizable, because x^(p^2) - 1 is squarefree over Q, so its
+rational type (a, b, c), and with it the char poly
+Phi_1^a Phi_p^b Phi_{p^2}^c and the fixed rank a, comes from tr B and
+tr B^p.  validate_rep then checks the char poly by comparing the summed
+type with the descriptor's (the three cyclotomic factors are distinct
+irreducibles), and det(A) = (-1)^(n + a).  Berkowitz charpoly and Smith
+normal form run only on a block that fails the power check.  The block
+types are memoized by content in one bounded cache (_component_type),
+shared by rep_of's A^(p^2) = I self-check and validate_rep, so a model
+built and then validated powers each distinct block once per process.
 
 All arithmetic is exact over Python integers; matrices are plain nested
 lists, and sparse rows are lists of {column: nonzero entry} dicts.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import lattice
 from .abelian import AbGroup, diagonal, identity, snf_full
@@ -219,36 +227,63 @@ def _f0_vector(p: int, s) -> list:
     return out
 
 
-def _pushout_block(p: int, s) -> IntMatrix:
-    """Action of g on (Lambda + X) / <(i0(y), -f(y)) : y in E>.
+def _pushout_block(p: int, s) -> list:
+    """Action of g on (Lambda + X) / <(i0(y), -f(y)) : y in E>, as sparse
+    rows with ascending columns.
 
     The relations are the columns (i0(g^j e), -g^j f0), j = 0..p-1, of
     an N x p matrix [[I_p], [C]]: i0(g^j e) has its ones in the rows
     i p + j, so rows 0..p-1 are the identity.  Subtracting C times them
     from the other rows is the unimodular U = [[I, 0], [-C, I]], with
     U [[I_p], [C]] = [[I_p], [0]] and U^-1 = [[I, 0], [C, I]].  In the
-    basis U^-1 the first p vectors span the relations, so the quotient's
-    action is rows and columns p..N-1 of U G_L U^-1, and columns 0..p-1
-    of those rows vanish exactly when the relations are g-invariant.
+    basis U^-1 the first p vectors span the relations.  With the action
+    G = G_L + G_X split at index p into G11, G12, G21 and G22, rows
+    p..N-1 of U G U^-1 are [(G21 - C G11) + Q C, Q] with Q = G22 - C G12:
+    Q is the action on the quotient, and the left part vanishes exactly
+    when the relations are g-invariant.
+
+    G_L is the cyclic shift e_q -> e_(q+1 mod p^2), so G12 is a single 1
+    at (0, p^2 - 1 - p) and G22 has no entry in that column: Q is G22 with
+    column p^2 - 1 - p set to -C[:, 0], which is -1 in the rows q = 0
+    (mod p) with p <= q < p^2 and f0 in the rows of X.
     """
-    G_X = block_diag([_component(p, c) for c in _X_OF_KIND[s.kind]])
-    N = p * p + len(G_X)
-    G_L = sparse_rows(block_diag([companion(x_pow_minus_1(p * p)), G_X]))
-
-    # C as sparse rows: row i p + j of the relations (i >= 1) is e_j, and
-    # row p^2 + t holds -(g^j f0)_t in column j
-    fs = [_f0_vector(p, s)]
+    GX = []  # G_X as sparse rows, one companion block per module
+    for name in _X_OF_KIND[s.kind]:
+        at = len(GX)
+        GX += [{at + j: x for j, x in row.items()} for row in sparse_rows(_component(p, name))]
+    fs = [_f0_vector(p, s)]  # g^j f0, j = 0..p-1
     for _ in range(1, p):
-        fs.append(mat_vec(G_X, fs[-1]))
+        f = fs[-1]
+        fs.append([sum(x * f[j] for j, x in row.items()) for row in GX])
+    # C as sparse rows: row q - p is e_(q mod p) for q < p^2, and row
+    # p^2 - p + t holds -(g^j f0)_t in column j
     C = [{q % p: 1} for q in range(p, p * p)]
-    C += [{j: -f[t] for j, f in enumerate(fs) if f[t]} for t in range(len(G_X))]
-    U_low = [{**{j: -x for j, x in row.items()}, p + r: 1} for r, row in enumerate(C)]
-    Uinv = [{j: 1} for j in range(p)] + [{**row, p + r: 1} for r, row in enumerate(C)]
+    C += [{j: -f[t] for j, f in enumerate(fs) if f[t]} for t in range(len(GX))]
 
-    Gy = sparse_mul(sparse_mul(U_low, G_L), Uinv)
-    if any(j < p for row in Gy for j in row):
-        raise InternalError("relation lattice is not invariant under g")
-    return [[row.get(j, 0) for j in range(p, N)] for row in Gy]
+    top, shift = p * p - 1 - p, p * p - p
+    Q = []
+    for q in range(p, p * p):
+        row = {q - 1 - p: 1} if q > p else {}
+        if q % p == 0:
+            row[top] = -1
+        Q.append(row)
+    for g_row, f_t in zip(GX, fs[0]):
+        row = {top: f_t} if f_t else {}
+        row.update((shift + j, x) for j, x in g_row.items())
+        Q.append(row)
+
+    # G21 is e_(p-1) in row 0, and G11 moves column i of C to i - 1
+    for r, row in enumerate(Q):
+        left = {p - 1: 1} if r == 0 else {}
+        for i, c in C[r].items():
+            if i:
+                left[i - 1] = left.get(i - 1, 0) - c
+        for j, x in row.items():
+            for k, c in C[j].items():
+                left[k] = left.get(k, 0) + x * c
+        if any(left.values()):
+            raise InternalError("relation lattice is not invariant under g")
+    return Q
 
 
 class IntegerRep(Value):
@@ -271,17 +306,30 @@ def rep_of(D: LatticeDescriptor) -> IntegerRep:
                 "matrix models are built for trivial ideal classes only"
             )
     # A^(p^2) = I holds on a block-diagonal matrix exactly when it holds
-    # on every block, so each distinct summand is built and checked once
+    # on every block, so each distinct summand is built and checked once;
+    # each block is keyed as validate_rep keys its components, so
+    # validating the result finds every block's type in the memo
     blocks = {}
     for s in D.summands:
         if s in blocks:
             continue
-        b = _pushout_block(p, s) if s.kind in _X_OF_KIND else type_block(p, s.kind)
-        if not is_identity(sparse_pow(sparse_rows(b), p * p)):
+        rows = (_pushout_block(p, s) if s.kind in _X_OF_KIND
+                else sparse_rows(type_block(p, s.kind)))
+        B = _block(rows, range(len(rows)))
+        if _component_type(p, B)[0] == 0:
             raise InternalError("built matrix does not satisfy A^(p^2) = I")
-        blocks[s] = b
-    A = block_diag([blocks[s] for s in D.summands]) if D.summands else []
-    return IntegerRep(len(A), tuple(tuple(row) for row in A), D)
+        blocks[s] = B
+    n = sum(len(blocks[s]) for s in D.summands)
+    matrix, at = [], 0
+    for s in D.summands:
+        B = blocks[s]
+        for entries in B:
+            row = [0] * n
+            for j, x in entries:
+                row[at + j] = x
+            matrix.append(tuple(row))
+        at += len(B)
+    return IntegerRep(n, tuple(matrix), D)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +460,15 @@ def _block(rows: list, comp) -> tuple:
     return tuple(tuple((local[j], x) for j, x in rows[i].items()) for i in comp)
 
 
+# The blocks of rep_of's models are indecomposables: with trivial class
+# data there are 62 at p <= 5 and 269 at p = 7, each with at most
+# p^2 + 1 rows of at most three entries.  128 entries hold every block
+# at p <= 5 and a working set at p = 7 in a few MB, and bound how many
+# arbitrary (possibly dense) components of validated matrices stay pinned.
+_TYPE_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_TYPE_MEMO_SIZE)
 def _component_type(p: int, B: tuple) -> tuple:
     """(order, (a, b, c), chi, fixed rank) of one component B (see _block).
 
@@ -423,6 +480,11 @@ def _component_type(p: int, B: tuple) -> tuple:
     solving gives (a, b, c), and the fixed rank is a.  chi is then [1].
     Any other B has order 0, type (0, 0, 0), its Berkowitz char poly as
     chi and rank(B - I) from Smith normal form.
+
+    The result depends only on the content of (p, B), so it is memoized
+    (at most _TYPE_MEMO_SIZE entries): rep_of's self-check and a later
+    validate_rep of the same blocks take B^p and B^(p^2) once.  Callers
+    share the returned value and must not mutate chi.
     """
     n = len(B)
     Bs = [dict(row) for row in B]
@@ -462,8 +524,11 @@ def validate_rep(rep: IntegerRep) -> RepReport:
 
     Powers are taken on sparse rows.  A block with B^(p^2) = I gets its
     rational type, and so its char poly and fixed rank, from tr B and
-    tr B^p (_component_type); only a block failing the power check runs
-    Berkowitz and Smith normal form.
+    tr B^p (_component_type, memoized, so the blocks of a model from
+    rep_of are not powered again); when every block passes, the char
+    poly check compares the summed type with the descriptor's.  Only a
+    block failing the power check runs Berkowitz and Smith normal form,
+    and then the char polys are multiplied out and compared.
     """
     D = rep.source
     p = D.p
@@ -481,10 +546,19 @@ def validate_rep(rep: IntegerRep) -> RepReport:
         chis.append(chi)
         fixed += fixed_B
     power_ok = 0 not in orders
-    got = cyclotomic_product(p, *total)
-    for chi in chis:
-        got = polymul_z(got, chi)
-    det = (-1) ** len(A) * got[0]
+    predicted = lattice.rational_type(D)
+    if power_ok:
+        # every chi is [1], so charpoly(A) = Phi_1^a Phi_p^b Phi_{p^2}^c
+        # for the summed type; the three are distinct irreducibles, so it
+        # equals the prediction exactly when the exponents do
+        char_ok = tuple(total) == predicted
+        det = (-1) ** (len(A) + total[0])  # Phi_1(0) = -1, the others 1
+    else:
+        got = cyclotomic_product(p, *total)
+        for chi in chis:
+            got = polymul_z(got, chi)
+        char_ok = got == predicted_charpoly(D)
+        det = (-1) ** len(A) * got[0]
     checks = []
 
     checks.append(RepCheck("power_identity", power_ok, f"A^{p*p} == I: {power_ok}"))
@@ -505,12 +579,11 @@ def validate_rep(rep: IntegerRep) -> RepReport:
         )
     )
 
-    want = predicted_charpoly(D)
     checks.append(
-        RepCheck("char_poly", got == want, f"char poly matches prediction: {got == want}")
+        RepCheck("char_poly", char_ok, f"char poly matches prediction: {char_ok}")
     )
 
-    expected_fixed = lattice.rational_type(D)[0]
+    expected_fixed = predicted[0]
     checks.append(
         RepCheck(
             "fixed_rank",

@@ -536,6 +536,30 @@ def snf_pushout_block(p: int, s) -> list:
     return [row[p:] for row in Gy[p:]]
 
 
+def product_pushout_block(p: int, s) -> list:
+    """materialize._pushout_block as rows p..N-1 of the sparse product
+    U G U^-1, with G = G_L + G_X in full, densified."""
+    mat = materialize
+    G_X = mat.block_diag([mat._component(p, c) for c in mat._X_OF_KIND[s.kind]])
+    N = p * p + len(G_X)
+    G_L = mat.sparse_rows(mat.block_diag([mat.companion(mat.x_pow_minus_1(p * p)), G_X]))
+
+    # C as sparse rows: row i p + j of the relations (i >= 1) is e_j, and
+    # row p^2 + t holds -(g^j f0)_t in column j
+    fs = [mat._f0_vector(p, s)]
+    for _ in range(1, p):
+        fs.append(mat.mat_vec(G_X, fs[-1]))
+    C = [{q % p: 1} for q in range(p, p * p)]
+    C += [{j: -f[t] for j, f in enumerate(fs) if f[t]} for t in range(len(G_X))]
+    U_low = [{**{j: -x for j, x in row.items()}, p + r: 1} for r, row in enumerate(C)]
+    Uinv = [{j: 1} for j in range(p)] + [{**row, p + r: 1} for r, row in enumerate(C)]
+
+    Gy = mat.sparse_mul(mat.sparse_mul(U_low, G_L), Uinv)
+    if any(j < p for row in Gy for j in row):
+        raise InternalError("relation lattice is not invariant under g")
+    return [[row.get(j, 0) for j in range(p, N)] for row in Gy]
+
+
 def dense_connected_components(A) -> list:
     """materialize.connected_components by a scan of all n^2 entries."""
     n = len(A)

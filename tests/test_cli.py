@@ -238,6 +238,18 @@ def test_huge_multiplicity_exit_2(capsys):
     assert err == "error: input too large\n"
 
 
+@pytest.mark.parametrize("descriptor", ["9" * 5000 + "*Z", "\u00b2*Z", "Z + q(0)"],
+                         ids=["5000-digits", "superscript-two", "unknown-kind"])
+def test_malformed_descriptor_exit_2(descriptor):
+    src = str(Path(cp2genus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "cp2genus.cli", "check", "--p", "3", descriptor],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("parse error: ") and "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("body", [
     "import cp2genus.cli",
     # what python -m cp2genus.cli check --p 2 Z runs

@@ -53,6 +53,17 @@ def test_parse_syntax_errors_carry_position(ctx3):
         lat.parse("0*Z", 3, ctx3)
 
 
+def test_numerals_are_ascii_and_convertible(ctx3):
+    # str.isdigit accepts '\u00b2' (which int() rejects) and '\u0663' (which
+    # int() reads as 3); Python converts at most 4300 digits by default
+    for text, at in (("\u00b2*Z", 0), ("\u0663*Z", 0), ("Z + b(\u0663)", 6),
+                     ("9" * 5000 + "*Z", 0), ("Z + " + "9" * 5000 + "*Z", 4)):
+        with pytest.raises(ParseError) as err:
+            lat.parse(text, 3, ctx3)
+        assert err.value.position == at, text
+    assert "5000 digits" in str(err.value)
+
+
 def test_parse_multiplicity_and_whitespace(ctx3):
     assert lat.parse(" 3*Z+ c( 0 ) ", 3, ctx3) == lat.parse("Z+Z+Z+c(0)", 3, ctx3)
 

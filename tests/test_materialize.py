@@ -17,6 +17,7 @@ from oracles import (
     mat_mul,
     mat_pow,
     multiplicative_order,
+    product_pushout_block,
     root_one_multiplicity,
     snf,
     snf_ext_group,
@@ -124,9 +125,25 @@ def test_fixed_rank_from_charpoly_matches_snf(ctx2, ctx3, ctx5):
             assert multiplicity == abc[0]
 
 
+def _dense(rows):
+    n = len(rows)
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def _assert_pushout_matches_oracles(p, s):
+    rows = mat._pushout_block(p, s)
+    # ascending columns and no stored zeros: rep_of keys the block as
+    # validate_rep keys the component read back from the dense matrix
+    assert all(list(row) == sorted(row) and 0 not in row.values() for row in rows)
+    block = _dense(rows)
+    assert block == product_pushout_block(p, s) == snf_pushout_block(p, s), (p, s)
+
+
 def test_pushout_block_matches_snf_oracle(ctx2, ctx3, ctx5):
-    # the closed-form unit pivots give the same quotient basis as a Smith
-    # normal form of the relations, so every block is bit-identical
+    # the closed form Q = G22 - C G12 is the quotient action of the full
+    # product U G U^-1, and the unit pivots give the same quotient basis
+    # as a Smith normal form of the relations, so every block is
+    # bit-identical
     rng = random.Random(3)
     kinds = set()
     for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, classdata.trivial(7))):
@@ -139,9 +156,33 @@ def test_pushout_block_matches_snf_oracle(ctx2, ctx3, ctx5):
                 units = [reps[0], *rng.sample(reps[1:], min(3, len(reps) - 1))]
                 summands += [lat.make_summand(p, ctx, kind, r=r, u=u) for u in units]
         for s in summands:
-            assert mat._pushout_block(p, s) == snf_pushout_block(p, s), (p, s)
+            _assert_pushout_matches_oracles(p, s)
             kinds.add(s.kind)
     assert kinds == set(mat._X_OF_KIND)
+
+
+def test_pushout_block_checks_invariance(ctx3, monkeypatch):
+    # g^p f0 = f0 holds for every f0, since g^p acts trivially on each
+    # coefficient module; letting g act on Z as 2 breaks it for Ec and C
+    component = mat._component
+    monkeypatch.setattr(mat, "_component",
+                        lambda p, name: [[2]] if name == "Z" else component(p, name))
+    for s in (lat.make_summand(3, ctx3, "Ec"), lat.parse("C(0,0;1,1)", 3, ctx3).summands[0]):
+        for build in (mat._pushout_block, product_pushout_block):
+            with pytest.raises(InternalError, match="^relation lattice is not invariant under g$"):
+                build(3, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+def test_pushout_block_property(p, seed):
+    ctx = classdata.trivial(7) if p == 7 else classdata.builtin(p)
+    rng = random.Random(seed)
+    kind = rng.choice([k for k in lat.EXTENSION_KINDS
+                       if lat.r_range(k, p) and (k != "D" or p % 4 == 1)])
+    r = rng.choice(list(lat.r_range(kind, p)))
+    u = rng.choice(ctx.unit_quotient(lat.unit_index(kind, r, p)).reps)
+    _assert_pushout_matches_oracles(p, lat.make_summand(p, ctx, kind, r=r, u=u))
 
 
 def test_validate_rep_trace_path_on_a_wrong_model(ctx2):
@@ -175,6 +216,49 @@ def test_validate_rep_checks_each_distinct_component_once(ctx3, monkeypatch):
     assert len(calls) == len(set(calls)) == len(set(components)) == 4
     assert report.passed
     assert report == dense_validate_rep(rep)
+
+
+def test_rep_of_and_validate_rep_power_each_distinct_block_once(ctx3, monkeypatch):
+    D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + 2*Z + B(0,0;2)", 3, ctx3)
+    calls = []
+    power = mat.sparse_pow
+
+    def counting(A, e):
+        calls.append(e)
+        return power(A, e)
+
+    monkeypatch.setattr(mat, "sparse_pow", counting)
+    mat._component_type.cache_clear()
+    rep = mat.rep_of(D)
+    assert len(calls) == 2 * len(set(D.summands)) == 8
+    report = mat.validate_rep(rep)
+    assert len(calls) == 8
+    assert report.passed
+    assert report == dense_validate_rep(rep)
+
+
+def test_validate_rep_type_comparison_matches_oracle(ctx3):
+    # a model that passes the power check, labelled with descriptors of
+    # the same rank: the char poly check compares rational types, and it
+    # and det(A) must agree with Berkowitz and Bareiss on the whole matrix
+    D = lat.parse("Z + B(0,0;1) + E(0,0;0)", 3, ctx3)
+    rep = mat.rep_of(D)
+    U, Uinv = _unimodular(rep.n, random.Random(5))
+    conj = mat_mul(mat_mul(U, [list(r) for r in rep.matrix]), Uinv)
+    labels = ("Z + B(0,0;1) + E(0,0;0)", "Ec(0) + B(0,0;1) + b(0)", "18*Z",
+              "6*Eb(0)", "3*c(0)", "C(0,0;1,1) + 8*Z")
+    verdicts = set()
+    for A in (rep.matrix, tuple(map(tuple, conj))):
+        for text in labels:
+            label = lat.parse(text, 3, ctx3)
+            assert lat.rank(label) == rep.n == 18
+            report = _assert_matches_oracle(mat.IntegerRep(rep.n, A, label))
+            checks = {c.name: c for c in report.checks}
+            assert checks["power_identity"].ok
+            same = lat.rational_type(label) == lat.rational_type(D)
+            assert checks["char_poly"].ok == same, text
+            verdicts.add(same)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=25, deadline=None)
@@ -410,7 +494,7 @@ def test_validate_rep_large_model(ctx5):
 
 
 def test_rep_of_checks_every_block(ctx3, monkeypatch):
-    monkeypatch.setattr(mat, "_pushout_block", lambda p, s: [[2]])
+    monkeypatch.setattr(mat, "_pushout_block", lambda p, s: [{0: 2}])
     with pytest.raises(InternalError, match=r"^built matrix does not satisfy A\^\(p\^2\) = I$"):
         mat.rep_of(lat.parse("Z + B(0,0;1)", 3, ctx3))
 
