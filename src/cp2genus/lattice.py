@@ -26,6 +26,7 @@ faithfulness) is read off the multiset here.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from typing import Optional
 
@@ -416,6 +417,8 @@ class _Parser:
             self.expect_sym("*")
             if mult < 1:
                 raise ParseError("multiplicity must be >= 1", at)
+            if mult > sys.maxsize:  # [s] * mult would raise OverflowError
+                raise ParseError(f"multiplicity must be <= {sys.maxsize}", at)
         s = self.parse_atom()
         return [s] * mult
 

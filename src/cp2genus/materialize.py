@@ -22,10 +22,17 @@ Phi_1^a Phi_p^b Phi_{p^2}^c and the fixed rank a, comes from tr B and
 tr B^p.  validate_rep then checks the char poly by comparing the summed
 type with the descriptor's (the three cyclotomic factors are distinct
 irreducibles), and det(A) = (-1)^(n + a).  Berkowitz charpoly and Smith
-normal form run only on a block that fails the power check.  The block
-types are memoized by content in one bounded cache (_component_type),
-shared by rep_of's A^(p^2) = I self-check and validate_rep, so a model
-built and then validated powers each distinct block once per process.
+normal form run only on a block that fails the power check.
+
+Two bounded memos keep repeated work out of a process.  The blocks are
+memoized by summand (_summand_block), since a block depends only on
+(p, summand), so rep_of builds each distinct summand once.  The block
+types are memoized by content (_component_type), shared by rep_of's
+A^(p^2) = I self-check and validate_rep, so a model built and then
+validated powers each distinct block once.  The types stay keyed by
+content because validate_rep checks any matrix, not only rep_of's:
+it reads every entry of A on every call, in one C-level scan per row
+(sparse_rows), and takes the components and their blocks from that.
 
 All arithmetic is exact over Python integers; matrices are plain nested
 lists, and sparse rows are lists of {column: nonzero entry} dicts.
@@ -34,6 +41,7 @@ lists, and sparse rows are lists of {column: nonzero entry} dicts.
 from __future__ import annotations
 
 import functools
+from itertools import compress, count
 
 from . import lattice
 from .abelian import AbGroup, diagonal, identity, snf_full
@@ -61,8 +69,14 @@ def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 
 def sparse_rows(A: IntMatrix) -> list:
-    """A as sparse rows: row i is {j: A[i][j]} over the nonzero entries."""
-    return [{j: x for j, x in enumerate(row) if x} for row in A]
+    """A as sparse rows: row i is {j: A[i][j]} over the nonzero entries,
+    in ascending column order.
+
+    compress(count(), row) yields the columns of the truthy entries in
+    C, so the Python-level work is proportional to the nonzero entries,
+    not to the n^2 entries read.
+    """
+    return [{j: row[j] for j in compress(count(), row)} for row in A]
 
 
 def sparse_mul(A: list, B: list) -> list:
@@ -297,38 +311,70 @@ def _is_trivial_class(vec) -> bool:
     return vec is None or all(v == 0 for v in vec)
 
 
+# The bound of both memos (_summand_block and _component_type).  The
+# blocks of rep_of's models are indecomposables: with trivial class data
+# there are 62 at p <= 5 and 269 at p = 7, each with at most p^2 + 1 rows
+# of at most three entries.  128 entries hold every block at p <= 5 and a
+# working set at p = 7, and bound how many arbitrary (possibly dense)
+# components of validated matrices stay pinned.  A summand entry also
+# holds the block's dense rows, at most about 29 KB at p = 7, so that
+# memo stays under 4 MB.
+_TYPE_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_TYPE_MEMO_SIZE)
+def _summand_block(p: int, s) -> tuple:
+    """(B, rows): the block of the trivial-class summand s, as the hashable
+    tuple _block makes (rows in index order, entries in ascending column
+    order) and as a tuple of dense rows.
+
+    A block depends only on (p, s), so it is memoized (at most
+    _TYPE_MEMO_SIZE entries) and rep_of builds each distinct summand once
+    per process.  lru_cache does not cache exceptions, so a summand whose
+    relation lattice fails the invariance check fails on every call.
+    """
+    sparse = (_pushout_block(p, s) if s.kind in _X_OF_KIND
+              else sparse_rows(type_block(p, s.kind)))
+    m = len(sparse)
+    rows = []
+    for entries in sparse:
+        row = [0] * m
+        for j, x in entries.items():
+            row[j] = x
+        rows.append(tuple(row))
+    return _block(sparse, range(m)), tuple(rows)
+
+
 def rep_of(D: LatticeDescriptor) -> IntegerRep:
-    """Materialize a trivial-class descriptor as an integer matrix."""
+    """Materialize a trivial-class descriptor as an integer matrix.
+
+    The blocks come from the memo _summand_block.  A^(p^2) = I holds on a
+    block-diagonal matrix exactly when it holds on every block, so each
+    call checks each distinct block once through _component_type, which
+    keys blocks as validate_rep keys its components: the check is a memo
+    hit after the first call, and validating the result finds every
+    block's type in the memo.
+    """
     p = D.p
     for s in D.summands:
         if not (_is_trivial_class(s.b) and _is_trivial_class(s.c)):
             raise NontrivialClass(
                 "matrix models are built for trivial ideal classes only"
             )
-    # A^(p^2) = I holds on a block-diagonal matrix exactly when it holds
-    # on every block, so each distinct summand is built and checked once;
-    # each block is keyed as validate_rep keys its components, so
-    # validating the result finds every block's type in the memo
     blocks = {}
     for s in D.summands:
-        if s in blocks:
-            continue
-        rows = (_pushout_block(p, s) if s.kind in _X_OF_KIND
-                else sparse_rows(type_block(p, s.kind)))
-        B = _block(rows, range(len(rows)))
-        if _component_type(p, B)[0] == 0:
-            raise InternalError("built matrix does not satisfy A^(p^2) = I")
-        blocks[s] = B
+        if s not in blocks:
+            B, rows = _summand_block(p, s)
+            if _component_type(p, B)[0] == 0:
+                raise InternalError("built matrix does not satisfy A^(p^2) = I")
+            blocks[s] = rows
     n = sum(len(blocks[s]) for s in D.summands)
     matrix, at = [], 0
     for s in D.summands:
-        B = blocks[s]
-        for entries in B:
-            row = [0] * n
-            for j, x in entries:
-                row[at + j] = x
-            matrix.append(tuple(row))
-        at += len(B)
+        rows = blocks[s]
+        left, right = (0,) * at, (0,) * (n - at - len(rows))
+        matrix.extend(left + row + right for row in rows)
+        at += len(rows)
     return IntegerRep(n, tuple(matrix), D)
 
 
@@ -458,14 +504,6 @@ def _block(rows: list, comp) -> tuple:
     ((column, entry), ...) rows in column order."""
     local = {i: k for k, i in enumerate(comp)}
     return tuple(tuple((local[j], x) for j, x in rows[i].items()) for i in comp)
-
-
-# The blocks of rep_of's models are indecomposables: with trivial class
-# data there are 62 at p <= 5 and 269 at p = 7, each with at most
-# p^2 + 1 rows of at most three entries.  128 entries hold every block
-# at p <= 5 and a working set at p = 7 in a few MB, and bound how many
-# arbitrary (possibly dense) components of validated matrices stay pinned.
-_TYPE_MEMO_SIZE = 128
 
 
 @functools.lru_cache(maxsize=_TYPE_MEMO_SIZE)

@@ -560,6 +560,11 @@ def product_pushout_block(p: int, s) -> list:
     return [[row.get(j, 0) for j in range(p, N)] for row in Gy]
 
 
+def enumerate_sparse_rows(A) -> list:
+    """materialize.sparse_rows by a Python-level enumerate of every entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A]
+
+
 def dense_connected_components(A) -> list:
     """materialize.connected_components by a scan of all n^2 entries."""
     n = len(A)

@@ -238,8 +238,10 @@ def test_huge_multiplicity_exit_2(capsys):
     assert err == "error: input too large\n"
 
 
-@pytest.mark.parametrize("descriptor", ["9" * 5000 + "*Z", "\u00b2*Z", "Z + q(0)"],
-                         ids=["5000-digits", "superscript-two", "unknown-kind"])
+@pytest.mark.parametrize("descriptor",
+                         ["9" * 5000 + "*Z", "\u00b2*Z", "Z + q(0)", "99999999999999999999*Z"],
+                         ids=["5000-digits", "superscript-two", "unknown-kind",
+                              "multiplicity-above-maxsize"])
 def test_malformed_descriptor_exit_2(descriptor):
     src = str(Path(cp2genus.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

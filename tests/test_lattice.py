@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +63,14 @@ def test_numerals_are_ascii_and_convertible(ctx3):
             lat.parse(text, 3, ctx3)
         assert err.value.position == at, text
     assert "5000 digits" in str(err.value)
+
+
+def test_multiplicity_above_maxsize_is_a_parse_error(ctx3):
+    # [s] * mult raises OverflowError for mult > sys.maxsize
+    for text, at in (("99999999999999999999*Z", 0), (f"Z + {sys.maxsize + 1}*c(0)", 4)):
+        with pytest.raises(ParseError, match="^multiplicity must be <= ") as err:
+            lat.parse(text, 3, ctx3)
+        assert err.value.position == at, text
 
 
 def test_parse_multiplicity_and_whitespace(ctx3):

@@ -12,6 +12,7 @@ from oracles import (
     dense_charpoly,
     dense_connected_components,
     dense_validate_rep,
+    enumerate_sparse_rows,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -89,6 +90,18 @@ def test_charpoly_matches_dense_oracle():
                 A = [[rng.randint(-3, 3) if rng.random() < density else 0
                       for _ in range(n)] for _ in range(n)]
                 assert mat.charpoly(A) == dense_charpoly(A), A
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**80, 2**80)),
+             min_size=n, max_size=n),
+    max_size=n)))
+def test_sparse_rows_matches_enumerate_oracle(A):
+    # same entries in the same (ascending) column order, for lists and tuples
+    want = [list(row.items()) for row in enumerate_sparse_rows(A)]
+    for M in (A, tuple(map(tuple, A))):
+        assert [list(row.items()) for row in mat.sparse_rows(M)] == want
 
 
 def test_sparse_pow_matches_dense_oracle():
@@ -493,13 +506,22 @@ def test_validate_rep_large_model(ctx5):
     assert mat.validate_rep(rep).passed
 
 
-def test_rep_of_checks_every_block(ctx3, monkeypatch):
+@pytest.fixture
+def fresh_block_memo():
+    """An empty summand-block memo, emptied again afterwards so that no
+    block built under a monkeypatch outlives the test."""
+    mat._summand_block.cache_clear()
+    yield
+    mat._summand_block.cache_clear()
+
+
+def test_rep_of_checks_every_block(ctx3, fresh_block_memo, monkeypatch):
     monkeypatch.setattr(mat, "_pushout_block", lambda p, s: [{0: 2}])
     with pytest.raises(InternalError, match=r"^built matrix does not satisfy A\^\(p\^2\) = I$"):
         mat.rep_of(lat.parse("Z + B(0,0;1)", 3, ctx3))
 
 
-def test_rep_of_builds_each_distinct_summand_once(ctx3, monkeypatch):
+def test_rep_of_builds_each_distinct_summand_once(ctx3, fresh_block_memo, monkeypatch):
     D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + B(0,0;2)", 3, ctx3)
     calls = []
     build = mat._pushout_block
@@ -515,3 +537,48 @@ def test_rep_of_builds_each_distinct_summand_once(ctx3, monkeypatch):
     copies = [[list(r) for r in mat.rep_of(lat.descriptor(3, ctx3, [s])).matrix]
               for s in D.summands]
     assert [list(r) for r in rep.matrix] == mat.block_diag(copies)
+
+
+def test_rep_of_builds_each_summand_block_once_per_process(ctx3, fresh_block_memo, monkeypatch):
+    D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + C(0,0;1,1)", 3, ctx3)
+    calls = []
+    build = mat._pushout_block
+
+    def counting(p, s):
+        calls.append(s)
+        return build(p, s)
+
+    monkeypatch.setattr(mat, "_pushout_block", counting)
+    first = mat.rep_of(D)
+    assert len(calls) == 3
+    del calls[:]
+    assert mat.rep_of(D) == first
+    assert calls == []
+    assert mat.validate_rep(first) == dense_validate_rep(first)
+
+
+def test_summand_block_memo_is_bounded():
+    assert mat._summand_block.cache_info().maxsize == mat._TYPE_MEMO_SIZE
+    assert mat._component_type.cache_info().maxsize == mat._TYPE_MEMO_SIZE
+
+
+def test_validate_rep_reads_a_corrupted_copy_with_warm_memos(ctx3):
+    # the memos hold D's blocks and block types; a corrupted copy of its
+    # matrix must still be read entry by entry and judged as the whole-
+    # matrix oracle judges it
+    D = lat.parse("B(0,0;1) + 2*E(0,0;0) + Z", 3, ctx3)
+    rep = mat.rep_of(D)
+    assert mat.validate_rep(rep).passed
+    rng = random.Random(17)
+    failed = 0
+    for _ in range(12):
+        A = [list(r) for r in rep.matrix]
+        i, j = rng.randrange(rep.n), rng.randrange(rep.n)
+        A[i][j] += rng.choice((-2, -1, 1, 3))
+        bad = mat.IntegerRep(rep.n, tuple(map(tuple, A)), D)
+        failed += not _assert_matches_oracle(bad).passed
+    # some changes keep every invariant (an off-block entry can leave the
+    # order and type alone); most do not
+    assert failed >= 6
+    assert mat.rep_of(D) == rep
+    assert mat.validate_rep(rep).passed
