@@ -65,7 +65,8 @@ class ClassData(Value):
 
     def unit_quotient(self, m: int) -> UnitQuotient:
         """U_m computed with any configured extra unit generators."""
-        return compute_Um(self.p, m, self.extra_R_unit_gens, self.extra_ES_unit_gens)
+        extra = self.extra_ES_unit_gens if m == self.p else self.extra_R_unit_gens
+        return compute_Um(self.p, m, extra)
 
 
 def _trivial_class_action(p: int, i: int) -> CyclicAction:

@@ -551,14 +551,14 @@ def _component_type(p: int, B: tuple) -> tuple:
 def validate_rep(rep: IntegerRep) -> RepReport:
     """Check the matrix model against everything the descriptor predicts.
 
-    The checks run per connected component of A, taken from the sparse
-    rows of A (read once), so any IntegerRep is checked, not only the
-    block structure rep_of built; equal components are checked once.
-    Each invariant of the block-diagonal form is exact: A^(p^2) = I on
-    every block, the char poly is the product over blocks, the order is
-    the lcm of the block orders (0 if any fails to divide p^2), and
-    rank(A - I) is the sum of the block ranks.  det(A) is
-    (-1)^n charpoly(A)(0).
+    A matrix that is not n x n is a Cp2Error.  The checks run per
+    connected component of A, taken from the sparse rows of A (read
+    once), so any IntegerRep is checked, not only the block structure
+    rep_of built; equal components are checked once.  Each invariant
+    of the block-diagonal form is exact: A^(p^2) = I on every block, the
+    char poly is the product over blocks, the order is the lcm of the
+    block orders (0 if any fails to divide p^2), and rank(A - I) is the
+    sum of the block ranks.  det(A) is (-1)^n charpoly(A)(0).
 
     Powers are taken on sparse rows.  A block with B^(p^2) = I gets its
     rational type, and so its char poly and fixed rank, from tr B and
@@ -570,7 +570,9 @@ def validate_rep(rep: IntegerRep) -> RepReport:
     """
     D = rep.source
     p = D.p
-    A = rep.matrix
+    A, n = rep.matrix, rep.n
+    if len(A) != n or any(len(row) != n for row in A):
+        raise Cp2Error(f"the matrix of g is not {n} x {n}")
     rows = sparse_rows(A)
     types = {}
     total, chis, fixed, orders = [0, 0, 0], [], 0, []
@@ -590,13 +592,13 @@ def validate_rep(rep: IntegerRep) -> RepReport:
         # for the summed type; the three are distinct irreducibles, so it
         # equals the prediction exactly when the exponents do
         char_ok = tuple(total) == predicted
-        det = (-1) ** (len(A) + total[0])  # Phi_1(0) = -1, the others 1
+        det = (-1) ** (n + total[0])  # Phi_1(0) = -1, the others 1
     else:
         got = cyclotomic_product(p, *total)
         for chi in chis:
             got = polymul_z(got, chi)
         char_ok = got == predicted_charpoly(D)
-        det = (-1) ** len(A) * got[0]
+        det = (-1) ** n * got[0]
     checks = []
 
     checks.append(RepCheck("power_identity", power_ok, f"A^{p*p} == I: {power_ok}"))

@@ -5,25 +5,29 @@ coeffs[0] + coeffs[1]*l + ... + coeffs[m-1]*l^(m-1) with l^m = 0.
 The variable l stands for g - 1, where g generates a cyclic group of
 order p^2; the image of g is therefore 1 + l.
 
-The module also builds the subgroups of the unit group generated by
-images of the classical unit families of the cyclotomic rings Z[zeta_p],
-Z[zeta_{p^2}] and of the group ring Z C_p, and the quotients U_m of the
-full unit group by those subgroups, with a canonical set of coset
+The module also builds the quotients U_m, 0 <= m <= p, of the full unit
+group by the images of the unit groups of Z[zeta_p] (m < p) and of
+Z C_p and Z[zeta_{p^2}] (m = p), with a canonical set of coset
 representatives (the "U~_m" sets: every representative has constant
-coefficient 1).  Nothing lists the unit group, whose order is
-(p-1)*p^(m-1): the unit group is F_p^* times the p-group 1 + lR, whose
-filtration by degree has graded pieces F_p, so a subgroup is kept as its
-constant terms and one pivot unit per occupied degree, and the canonical
-representative of a coset comes from clearing the pivot degrees.  For
-m <= p the p-group 1 + lR has exponent p, so this sift is an F_p row
-echelon.  The cyclotomic units Delta_l are binomial coefficient vectors,
-so U_7 at p = 7 builds in milliseconds and U_37 at p = 37 in about a
-second.
+coefficient 1).  One generator list serves every m: -1, 1 + l, the
+cyclotomic units Delta_2 .. Delta_{p-1}, and at m = p also
+1 + l^(p-1); by Lucas's theorem these p + 1 units generate the same
+image as the p^2 - p + 1 classical ones (see compute_Um).  Nothing
+lists the unit group, whose order is (p-1)*p^(m-1): it is F_p^* times
+the p-group 1 + lR, which for m <= p has exponent p and is an F_p-space
+filtered by degree with graded pieces F_p.  So a subgroup is kept as
+its constant terms and one pivot unit per occupied degree, found in one
+echelon pass over the generators, and the canonical representative of
+a coset comes from clearing the pivot degrees with the same routine.
+The cyclotomic units Delta_l are binomial coefficient vectors, so U_7
+at p = 7 builds in under a millisecond, U_53 at p = 53 in about 0.1 s
+and U_100 at p = 101 in about 1.3 s.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -236,16 +240,17 @@ def _leading_degree(coeffs) -> int | None:
 
 
 class UnitSubgroup(Value):
-    """A subgroup H of u(F_p[l]/(l^m)), kept by its structure, not its elements.
+    """A subgroup H of u(F_p[l]/(l^m)), m <= p, kept by its structure, not
+    its elements.
 
     The unit group is F_p^* x (1 + lR): the scalars times a p-group.  So
     H = C x H_1, where C (constants) is the set of constant terms of
-    elements of H, which H holds as scalars, and H_1 = H ∩ (1 + lR).  The
-    filtration of 1 + lR by the 1 + l^d R has graded pieces ≅ F_p, so H_1
-    has a filtered echelon basis (an induced polycyclic sequence): at most
-    one pivot 1 + l^d + (higher terms) per degree d, listed by increasing
-    degree, the p-th power of each a product of later ones.  Every element
-    of H_1 is then a unique product of pivot powers e_d^a, 0 <= a < p.
+    elements of H, which H holds as scalars, and H_1 = H ∩ (1 + lR).  For
+    m <= p, (1 + x)^p = 1 + x^p = 1 on 1 + lR, so H_1 is an F_p-space, and
+    the filtration by the 1 + l^d R, whose graded pieces are F_p, gives it
+    an echelon basis: at most one pivot 1 + l^d + (higher terms) per
+    degree d, listed by increasing degree.  Every element of H_1 is then a
+    unique product of pivot powers e_d^a, 0 <= a < p.
     generators and pivots are PolyMod tuples, constants a frozenset of ints.
     """
 
@@ -257,44 +262,8 @@ class UnitSubgroup(Value):
 
     @cached_property
     def _clearing(self) -> tuple[tuple[int, tuple], ...]:
-        """(d, table) per pivot e_d, where table[a] lists the nonzero terms
-        (j, coefficient), j >= d, of e_d^(p-a) - 1: the factor e_d^(p-a)
-        turns a coefficient a at l^d of a constant-1 element into 0.  The
-        powers e_d, e_d^2, ..., e_d^(p-1) take p - 2 products per pivot."""
-        p = self.p
-        out = []
-        for e in self.pivots:
-            d = _leading_degree(e.coeffs)
-            powers = [e]  # powers[k - 1] = e^k
-            for _ in range(p - 2):
-                powers.append(poly_mul(powers[-1], e))
-            table = [()]
-            for a in range(1, p):
-                q = powers[p - a - 1].coeffs
-                table.append(tuple((j, q[j]) for j in range(d, self.m) if q[j]))
-            out.append((d, tuple(table)))
-        return tuple(out)
-
-    def _normal_form(self, coeffs) -> list[int]:
-        """The unit with coefficients coeffs scaled to constant 1, then
-        multiplied by pivot powers to clear each pivot degree in
-        increasing order (a lower degree never changes again)."""
-        p, m = self.p, self.m
-        c = pow(coeffs[0], -1, p)
-        v = [c * a % p for a in coeffs]
-        for d, table in self._clearing:
-            a = v[d]
-            if a:
-                terms = table[a]
-                # v *= 1 + sum of the terms, in place, top degree first
-                for i in range(m - 1, d - 1, -1):
-                    s = v[i]
-                    for j, q in terms:
-                        if j > i:
-                            break
-                        s += q * v[i - j]
-                    v[i] = s % p
-        return v
+        """_pivot_clearing(e) per pivot e, by increasing degree."""
+        return tuple(map(_pivot_clearing, self.pivots))
 
     def __contains__(self, x) -> bool:
         if not isinstance(x, PolyMod) or x.p != self.p or x.m != self.m:
@@ -303,23 +272,64 @@ class UnitSubgroup(Value):
             return True
         if x.coeffs[0] not in self.constants:
             return False
-        return not any(self._normal_form(x.coeffs)[1:])
+        return not any(_clear(x.coeffs, self._clearing, self.p)[1:])
+
+
+def _pivot_clearing(e: PolyMod) -> tuple[int, tuple]:
+    """(d, table) for the pivot e = 1 + l^d + ..., where table[a],
+    1 <= a < p, lists the nonzero terms (j, coefficient), j >= d, of
+    e^(p-a) - 1: the factor e^(p-a) turns a coefficient a at l^d of a
+    constant-1 element into 0.  The powers e, e^2, ..., e^(p-1) take
+    p - 2 products."""
+    p, m, d = e.p, e.m, _leading_degree(e.coeffs)
+    powers = [e]  # powers[k - 1] = e^k
+    for _ in range(p - 2):
+        powers.append(poly_mul(powers[-1], e))
+    table = [()]
+    for a in range(1, p):
+        q = powers[p - a - 1].coeffs
+        table.append(tuple((j, q[j]) for j in range(d, m) if q[j]))
+    return d, tuple(table)
+
+
+def _clear(coeffs, clearing, p: int) -> list[int]:
+    """The unit with coefficients coeffs scaled to constant 1, then
+    multiplied by the pivot powers that clear each pivot degree of
+    clearing, (d, table) pairs by increasing d; a lower degree never
+    changes again."""
+    c = pow(coeffs[0], -1, p)
+    v = [c * a % p for a in coeffs]
+    m = len(v)
+    for d, table in clearing:
+        a = v[d]
+        if a:
+            terms = table[a]
+            # v *= 1 + sum of the terms, in place, top degree first
+            for i in range(m - 1, d - 1, -1):
+                s = v[i]
+                for j, q in terms:
+                    if j > i:
+                        break
+                    s += q * v[i - j]
+                v[i] = s % p
+    return v
 
 
 def subgroup_closure(gens) -> UnitSubgroup:
-    """The subgroup generated by the given units.
+    """The subgroup generated by the given units of F_p[l]/(l^m), m <= p.
 
     C is the subgroup of F_p^* generated by the constant terms.  Each
-    generator, divided by its constant term, lies in H_1 and is sifted:
-    multiplied by pivot powers while its leading degree has a pivot.  A
-    remainder 1 + a l^d + ... becomes the pivot at d after raising it to
-    the power 1/a mod p, and that pivot's p-th power is sifted in turn, so
-    the pivots end up closed under p-th powers.
+    generator, divided by its constant term, lies in H_1; the pivots found
+    so far clear its pivot degrees, and a remainder 1 + a l^d + ... other
+    than 1 becomes the pivot at d after raising it to the power 1/a mod p.
+    H_1 has exponent p, so one pass over the generators closes it.
     """
     gens = tuple(gens)
     if not gens:
         raise Cp2Error("subgroup_closure needs at least one generator")
     p, m = gens[0].p, gens[0].m
+    if m > p:
+        raise Cp2Error(f"subgroup_closure needs m <= p, got m={m} at p={p}")
     for g in gens:
         _same_ambient(gens[0], g)
         if not g.is_unit():
@@ -334,24 +344,18 @@ def subgroup_closure(gens) -> UnitSubgroup:
                 constants.add(y)
                 frontier.append(y)
     pivots: dict[int, PolyMod] = {}
-    # pivots[d]^e by (d, e); a pivot never changes once set
-    powers: dict[tuple[int, int], PolyMod] = {}
-    queue = [poly_mul(g, poly(p, m, (pow(g.coeffs[0], -1, p),))) for g in gens]
-    while queue:
-        x = queue.pop()
-        d = _leading_degree(x.coeffs)
-        while d in pivots:
-            key = (d, p - x.coeffs[d])
-            if key not in powers:
-                powers[key] = poly_pow(pivots[d], key[1])
-            x = poly_mul(x, powers[key])
-            d = _leading_degree(x.coeffs)
+    clearing: list[tuple[int, tuple]] = []
+    for g in gens:
+        v = _clear(g.coeffs, clearing, p)
+        d = _leading_degree(v)
         if d is not None:
-            pivots[d] = poly_pow(x, pow(x.coeffs[d], -1, p))
-            queue.append(poly_pow(pivots[d], p))
-    return UnitSubgroup(
+            pivots[d] = e = poly_pow(PolyMod(p, m, tuple(v)), pow(v[d], -1, p))
+            insort(clearing, _pivot_clearing(e))
+    sub = UnitSubgroup(
         p, m, gens, frozenset(constants), tuple(pivots[d] for d in sorted(pivots))
     )
+    vars(sub)["_clearing"] = tuple(clearing)  # primes the cached property
+    return sub
 
 
 def _as_polys(p: int, m: int, raw_gens) -> list[PolyMod]:
@@ -364,41 +368,6 @@ def _as_polys(p: int, m: int, raw_gens) -> list[PolyMod]:
         else:
             out.append(poly(p, m, g, truncate=True))
     return out
-
-
-@lru_cache(maxsize=None)
-def image_of_R_units(p: int, m: int, extra_gens: tuple = ()) -> UnitSubgroup:
-    """Subgroup of u(F_p[l]/(l^m)) generated by images of units of Z[zeta_p].
-
-    Default generators: -1, the image 1+l of zeta_p, and the cyclotomic
-    units Delta_l for 2 <= l <= p-1.  These generate the full unit group
-    of Z[zeta_p] for p <= 7; extra generators may be configured for
-    larger primes.  Requires 1 <= m <= p-1.
-    """
-    if not 1 <= m <= p - 1:
-        raise Cp2Error(f"image_of_R_units needs 1 <= m <= p-1, got m={m}")
-    gens = [poly(p, m, (p - 1,)), poly_add(one(p, m), lam(p, m))]
-    gens.extend(delta_poly(p, m, l) for l in range(2, p))
-    gens.extend(_as_polys(p, m, extra_gens))
-    return subgroup_closure(gens)
-
-
-@lru_cache(maxsize=None)
-def image_of_ES_units(p: int, extra_gens: tuple = ()) -> UnitSubgroup:
-    """Subgroup of u(F_p[l]/(l^p)) generated by images of units of
-    Z C_p and of Z[zeta_{p^2}].
-
-    Default generators: -1 and 1+l (covering the trivial units of both
-    rings) and the cyclotomic units Delta_l(zeta_{p^2}) for l coprime
-    to p, 2 <= l < p^2.  Nontrivial units of Z C_p (p >= 5) are not
-    covered by a known finite family, so without extra generators the
-    computed subgroup is a lower bound for the true image.
-    """
-    m = p
-    gens = [poly(p, m, (p - 1,)), poly_add(one(p, m), lam(p, m))]
-    gens.extend(delta_poly(p, m, l) for l in range(2, p * p) if l % p != 0)
-    gens.extend(_as_polys(p, m, extra_gens))
-    return subgroup_closure(gens)
 
 
 class UnitQuotient(Value):
@@ -432,9 +401,6 @@ class UnitQuotient(Value):
             out.append(PolyMod(self.p, self.m, tuple(v[: self.m])))
         return tuple(out)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def rep_of(self, u: PolyMod) -> PolyMod:
         """Canonical representative of the coset of u."""
         if self.m == 0:
@@ -445,7 +411,8 @@ class UnitQuotient(Value):
             raise NonUnit(f"{u} is not a unit")
         if not self.free_degrees:
             return self.reps[0]
-        return PolyMod(self.p, self.m, tuple(self.subgroup._normal_form(u.coeffs)))
+        v = _clear(u.coeffs, self.subgroup._clearing, self.p)
+        return PolyMod(self.p, self.m, tuple(v))
 
 
 def _quotient(p: int, m: int, subgroup: UnitSubgroup) -> UnitQuotient:
@@ -467,20 +434,38 @@ def _quotient(p: int, m: int, subgroup: UnitSubgroup) -> UnitQuotient:
 
 
 @lru_cache(maxsize=None)
-def compute_Um(
-    p: int, m: int, extra_R_gens: tuple = (), extra_ES_gens: tuple = ()
-) -> UnitQuotient:
-    """The factor group U_m.
+def compute_Um(p: int, m: int, extra_gens: tuple = ()) -> UnitQuotient:
+    """The factor group U_m, 0 <= m <= p.
 
-    U_0 is trivial; for 1 <= m <= p-1 the quotient is by the image of
-    u(Z[zeta_p]); for m = p it is by the image of u(Z C_p) * u(Z[zeta_{p^2}]).
+    U_0 is trivial.  For 1 <= m <= p - 1 the quotient is by the image of
+    u(Z[zeta_p]), for m = p by the image of u(Z C_p) * u(Z[zeta_{p^2}]);
+    extra_gens (coefficient vectors or PolyMods) join either image.
+
+    The default generators are -1, the image 1+l of zeta_p (at m = p
+    also of zeta_{p^2} and of the generator of C_p), the cyclotomic units
+    Delta_l for 2 <= l <= p-1 and, at m = p, 1 + l^(p-1) = Delta_{p+1}.
+    At m = p these generate the whole image of the cyclotomic units
+    Delta_l(zeta_{p^2}), p not dividing l < p^2.  By Lucas's theorem
+    (1+x)^(l0 + p*l1) = (1+x)^l0 (1 + l1 x^p) mod (p, x^(p+1)), so
+    Delta_(l0 + p*l1) = Delta_l0 * (1 + (l1/l0) l^(p-1)) mod (p, l^p),
+    and 1 + c l^(p-1) is (1 + l^(p-1))^c (Washington, Introduction to
+    Cyclotomic Fields, ch. 8).  That is p + 1 generators instead of
+    p^2 - p + 1.  At every prime p <= 37 the others already generate
+    1 + l^(p-1) (a test checks this); it is listed so that the equality
+    rests on the argument above for every p.
+
+    Two caveats.  The default generators give all units of Z[zeta_p]
+    only for p <= 7.  Nontrivial units of Z C_p (p >= 5) are not covered
+    by a known finite family, so without extra generators the image at
+    m = p is a lower bound for the true image.
     """
     if m < 0 or m > p:
         raise Cp2Error(f"U_m is defined for 0 <= m <= p, got m={m}")
     if m == 0:
         return UnitQuotient(p, 0, UnitSubgroup(p, 0, (), frozenset({1}), ()), ())
+    gens = [poly(p, m, (p - 1,)), poly_add(one(p, m), lam(p, m))]
+    gens.extend(delta_poly(p, m, l) for l in range(2, p))
     if m == p:
-        sub = image_of_ES_units(p, extra_ES_gens)
-    else:
-        sub = image_of_R_units(p, m, extra_R_gens)
-    return _quotient(p, m, sub)
+        gens.append(delta_poly(p, m, p + 1))
+    gens.extend(_as_polys(p, m, extra_gens))
+    return _quotient(p, m, subgroup_closure(gens))

@@ -5,7 +5,9 @@ point, walking the powers of a unit for its order, applying the
 generator matrix power by power, twisting a descriptor and re-deriving
 its invariants, scanning every Galois unit for a twist, substituting
 (1+l)^k - 1 for l with the unreduced k, listing a unit group and its
-cosets element by element, summing a cyclotomic unit power by power, validating a
+cosets element by element, closing a unit subgroup by the general
+sift with a p-th-power requeue, listing the p^2 - p + 1 classical ES
+generators, summing a cyclotomic unit power by power, validating a
 matrix model on the whole matrix with dense powers and a Smith normal
 form instead of per connected component, counting the root 1 of a
 char poly by synthetic division instead of reading it off traces,
@@ -442,6 +444,61 @@ def closure_elements(gens: tuple[PolyMod, ...]) -> frozenset[PolyMod]:
             x = poly_mul(x, g)
         elements |= new
     return frozenset(elements)
+
+
+def es_family(p: int) -> list[PolyMod]:
+    """The classical generators of the ES image in F_p[l]/(l^p): -1, 1+l
+    and every cyclotomic unit Delta_l(zeta_{p^2}), 2 <= l < p^2, p not
+    dividing l: p^2 - p + 1 units."""
+    gens = [modring.poly(p, p, (p - 1,)), modring.poly(p, p, (1, 1))]
+    gens.extend(modring.delta_poly(p, p, l) for l in range(2, p * p) if l % p)
+    return gens
+
+
+def sift_closure(gens) -> tuple[frozenset, dict]:
+    """(constants, pivots by degree) of the subgroup the units gens
+    generate, by the general sift: each generator, divided by its constant
+    term, is multiplied by pivot powers while its leading degree has a
+    pivot; a remainder 1 + a l^d + ... becomes the pivot at d after
+    raising it to the power 1/a, and that pivot's p-th power is requeued,
+    so the pivots are closed under p-th powers for any m."""
+    p, m = gens[0].p, gens[0].m
+    constants, frontier = {1}, [1]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g.coeffs[0] % p
+            if y not in constants:
+                constants.add(y)
+                frontier.append(y)
+    pivots: dict[int, PolyMod] = {}
+    queue = [poly_mul(g, modring.poly(p, m, (pow(g.coeffs[0], -1, p),))) for g in gens]
+    while queue:
+        x = sift(pivots, queue.pop())
+        d = modring._leading_degree(x.coeffs)
+        if d is not None:
+            pivots[d] = modring.poly_pow(x, pow(x.coeffs[d], -1, p))
+            queue.append(modring.poly_pow(pivots[d], p))
+    return frozenset(constants), pivots
+
+
+def sift(pivots: dict, x: PolyMod) -> PolyMod:
+    """x, of constant term 1, times pivot powers while its leading degree
+    has a pivot."""
+    d = modring._leading_degree(x.coeffs)
+    while d in pivots:
+        x = poly_mul(x, modring.poly_pow(pivots[d], x.p - x.coeffs[d]))
+        d = modring._leading_degree(x.coeffs)
+    return x
+
+
+def sift_member(constants: frozenset, pivots: dict, x: PolyMod) -> bool:
+    """Whether the unit x lies in the subgroup that sift_closure gave."""
+    c = x.coeffs[0]
+    if c not in constants:
+        return False
+    x = poly_mul(x, modring.poly(x.p, x.m, (pow(c, -1, x.p),)))
+    return sift(pivots, x) == modring.one(x.p, x.m)
 
 
 def brute_quotient(p: int, m: int, elements: frozenset[PolyMod]):

@@ -118,7 +118,7 @@ def test_criterion_4_galois_unit_identity(ctxs):
             zero_vec = (0,) * m
             units = [u.coeffs for u in unit_group(p, m)]
             ks = [k for k in range(1, p * p) if k % p != 0]
-            r_image = mr.image_of_R_units(p, p - 1)
+            r_image = mr.compute_Um(p, p - 1).subgroup
             for k in ks:
                 one_plus = mr.poly_add(mr.one(p, m), mr.lam(p, m))
                 mu = mr.poly_sub(mr.poly_pow(one_plus, k), mr.one(p, m)).coeffs

@@ -211,6 +211,25 @@ def test_validate_rep_trace_path_on_a_wrong_model(ctx2):
                       "fixed_rank": "rank ker(A - I) = 1, expected 2"}
 
 
+def test_validate_rep_rejects_a_short_row(ctx2):
+    rep = mat.IntegerRep(2, ((1,), (0, 1)), lat.parse("Z + Z", 2, ctx2))
+    with pytest.raises(Cp2Error, match="not 2 x 2"):
+        mat.validate_rep(rep)
+
+
+def test_validate_rep_rejects_a_long_row(ctx2):
+    rep = mat.IntegerRep(2, ((1, 0, 1), (0, 1)), lat.parse("Z + Z", 2, ctx2))
+    with pytest.raises(Cp2Error, match="not 2 x 2"):
+        mat.validate_rep(rep)
+
+
+def test_validate_rep_rejects_n_unequal_to_the_matrix_size(ctx2):
+    D = lat.parse("Z + Z", 2, ctx2)
+    rep = mat.IntegerRep(3, mat.rep_of(D).matrix, D)
+    with pytest.raises(Cp2Error, match="not 3 x 3"):
+        mat.validate_rep(rep)
+
+
 def test_validate_rep_checks_each_distinct_component_once(ctx3, monkeypatch):
     D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + 2*Z + B(0,0;2)", 3, ctx3)
     rep = mat.rep_of(D)

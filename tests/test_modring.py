@@ -4,15 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cp2genus import modring as mr
 from cp2genus.errors import AmbientMismatch, Cp2Error, InternalError, NonUnit
+
 from oracles import (
     brute_quotient,
     closure_elements,
     delta_by_products,
+    es_family,
     galois_by_substitution,
     poly_shift,
+    sift_closure,
+    sift_member,
     unit_group,
 )
 
@@ -78,9 +83,7 @@ def test_subgroup_closure_examples():
 
 
 def test_subgroup_closure_closed_under_product_and_inverse():
-    # with m > p, (1+l)^p = 1 + l^p is a new pivot that only the p-th power step finds
-    for gens in ([mr.poly(5, 3, (2, 1))], [mr.poly(3, 3, (1, 1)), mr.poly(3, 3, (2,))],
-                 [mr.poly(2, 4, (1, 1))], [mr.poly(3, 5, (2, 1))]):
+    for gens in ([mr.poly(5, 3, (2, 1))], [mr.poly(3, 3, (1, 1)), mr.poly(3, 3, (2,))]):
         sub = mr.subgroup_closure(gens)
         elements = closure_elements(tuple(gens))
         assert sub.order == len(elements)
@@ -95,25 +98,100 @@ def test_subgroup_closure_rejects_non_unit():
         mr.subgroup_closure([mr.lam(3, 2)])
 
 
+def test_subgroup_closure_rejects_m_above_p():
+    # 1 + lR has exponent p only for m <= p; the library builds nothing larger
+    for p, m in ((2, 3), (2, 4), (3, 4), (3, 5), (5, 6)):
+        with pytest.raises(Cp2Error, match="m <= p"):
+            mr.subgroup_closure([mr.poly(p, m, (1, 1))])
+
+
+@st.composite
+def unit_generator_sets(draw):
+    """One to five random units of F_p[l]/(l^m), p in {2, 3, 5, 7}, m <= p."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    m = draw(st.integers(1, p))
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        c0 = draw(st.integers(1, p - 1))
+        rest = draw(st.lists(st.integers(0, p - 1), min_size=m - 1, max_size=m - 1))
+        gens.append(mr.PolyMod(p, m, (c0, *rest)))
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_generator_sets(), st.randoms(use_true_random=False))
+def test_subgroup_closure_matches_sift_oracle(gens, rng):
+    # same order, same pivot degrees, same membership as the general sift
+    # with its p-th-power requeue
+    p, m = gens[0].p, gens[0].m
+    sub = mr.subgroup_closure(gens)
+    constants, pivots = sift_closure(gens)
+    assert sub.constants == constants
+    assert sub.order == len(constants) * p ** len(pivots)
+    assert [mr._leading_degree(e.coeffs) for e in sub.pivots] == sorted(pivots)
+    samples = [mr.PolyMod(p, m, (rng.randrange(1, p),)
+                          + tuple(rng.randrange(p) for _ in range(m - 1)))
+               for _ in range(20)]
+    for _ in range(10):  # members that are not generators
+        x = mr.one(p, m)
+        for g in gens:
+            x = mr.poly_mul(x, mr.poly_pow(g, rng.randrange(p * p)))
+        samples.append(x)
+    for u in gens + samples:
+        assert (u in sub) == sift_member(constants, pivots, u), u
+
+
 def test_image_of_R_units():
     for p in (3, 5):
-        img = mr.image_of_R_units(p, 1)
+        img = mr.compute_Um(p, 1).subgroup
         assert img.order == p - 1 and all(u in img for u in unit_group(p, 1))
-    assert mr.image_of_R_units(2, 1).order == 1 and mr.one(2, 1) in mr.image_of_R_units(2, 1)
+    img = mr.compute_Um(2, 1).subgroup
+    assert img.order == 1 and mr.one(2, 1) in img
     with pytest.raises(Cp2Error):
-        mr.image_of_R_units(3, 3)  # m must be <= p-1
+        mr.compute_Um(3, 4)  # m must be <= p
     with pytest.raises(Cp2Error):
-        mr.image_of_R_units(3, 0)
+        mr.compute_Um(3, -1)
 
 
 def test_image_of_ES_units():
-    es2 = mr.image_of_ES_units(2)
+    es2 = mr.compute_Um(2, 2).subgroup
     assert es2.order == 2 and all(u in es2 for u in unit_group(2, 2))
-    es3 = mr.image_of_ES_units(3)
+    es3 = mr.compute_Um(3, 3).subgroup
     assert mr.poly(3, 3, (1, 1)) in es3
     assert mr.poly(3, 3, (2,)) in es3
     for p in (2, 3, 5):
-        assert mr.one(p, p) in mr.image_of_ES_units(p)
+        assert mr.one(p, p) in mr.compute_Um(p, p).subgroup
+
+
+def test_delta_lucas_identity():
+    # Delta_(l0 + p*l1) = Delta_l0 * (1 + (l1/l0) l^(p-1)) in F_p[l]/(l^p),
+    # and l1 l^(p-1) when p divides l
+    for p in (2, 3, 5, 7, 11, 13):
+        for l in range(1, p * p):
+            l0, l1 = l % p, l // p
+            if l0:
+                twist = mr.poly(p, p, (1,) + (0,) * (p - 2) + (l1 * pow(l0, -1, p),))
+                expected = mr.poly_mul(mr.delta_poly(p, p, l0), twist)
+            else:
+                expected = mr.poly(p, p, (0,) * (p - 1) + (l1,))
+            assert mr.delta_poly(p, p, l) == expected, (p, l)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+def test_es_family_lies_in_Um_at_m_p(p):
+    # the p + 1 default generators belong to the classical family, so every
+    # member lying in the image makes the two subgroups equal
+    sub = mr.compute_Um(p, p).subgroup
+    family = es_family(p)
+    assert len(family) == p * p - p + 1
+    assert set(sub.generators) <= set(family)
+    for u in family:
+        assert u in sub, (p, u)
+    # 1 + l^(p-1) = Delta_{p+1} is listed for the Lucas argument, but the
+    # other default generators already give it
+    top = sub.generators[-1]
+    assert top == mr.delta_poly(p, p, p + 1) == mr.poly(p, p, (1,) + (0,) * (p - 2) + (1,))
+    assert top in mr.subgroup_closure(sub.generators[:-1])
 
 
 def test_compute_Um_facts():
@@ -249,7 +327,7 @@ def test_delta_poly_matches_products():
 
 def test_delta_truncations_in_R_image():
     for p in (2, 3, 5):
-        img = mr.image_of_R_units(p, p - 1)
+        img = mr.compute_Um(p, p - 1).subgroup
         for k in range(1, p * p):
             if k % p == 0:
                 continue
@@ -332,7 +410,7 @@ def test_bass_cyclic_units_lie_in_ES_image(p):
     # Bass's cyclic units u_k = (1+g+...+g^(k-1))^(p-1) + ((1-k^(p-1))/p) N of
     # Z C_p, k = 2..p-2, map under g -> 1+l to Delta_k^(p-1) + c l^(p-1),
     # because the norm element N = ((1+l)^p - 1)/l is l^(p-1) mod p
-    image = mr.image_of_ES_units(p)
+    image = mr.compute_Um(p, p).subgroup
     top = mr.poly(p, p, (0,) * (p - 1) + (1,))
     for k in range(2, p - 1):
         c = (1 - k ** (p - 1)) // p
