@@ -8,14 +8,16 @@ given in the DSL (see lattice module docstring), for example
     cp2genus um --p 2 --m 2
 
 Boolean decisions print a verdict and exit 0; with --quiet they print
-nothing and exit 0 (yes) or 1 (no).  Usage and domain errors exit 2;
-missing or unsupported class data exits 3.
+nothing and exit 0 (yes) or 1 (no).  Usage and domain errors exit 2,
+and so does a stdout closed before the output is written; missing or
+unsupported class data exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classdata, galois, genus, iso, lattice, materialize
@@ -260,7 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (say `| head -c 10`): send what is still
+        # buffered to the null device, so that the flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -26,13 +26,15 @@ normal form run only on a block that fails the power check.
 
 Two bounded memos keep repeated work out of a process.  The blocks are
 memoized by summand (_summand_block), since a block depends only on
-(p, summand), so rep_of builds each distinct summand once.  The block
-types are memoized by content (_component_type), shared by rep_of's
-A^(p^2) = I self-check and validate_rep, so a model built and then
-validated powers each distinct block once.  The types stay keyed by
-content because validate_rep checks any matrix, not only rep_of's:
-it reads every entry of A on every call, in one C-level scan per row
-(sparse_rows), and takes the components and their blocks from that.
+(p, summand), so rep_of builds and self-checks each distinct summand
+once.  The block types are memoized by content (_component_type), keyed
+by the block's dense rows, the one form both rep_of's blocks and
+validate_rep's slices of A take, so a model built and then validated
+powers each distinct block once.  The types stay keyed by content
+because validate_rep checks any matrix, not only rep_of's: it takes the
+partition of A from the descriptor's summands, proves with C-level
+zero counts per row that no entry lies outside its block, and merges
+the blocks a stray entry joins (_diagonal_blocks).
 
 All arithmetic is exact over Python integers; matrices are plain nested
 lists, and sparse rows are lists of {column: nonzero entry} dicts.
@@ -313,25 +315,27 @@ def _is_trivial_class(vec) -> bool:
 
 # The bound of both memos (_summand_block and _component_type).  The
 # blocks of rep_of's models are indecomposables: with trivial class data
-# there are 62 at p <= 5 and 269 at p = 7, each with at most p^2 + 1 rows
-# of at most three entries.  128 entries hold every block at p <= 5 and a
-# working set at p = 7, and bound how many arbitrary (possibly dense)
-# components of validated matrices stay pinned.  A summand entry also
-# holds the block's dense rows, at most about 29 KB at p = 7, so that
-# memo stays under 4 MB.
+# there are 62 at p <= 5 and 269 at p = 7, each with at most p^2 + 1 rows.
+# 128 entries hold every block at p <= 5 and a working set at p = 7, and
+# bound how many arbitrary (possibly dense) blocks of validated matrices
+# stay pinned.  Both memos hold blocks as tuples of dense rows, at most
+# about 29 KB at p = 7; a type memo entry made by _summand_block shares
+# its key with that memo's value, so the two stay under 4 MB together.
 _TYPE_MEMO_SIZE = 128
 
 
 @functools.lru_cache(maxsize=_TYPE_MEMO_SIZE)
 def _summand_block(p: int, s) -> tuple:
-    """(B, rows): the block of the trivial-class summand s, as the hashable
-    tuple _block makes (rows in index order, entries in ascending column
-    order) and as a tuple of dense rows.
+    """The block of the trivial-class summand s, as a tuple of dense rows.
 
     A block depends only on (p, s), so it is memoized (at most
     _TYPE_MEMO_SIZE entries) and rep_of builds each distinct summand once
-    per process.  lru_cache does not cache exceptions, so a summand whose
-    relation lattice fails the invariance check fails on every call.
+    per process.  The A^(p^2) = I self-check runs here, once per build,
+    through _component_type, which validate_rep also calls on the same
+    dense rows: validating a model rep_of built powers no block again.
+    lru_cache does not cache exceptions, so a summand whose relation
+    lattice fails the invariance check, or whose block fails the power
+    check, raises InternalError on every call.
     """
     sparse = (_pushout_block(p, s) if s.kind in _X_OF_KIND
               else sparse_rows(type_block(p, s.kind)))
@@ -342,18 +346,18 @@ def _summand_block(p: int, s) -> tuple:
         for j, x in entries.items():
             row[j] = x
         rows.append(tuple(row))
-    return _block(sparse, range(m)), tuple(rows)
+    rows = tuple(rows)
+    if _component_type(p, rows)[0] == 0:
+        raise InternalError("built matrix does not satisfy A^(p^2) = I")
+    return rows
 
 
 def rep_of(D: LatticeDescriptor) -> IntegerRep:
     """Materialize a trivial-class descriptor as an integer matrix.
 
-    The blocks come from the memo _summand_block.  A^(p^2) = I holds on a
-    block-diagonal matrix exactly when it holds on every block, so each
-    call checks each distinct block once through _component_type, which
-    keys blocks as validate_rep keys its components: the check is a memo
-    hit after the first call, and validating the result finds every
-    block's type in the memo.
+    The blocks come from the memo _summand_block, which checks
+    B^(p^2) = I on each block it builds; A^(p^2) = I holds on a
+    block-diagonal matrix exactly when it holds on every block.
     """
     p = D.p
     for s in D.summands:
@@ -361,17 +365,10 @@ def rep_of(D: LatticeDescriptor) -> IntegerRep:
             raise NontrivialClass(
                 "matrix models are built for trivial ideal classes only"
             )
-    blocks = {}
-    for s in D.summands:
-        if s not in blocks:
-            B, rows = _summand_block(p, s)
-            if _component_type(p, B)[0] == 0:
-                raise InternalError("built matrix does not satisfy A^(p^2) = I")
-            blocks[s] = rows
-    n = sum(len(blocks[s]) for s in D.summands)
+    blocks = [_summand_block(p, s) for s in D.summands]
+    n = sum(map(len, blocks))
     matrix, at = [], 0
-    for s in D.summands:
-        rows = blocks[s]
+    for rows in blocks:
         left, right = (0,) * at, (0,) * (n - at - len(rows))
         matrix.extend(left + row + right for row in rows)
         at += len(rows)
@@ -464,51 +461,48 @@ def predicted_charpoly(D: LatticeDescriptor) -> list:
     return cyclotomic_product(D.p, *lattice.rational_type(D))
 
 
-def connected_components(A: IntMatrix) -> list:
-    """The connected components of A as ascending index lists, ordered by
-    their smallest index: i and j are joined when A[i][j] or A[j][i] is
-    nonzero.  Permuting rows and columns alike so that each component is
-    contiguous makes A block-diagonal."""
-    return _components(sparse_rows(A))
+def _diagonal_blocks(A, n: int, D: LatticeDescriptor) -> list:
+    """[(lo, hi, B)]: A is block-diagonal with the blocks
+    B = A[lo:hi][lo:hi] (a tuple of row slices), which tile 0..n-1.
 
-
-def _components(rows: list) -> list:
-    """connected_components of the matrix with these sparse rows."""
-    n = len(rows)
-    adjacent = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            if i != j:
-                adjacent[i].append(j)
-                adjacent[j].append(i)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp, stack = [start], [start]
-        while stack:
-            for j in adjacent[stack.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        out.append(sorted(comp))
-    return out
-
-
-def _block(rows: list, comp) -> tuple:
-    """Rows and columns comp (a union of components) of the matrix with
-    these sparse rows, renumbered from 0, as a hashable tuple of
-    ((column, entry), ...) rows in column order."""
-    local = {i: k for k, i in enumerate(comp)}
-    return tuple(tuple((local[j], x) for j, x in rows[i].items()) for i in comp)
+    The partition starts from the descriptor's summands: the cumulative
+    ranks in D.summands order, cut off at n.  A row is proved to have no
+    entry outside its block by two C-level counts, row.count(0) minus
+    the block row's count(0) being n - m.  A row that has one merges
+    every block its span (first to last nonzero column, from one compress
+    scan of that row) meets; merged blocks are sliced again.  So each
+    block is a union of connected components of A, for any square A.
+    """
+    cuts, at = [0], 0
+    for s in D.summands:
+        at += lattice.type_rank(*lattice.CYCLOTOMIC[s.kind], D.p)
+        if at >= n:
+            break
+        cuts.append(at)
+    cuts.append(n)
+    out = []  # [lo, hi, B or None], by ascending lo
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows = A[lo:hi]
+        B = tuple(row[lo:hi] for row in rows)
+        start, end, outside = lo, hi, n - hi + lo
+        for row, b in zip(rows, B):
+            if row.count(0) - b.count(0) != outside:
+                cols = list(compress(count(), row))
+                start, end = min(start, cols[0]), max(end, cols[-1] + 1)
+        if (start, end) != (lo, hi):
+            B = None
+        while out and out[-1][1] > start:
+            prev_lo, prev_hi, _ = out.pop()
+            start, end, B = min(start, prev_lo), max(end, prev_hi), None
+        out.append([start, end, B])
+    return [(lo, hi, B if B is not None else tuple(row[lo:hi] for row in A[lo:hi]))
+            for lo, hi, B in out]
 
 
 @functools.lru_cache(maxsize=_TYPE_MEMO_SIZE)
 def _component_type(p: int, B: tuple) -> tuple:
-    """(order, (a, b, c), chi, fixed rank) of one component B (see _block).
+    """(order, (a, b, c), chi, fixed rank) of the square block B, a tuple
+    of dense rows (tuples).
 
     When B^(p^2) = I, B is diagonalizable with p^2-th roots of unity as
     eigenvalues, and its char poly is rational, so it is
@@ -520,22 +514,21 @@ def _component_type(p: int, B: tuple) -> tuple:
     chi and rank(B - I) from Smith normal form.
 
     The result depends only on the content of (p, B), so it is memoized
-    (at most _TYPE_MEMO_SIZE entries): rep_of's self-check and a later
-    validate_rep of the same blocks take B^p and B^(p^2) once.  Callers
-    share the returned value and must not mutate chi.
+    (at most _TYPE_MEMO_SIZE entries): _summand_block's self-check and a
+    later validate_rep of the same blocks take B^p and B^(p^2) once.
+    Callers share the returned value and must not mutate chi.
     """
     n = len(B)
-    Bs = [dict(row) for row in B]
+    Bs = sparse_rows(B)
     Bp = sparse_pow(Bs, p)
     Bp2 = sparse_pow(Bp, p)
     for order, M in ((1, Bs), (p, Bp), (p * p, Bp2)):
         if is_identity(M):
             break
     else:
-        dense = [[row.get(j, 0) for j in range(n)] for row in Bs]
-        fixed = n - mat_rank(mat_sub(dense, identity(n)))
-        return 0, (0, 0, 0), charpoly(dense), fixed
-    tr1 = sum(row.get(i, 0) for i, row in enumerate(Bs))
+        fixed = n - mat_rank(mat_sub(B, identity(n)))
+        return 0, (0, 0, 0), charpoly(B), fixed
+    tr1 = sum(row[i] for i, row in enumerate(B))
     trp = sum(row.get(i, 0) for i, row in enumerate(Bp))
     c, rc = divmod(n - trp, p * p)
     b, rb = divmod(n - p * (p - 1) * c - tr1, p)
@@ -552,35 +545,34 @@ def validate_rep(rep: IntegerRep) -> RepReport:
     """Check the matrix model against everything the descriptor predicts.
 
     A matrix that is not n x n is a Cp2Error.  The checks run per
-    connected component of A, taken from the sparse rows of A (read
-    once), so any IntegerRep is checked, not only the block structure
-    rep_of built; equal components are checked once.  Each invariant
-    of the block-diagonal form is exact: A^(p^2) = I on every block, the
-    char poly is the product over blocks, the order is the lcm of the
-    block orders (0 if any fails to divide p^2), and rank(A - I) is the
-    sum of the block ranks.  det(A) is (-1)^n charpoly(A)(0).
+    diagonal block of A along the descriptor's summands
+    (_diagonal_blocks): every entry of A is read on every call, and
+    blocks that an entry joins are merged, so any square matrix is
+    checked, not only one rep_of built.  Each invariant of the
+    block-diagonal form is exact: A^(p^2) = I on every block, the char
+    poly is the product over blocks, the order is the lcm of the block
+    orders (0 if any fails to divide p^2), and rank(A - I) is the sum of
+    the block ranks.  det(A) is (-1)^n charpoly(A)(0).
 
     Powers are taken on sparse rows.  A block with B^(p^2) = I gets its
     rational type, and so its char poly and fixed rank, from tr B and
-    tr B^p (_component_type, memoized, so the blocks of a model from
-    rep_of are not powered again); when every block passes, the char
-    poly check compares the summed type with the descriptor's.  Only a
-    block failing the power check runs Berkowitz and Smith normal form,
-    and then the char polys are multiplied out and compared.
+    tr B^p (_component_type, memoized by the block's dense rows, so the
+    blocks of a model from rep_of are not powered again, and each call
+    hashes each block once); when every block passes, the char poly
+    check compares the summed type with the descriptor's.  Only a block
+    failing the power check runs Berkowitz and Smith normal form, and
+    then the char polys are multiplied out and compared.
     """
     D = rep.source
     p = D.p
     A, n = rep.matrix, rep.n
-    if len(A) != n or any(len(row) != n for row in A):
+    if len(A) != n or set(map(len, A)) - {n}:
         raise Cp2Error(f"the matrix of g is not {n} x {n}")
-    rows = sparse_rows(A)
-    types = {}
+    if set(map(type, A)) - {tuple}:
+        A = tuple(map(tuple, A))  # the blocks are memo keys
     total, chis, fixed, orders = [0, 0, 0], [], 0, []
-    for comp in _components(rows):
-        B = _block(rows, comp)
-        if B not in types:
-            types[B] = _component_type(p, B)
-        order, abc, chi, fixed_B = types[B]
+    for _, _, B in _diagonal_blocks(A, n, D):
+        order, abc, chi, fixed_B = _component_type(p, B)
         orders.append(order)
         total = [x + y for x, y in zip(total, abc)]
         chis.append(chi)

@@ -9,7 +9,7 @@ cosets element by element, closing a unit subgroup by the general
 sift with a p-th-power requeue, listing the p^2 - p + 1 classical ES
 generators, summing a cyclotomic unit power by power, validating a
 matrix model on the whole matrix with dense powers and a Smith normal
-form instead of per connected component, counting the root 1 of a
+form instead of per diagonal block, counting the root 1 of a
 char poly by synthetic division instead of reading it off traces,
 building a pushout block from a Smith normal form of its relations,
 or computing an Ext group as a Smith normal form cokernel.
@@ -623,7 +623,9 @@ def enumerate_sparse_rows(A) -> list:
 
 
 def dense_connected_components(A) -> list:
-    """materialize.connected_components by a scan of all n^2 entries."""
+    """The connected components of A as ascending index lists, ordered by
+    their smallest index (i and j are joined when A[i][j] or A[j][i] is
+    nonzero), from a scan of all n^2 entries."""
     n = len(A)
     adjacent = [[] for _ in range(n)]
     for i, row in enumerate(A):
@@ -650,7 +652,7 @@ def dense_connected_components(A) -> list:
 
 def dense_validate_rep(rep) -> materialize.RepReport:
     """validate_rep on the whole n x n matrix, without splitting it into
-    connected components."""
+    diagonal blocks."""
     mat = materialize
     RepCheck = mat.RepCheck
     D = rep.source

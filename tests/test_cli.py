@@ -275,3 +275,23 @@ def test_cold_cli_does_not_import_dataclasses(body):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["um", "--p", "5", "--m", "5", "--json"],
+    ["iso", "--p", "3", "Z + Z", "2*Z"],
+], ids=["um-json", "iso-verdict"])
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # the read end of stdout's pipe is closed before the CLI starts, as
+    # when the reader of `| head -c 10` has already exited
+    src = str(Path(cp2genus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "cp2genus.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, env=env, timeout=30)
+    finally:
+        os.close(write)
+    assert out.returncode == 2
+    assert out.stderr == "error: stdout was closed before the output was written\n"

@@ -125,9 +125,9 @@ def test_fixed_rank_from_charpoly_matches_snf(ctx2, ctx3, ctx5):
     # that char poly counts the fixed rank
     for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, classdata.trivial(7))):
         for D in indecomposable_templates(p, ctx):
-            A = [list(r) for r in mat.rep_of(D).matrix]
+            whole = mat.rep_of(D).matrix
+            A = [list(r) for r in whole]
             I = mat.identity(len(A))
-            whole = mat._block(mat.sparse_rows(A), range(len(A)))
             _, abc, chi, fixed = mat._component_type(p, whole)
             assert abc == lat.rational_type(D), lat.render(D)
             assert (chi, fixed) == ([1], abc[0])
@@ -145,8 +145,7 @@ def _dense(rows):
 
 def _assert_pushout_matches_oracles(p, s):
     rows = mat._pushout_block(p, s)
-    # ascending columns and no stored zeros: rep_of keys the block as
-    # validate_rep keys the component read back from the dense matrix
+    # ascending columns and no stored zeros, as sparse_rows gives them
     assert all(list(row) == sorted(row) and 0 not in row.values() for row in rows)
     block = _dense(rows)
     assert block == product_pushout_block(p, s) == snf_pushout_block(p, s), (p, s)
@@ -202,8 +201,7 @@ def test_validate_rep_trace_path_on_a_wrong_model(ctx2):
     # the swap has order 2, so its type comes from traces: tr B = 0 and
     # tr B^2 = 2 give (a, b, c) = (1, 1, 0), where Z + Z predicts (2, 0, 0)
     rep = mat.IntegerRep(2, ((0, 1), (1, 0)), lat.parse("Z + Z", 2, ctx2))
-    whole = mat._block(mat.sparse_rows(rep.matrix), range(2))
-    assert mat._component_type(2, whole) == (2, (1, 1, 0), [1], 1)
+    assert mat._component_type(2, rep.matrix) == (2, (1, 1, 0), [1], 1)
     report = _assert_matches_oracle(rep)
     failed = {c.name: c.detail for c in report.checks if not c.ok}
     assert failed == {"order": "order(A) = 2, expected 1",
@@ -230,28 +228,8 @@ def test_validate_rep_rejects_n_unequal_to_the_matrix_size(ctx2):
         mat.validate_rep(rep)
 
 
-def test_validate_rep_checks_each_distinct_component_once(ctx3, monkeypatch):
-    D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + 2*Z + B(0,0;2)", 3, ctx3)
-    rep = mat.rep_of(D)
-    calls = []
-    check = mat._component_type
-
-    def counting(p, B):
-        calls.append(B)
-        return check(p, B)
-
-    monkeypatch.setattr(mat, "_component_type", counting)
-    report = mat.validate_rep(rep)
-    components = [tuple(tuple(rep.matrix[i][j] for j in comp) for i in comp)
-                  for comp in mat.connected_components(rep.matrix)]
-    assert len(components) == 9
-    assert len(calls) == len(set(calls)) == len(set(components)) == 4
-    assert report.passed
-    assert report == dense_validate_rep(rep)
-
-
-def test_rep_of_and_validate_rep_power_each_distinct_block_once(ctx3, monkeypatch):
-    D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + 2*Z + B(0,0;2)", 3, ctx3)
+def _count_powers(monkeypatch):
+    """The exponents of every sparse_pow call from now on, in order."""
     calls = []
     power = mat.sparse_pow
 
@@ -260,7 +238,27 @@ def test_rep_of_and_validate_rep_power_each_distinct_block_once(ctx3, monkeypatc
         return power(A, e)
 
     monkeypatch.setattr(mat, "sparse_pow", counting)
+    return calls
+
+
+def test_validate_rep_checks_each_distinct_component_once(ctx3, monkeypatch):
+    D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + 2*Z + B(0,0;2)", 3, ctx3)
+    rep = mat.rep_of(D)
+    blocks = [B for _, _, B in mat._diagonal_blocks(rep.matrix, rep.n, D)]
+    assert len(blocks) == 9 and len(set(blocks)) == 4
+    calls = _count_powers(monkeypatch)
     mat._component_type.cache_clear()
+    report = mat.validate_rep(rep)
+    # B^p and B^(p^2) once per distinct block, however often it occurs
+    assert calls == [3, 3] * 4
+    assert report.passed
+    assert report == dense_validate_rep(rep)
+
+
+def test_rep_of_and_validate_rep_power_each_distinct_block_once(ctx3, fresh_block_memo,
+                                                               monkeypatch):
+    D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + 2*Z + B(0,0;2)", 3, ctx3)
+    calls = _count_powers(monkeypatch)
     rep = mat.rep_of(D)
     assert len(calls) == 2 * len(set(D.summands)) == 8
     report = mat.validate_rep(rep)
@@ -470,36 +468,63 @@ def _unimodular(n, rng, steps=40):
 def test_validate_rep_on_a_conjugated_model(ctx3):
     D = lat.parse("Z + B(0,0;1) + E(0,0;0)", 3, ctx3)
     rep = mat.rep_of(D)
-    assert len(mat.connected_components(rep.matrix)) == 3
+    assert len(dense_connected_components(rep.matrix)) == 3
     U, Uinv = _unimodular(rep.n, random.Random(11))
     assert mat_mul(U, Uinv) == mat.identity(rep.n)
     A = mat_mul(mat_mul(U, [list(r) for r in rep.matrix]), Uinv)
     conj = mat.IntegerRep(rep.n, tuple(tuple(r) for r in A), D)
-    assert mat.connected_components(conj.matrix) == [list(range(rep.n))]
     assert dense_connected_components(conj.matrix) == [list(range(rep.n))]
+    assert _spans(conj) == [(0, rep.n)]
     assert _assert_matches_oracle(conj).passed
 
 
 def test_validate_rep_corrupted_block_matches_oracle(ctx3):
     D = lat.parse("B(0,0;1) + E(0,0;0)", 3, ctx3)
     rep = mat.rep_of(D)
-    first, second = mat.connected_components(rep.matrix)
+    first, second = dense_connected_components(rep.matrix)
     failing = set()
     for i in second:
         for j in second:
             A = [list(r) for r in rep.matrix]
             A[i][j] += 1
-            assert mat.connected_components(A) == dense_connected_components(A)
             bad = mat.IntegerRep(rep.n, tuple(tuple(r) for r in A), D)
+            assert _spans(bad) == [(0, len(first)), (len(first), rep.n)]
             failing |= {c.name for c in _assert_matches_oracle(bad).checks if not c.ok}
     assert failing == {"power_identity", "unimodular", "order", "char_poly"}
+
+
+def _spans(rep):
+    """The (lo, hi) of the diagonal blocks validate_rep checks, after
+    asserting that each block is the slice A[lo:hi][lo:hi] and that every
+    connected component of A (the dense oracle) lies in one block."""
+    A = rep.matrix
+    blocks = mat._diagonal_blocks(tuple(map(tuple, A)), rep.n, rep.source)
+    spans = [(lo, hi) for lo, hi, _ in blocks]
+    assert [B for _, _, B in blocks] == [tuple(tuple(row[lo:hi]) for row in A[lo:hi])
+                                         for lo, hi in spans]
+    assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(rep.n))
+    for comp in dense_connected_components(A):
+        assert any(lo <= comp[0] and comp[-1] < hi for lo, hi in spans), (comp, spans)
+    return spans
+
+
+def _summand_spans(D):
+    """The (lo, hi) of each summand of D in the order of D.summands."""
+    spans, at = [], 0
+    for s in D.summands:
+        m = lat.type_rank(*lat.CYCLOTOMIC[s.kind], D.p)
+        spans.append((at, at + m))
+        at += m
+    return spans
 
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1))
 def test_connected_components_match_dense_oracle(p, seed):
     # a model with its rows and columns permuted alike, and a few entries
-    # changed so that some components merge or lose their diagonal
+    # changed so that some components merge or lose their diagonal: every
+    # block validate_rep checks is a union of components, and the report
+    # is the whole-matrix oracle's
     ctx = classdata.builtin(p)
     rng = random.Random(seed)
     while True:
@@ -509,13 +534,65 @@ def test_connected_components_match_dense_oracle(p, seed):
     rep = mat.rep_of(D)
     n = rep.n
     perm = rng.sample(range(n), n)
-    A = [[rep.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-    for _ in range(rng.randint(0, 3)):
-        A[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 0, 1, 2))
-    components = mat.connected_components(A)
-    assert components == dense_connected_components(A)
-    assert sorted(i for comp in components for i in comp) == list(range(n))
-    _assert_matches_oracle(mat.IntegerRep(n, tuple(map(tuple, A)), D))
+    permuted = [[rep.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    corrupted = [row[:] for row in permuted]
+    for _ in range(rng.randint(1, 3)):
+        corrupted[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 0, 1, 2))
+    for A in (permuted, corrupted):
+        model = mat.IntegerRep(n, tuple(map(tuple, A)), D)
+        _spans(model)
+        _assert_matches_oracle(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+def test_rep_of_models_take_no_merge_path(p, seed):
+    # rep_of places the blocks in D.summands order, so validate_rep's
+    # partition is the summands' and no row reaches outside its block
+    ctx = classdata.builtin(p)
+    rng = random.Random(seed)
+    D = random_descriptor(rng, p, ctx, max_summands=5)
+    rep = mat.rep_of(D)
+    assert _spans(rep) == _summand_spans(D)
+    blocks = mat._diagonal_blocks(rep.matrix, rep.n, D)
+    assert [B for _, _, B in blocks] == [mat._summand_block(p, s) for s in D.summands]
+
+
+def test_validate_rep_merges_blocks_a_stray_entry_joins(ctx3):
+    D = lat.parse("B(0,0;1) + E(0,0;0) + Z + b(0)", 3, ctx3)
+    rep = mat.rep_of(D)
+    (_, m1), (_, m2), (_, m3), (_, n) = _summand_spans(D)
+    assert _spans(rep) == _summand_spans(D)
+    assert _assert_matches_oracle(rep).passed
+    # (row, column, spans after the merge): an entry above the diagonal
+    # joins forward, one below joins back, and one far off the diagonal
+    # joins every block its row spans
+    cases = ((0, m1, [(0, m2), (m2, m3), (m3, n)]),
+             (m1, m1 - 1, [(0, m2), (m2, m3), (m3, n)]),
+             (m2, m3, [(0, m1), (m1, m2), (m2, n)]),
+             (m1, n - 1, [(0, m1), (m1, n)]),
+             (n - 1, 0, [(0, n)]))
+    for i, j, want in cases:
+        A = [list(r) for r in rep.matrix]
+        A[i][j] = 1
+        bad = mat.IntegerRep(n, tuple(map(tuple, A)), D)
+        assert _spans(bad) == want, (i, j)
+        _assert_matches_oracle(bad)
+
+
+def test_validate_rep_on_a_matrix_of_another_size(ctx3):
+    # the summand partition (ranks 1, 1, 2) is cut off at n, and the last
+    # block runs to n; a cyclic shift joins every block.  The rows are
+    # lists here, which validate_rep reads as tuples
+    D = lat.parse("Z + b(0) + Z", 3, ctx3)
+    assert _summand_spans(D) == [(0, 1), (1, 2), (2, 4)]
+    for n, spans in ((2, [(0, 1), (1, 2)]), (3, [(0, 1), (1, 2), (2, 3)]),
+                     (6, [(0, 1), (1, 2), (2, 4), (4, 6)])):
+        for A, want in ((mat.identity(n), spans),
+                        (mat.companion(mat.x_pow_minus_1(n)), [(0, n)])):
+            rep = mat.IntegerRep(n, A, D)
+            assert _spans(rep) == want
+            assert not _assert_matches_oracle(rep).passed
 
 
 def test_validate_rep_large_model(ctx5):
@@ -527,11 +604,13 @@ def test_validate_rep_large_model(ctx5):
 
 @pytest.fixture
 def fresh_block_memo():
-    """An empty summand-block memo, emptied again afterwards so that no
-    block built under a monkeypatch outlives the test."""
+    """Empty summand-block and block-type memos, emptied again afterwards
+    so that no block built under a monkeypatch outlives the test."""
     mat._summand_block.cache_clear()
+    mat._component_type.cache_clear()
     yield
     mat._summand_block.cache_clear()
+    mat._component_type.cache_clear()
 
 
 def test_rep_of_checks_every_block(ctx3, fresh_block_memo, monkeypatch):
