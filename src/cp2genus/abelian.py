@@ -1,5 +1,5 @@
 """Finite abelian groups with cyclic automorphism actions, orbit counting,
-and Smith normal form.
+and the Smith invariants of integer matrices.
 
 Groups are given by invariant factors (Smith form convention: each factor
 divides the next); elements are exponent tuples, one residue per factor.
@@ -10,17 +10,18 @@ their Galois action here.
 Orbit counts come from one engine without listing the group: the fixed
 points of a generator power M^d on G = (+) Z/f_i are ker(M^d - I), whose
 order equals that of coker(M^d - I), the product of the Smith invariants
-of [M^d - I | diag(f)].  They depend on d only through e = gcd(d, N), N
-the acting order, so they are kept per divisor e | N, and Burnside's
-lemma weights each by phi(N/e).  Only AbGroup.elements lists a group,
-and it keeps the size guard.
+of [M^d - I | diag(f)], which snf computes without keeping any row or
+column transform.  They depend on d only through e = gcd(d, N), N the
+acting order, so they are kept per divisor e | N, and Burnside's lemma
+weights each by phi(N/e).  Only AbGroup.elements lists a group, and it
+keeps the size guard.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, compress, count, product
 
 from .errors import Cp2Error, EnumerationGuard, InternalError
 from .value import Value, set_field
@@ -69,14 +70,8 @@ def _check_member(G: AbGroup, x):
         raise Cp2Error(f"element {x} out of range for factors {G.factors}")
 
 
-def element_add(G: AbGroup, x, y) -> tuple[int, ...]:
-    _check_member(G, x)
-    _check_member(G, y)
-    return _add(G, x, y)
-
-
 def _add(G: AbGroup, x, y) -> tuple[int, ...]:
-    """element_add for x and y already known to lie in G."""
+    """x + y for x and y already known to lie in G."""
     return tuple((a + b) % f for a, b, f in zip(x, y, G.factors))
 
 
@@ -234,7 +229,7 @@ class CyclicAction(Value):
             P = self._unit_matrices[pow(g, e, m)]
             rows = [[P[i][j] - (i == j) for j in range(n)]
                     + [fs[i] * (i == j) for j in range(n)] for i in range(n)]
-            fixed[e] = math.prod(diagonal(snf_full(rows)[0]))
+            fixed[e] = math.prod(snf(rows))
         return fixed
 
     @cached_property
@@ -294,132 +289,50 @@ def orbit_count(A: CyclicAction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form of integer matrices (plain nested lists)
+# Smith invariants of integer matrices (sequences of int rows)
 
 
-def identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def snf(M) -> list[int]:
+    """The Smith invariants d_1 | d_2 | ... of the integer matrix M:
+    min(rows, columns) nonnegative integers, zeros last.
 
-
-def _row_op(S, U, Uinv, i, j, T):
-    """Rows i, j of S and U get T; columns i, j of Uinv get T^{-1} (det T = +-1)."""
-    a, b, c, d = T
-    det = a * d - b * c
-    for X in (S, U):
-        for col in range(len(X[0])):
-            x, y = X[i][col], X[j][col]
-            X[i][col] = a * x + b * y
-            X[j][col] = c * x + d * y
-    # T^{-1} = (1/det) [[d, -b], [-c, a]] with det = +-1
-    ia, ib, ic, id_ = d * det, -b * det, -c * det, a * det
-    for row in Uinv:
-        x, y = row[i], row[j]
-        row[i] = x * ia + y * ic
-        row[j] = x * ib + y * id_
-
-
-def _col_op(S, V, i, j, T):
-    """Columns i, j of S and V get T."""
-    a, b, c, d = T
-    for X in (S, V):
-        for row in X:
-            x, y = row[i], row[j]
-            row[i] = a * x + c * y
-            row[j] = b * x + d * y
-
-
-def _xgcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def _elim_transform(a: int, b: int):
-    """Unimodular (x, y, z, w) sending (a, b) to (g, 0) with g = gcd.
-
-    When a divides b the transform is a plain subtraction that leaves
-    the pivot row/column untouched (important for termination).
+    A working copy of the rows is reduced, and no transform is kept.  The
+    pivot is the entry of least absolute value in the pivot row.  Row
+    subtractions leave every other row its remainder in the pivot column,
+    and the least nonzero remainder makes its row the pivot row.  Once the
+    column is clear, column subtractions reduce the pivot row modulo the
+    pivot, and the least nonzero remainder is the next pivot.  |pivot|
+    falls at every restart, so it ends alone in its row and column, and
+    the row is dropped.  The gcd and lcm of each pair of pivots then give
+    the chain.
     """
-    if b % a == 0:
-        return (1, 0, -(b // a), 1)
-    g, x, y = _xgcd(a, b)
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return (x, y, -(b // g), a // g)
-
-
-def snf_full(M: list):
-    """(S, U, V, Uinv) with U M V = S in Smith normal form.
-
-    S is diagonal with d_1 | d_2 | ..., all entries >= 0; U and V are
-    unimodular, and Uinv is the exact inverse of U.
-    """
-    r = len(M)
-    c = len(M[0]) if r else 0
-    S = [row[:] for row in M]
-    U, Uinv = identity(r), identity(r)
-    V = identity(c)
-
-    def clear_at(k):
-        while True:
-            # move a pivot to (k, k)
-            if S[k][k] == 0:
-                found = False
-                for i in range(k, r):
-                    for j in range(k, c):
-                        if S[i][j] != 0:
-                            if i != k:
-                                _row_op(S, U, Uinv, k, i, (0, 1, 1, 0))
-                            if j != k:
-                                _col_op(S, V, k, j, (0, 1, 1, 0))
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    return
-            for i in range(k + 1, r):
-                if S[i][k]:
-                    x, y, z, w = _elim_transform(S[k][k], S[i][k])
-                    _row_op(S, U, Uinv, k, i, (x, y, z, w))
-            if all(S[k][j] == 0 for j in range(k + 1, c)):
-                return
-            for j in range(k + 1, c):
-                if S[k][j]:
-                    x, y, z, w = _elim_transform(S[k][k], S[k][j])
-                    _col_op(S, V, k, j, (x, z, y, w))
-            if all(S[i][k] == 0 for i in range(k + 1, r)):
-                return
-
-    for k in range(min(r, c)):
-        clear_at(k)
-
-    # enforce the divisibility chain; each fix dirties only the trailing
-    # block, which is re-diagonalized before the next scan
-    while True:
-        viol = None
-        for k in range(min(r, c) - 1):
-            a, b = S[k][k], S[k + 1][k + 1]
-            if b != 0 and (a == 0 or b % a != 0):
-                viol = k
-                break
-        if viol is None:
-            break
-        _col_op(S, V, viol, viol + 1, (1, 0, 1, 1))  # col k += col k+1
-        for k in range(viol, min(r, c)):
-            clear_at(k)
-    # normalize signs
-    for k in range(min(r, c)):
-        if S[k][k] < 0:
-            for X in (S, U):
-                X[k] = [-v for v in X[k]]
-            for row in Uinv:
-                row[k] = -row[k]
-    return S, U, V, Uinv
-
-
-def diagonal(S: list) -> list:
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+    size = min(len(M), len(M[0])) if M else 0
+    rows = [list(row) for row in M]
+    d = []
+    while rows:
+        top = rows.pop(0)
+        while any(top):
+            support = list(compress(count(), top))
+            j = min(support, key=lambda col: abs(top[col]))
+            a, low, least = top[j], -1, abs(top[j])
+            for i, row in enumerate(rows):
+                if row[j]:
+                    q = row[j] // a
+                    for col in support:
+                        row[col] -= q * top[col]
+                    if 0 < abs(row[j]) < least:
+                        low, least = i, abs(row[j])
+            if low >= 0:
+                rows[low], top = top, rows[low]
+                continue
+            for col in support:
+                top[col] %= a  # top[j] becomes 0
+            if any(top):
+                top[j] = a
+            else:
+                d.append(abs(a))
+    d.sort()
+    for i, k in combinations(range(d.count(1), len(d)), 2):
+        g = math.gcd(d[i], d[k])
+        d[i], d[k] = g, d[i] // g * d[k]
+    return d + [0] * (size - len(d))

@@ -306,7 +306,7 @@ def ideal_classes(D: LatticeDescriptor) -> tuple[tuple[int, ...], tuple[int, ...
     """The R- and S-ideal classes: sums of all b's and of all c's.
 
     make_summand (or a twist) has already reduced every class into its
-    group, so the sums skip the membership checks of element_add.
+    group, so the sums are taken without membership checks.
     """
     Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
     rc = Hp.identity()

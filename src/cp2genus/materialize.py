@@ -21,8 +21,9 @@ rational type (a, b, c), and with it the char poly
 Phi_1^a Phi_p^b Phi_{p^2}^c and the fixed rank a, comes from tr B and
 tr B^p.  validate_rep then checks the char poly by comparing the summed
 type with the descriptor's (the three cyclotomic factors are distinct
-irreducibles), and det(A) = (-1)^(n + a).  Berkowitz charpoly and Smith
-normal form run only on a block that fails the power check.
+irreducibles), and det(A) = (-1)^(n + a).  Berkowitz charpoly and the
+Smith invariants (abelian.snf, which keeps no transforms) run only on a
+block that fails the power check.
 
 Two bounded memos keep repeated work out of a process.  The blocks are
 memoized by summand (_summand_block), since a block depends only on
@@ -46,7 +47,7 @@ import functools
 from itertools import compress, count
 
 from . import lattice
-from .abelian import AbGroup, diagonal, identity, snf_full
+from .abelian import AbGroup, snf
 from .errors import Cp2Error, InternalError, NontrivialClass
 from .lattice import Faithfulness, LatticeDescriptor
 from .value import Value
@@ -60,6 +61,10 @@ IntMatrix = list  # list of rows, each a list of ints
 
 def zeros(r: int, c: int) -> IntMatrix:
     return [[0] * c for _ in range(r)]
+
+
+def identity(n: int) -> IntMatrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_vec(A: IntMatrix, v: list) -> list:
@@ -115,17 +120,6 @@ def is_identity(A: list) -> bool:
     return all(len(row) == 1 and row.get(i) == 1 for i, row in enumerate(A))
 
 
-def block_diag(blocks: list) -> IntMatrix:
-    n = sum(len(b) for b in blocks)
-    out = zeros(n, n)
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[at + i][at : at + len(b)] = row[:]
-        at += len(b)
-    return out
-
-
 def companion(monic: list) -> IntMatrix:
     """Companion matrix of a monic polynomial given by ascending
     coefficients [c0, ..., c_{n-1}, 1]."""
@@ -141,9 +135,7 @@ def companion(monic: list) -> IntMatrix:
 
 
 def mat_rank(M: IntMatrix) -> int:
-    if not M or not M[0]:
-        return 0
-    return sum(1 for d in diagonal(snf_full(M)[0]) if d != 0)
+    return sum(1 for d in snf(M) if d)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +160,6 @@ def phi_p2(p: int) -> list:
     for i in range(p):
         out[i * p] = 1
     return out
-
-
-def x_pow_minus_1(n: int) -> list:
-    return [-1] + [0] * (n - 1) + [1]
 
 
 def cyclotomic_product(p: int, a: int, b: int, c: int) -> list:
@@ -511,7 +499,7 @@ def _component_type(p: int, B: tuple) -> tuple:
     tr B^p = a + (p - 1) b - p c, while n = a + (p - 1) b + p (p - 1) c;
     solving gives (a, b, c), and the fixed rank is a.  chi is then [1].
     Any other B has order 0, type (0, 0, 0), its Berkowitz char poly as
-    chi and rank(B - I) from Smith normal form.
+    chi and rank(B - I), the number of its nonzero Smith invariants.
 
     The result depends only on the content of (p, B), so it is memoized
     (at most _TYPE_MEMO_SIZE entries): _summand_block's self-check and a
@@ -560,8 +548,8 @@ def validate_rep(rep: IntegerRep) -> RepReport:
     blocks of a model from rep_of are not powered again, and each call
     hashes each block once); when every block passes, the char poly
     check compares the summed type with the descriptor's.  Only a block
-    failing the power check runs Berkowitz and Smith normal form, and
-    then the char polys are multiplied out and compared.
+    failing the power check runs Berkowitz and the Smith invariants
+    (mat_rank), and then the char polys are multiplied out and compared.
     """
     D = rep.source
     p = D.p

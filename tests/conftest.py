@@ -36,6 +36,21 @@ def synthetic_c43() -> classdata.ClassData:
     return data
 
 
+def synthetic_cyclic(p: int, q: int, a: int) -> classdata.ClassData:
+    """Trivial H_p and H_p2 = C_q, on which the primitive root mod p^2
+    acts as multiplication by a (so a^(p(p-1)) = 1 mod q).  Synthetic
+    test data, not the true Galois action."""
+    g = primitive_root(p * p)
+    data = classdata.ClassData(
+        p=p,
+        H_p=CyclicAction(AbGroup(()), p, p - 1, g % p, ()),
+        H_p2=CyclicAction(AbGroup((q,)), p * p, p * (p - 1), g, ((a,),)),
+        provenance=f"synthetic test action on C_{q}",
+    )
+    data.validate()
+    return data
+
+
 def classdata_both_nontrivial() -> classdata.ClassData:
     """p = 7 with H_p = C_3 under multiplication by 2 and H_p2 = C_43
     under multiplication by 3, both generated by the residue 3.

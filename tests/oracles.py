@@ -12,7 +12,8 @@ matrix model on the whole matrix with dense powers and a Smith normal
 form instead of per diagonal block, counting the root 1 of a
 char poly by synthetic division instead of reading it off traces,
 building a pushout block from a Smith normal form of its relations,
-or computing an Ext group as a Smith normal form cokernel.
+computing an Ext group as a Smith normal form cokernel, or taking a
+Smith normal form with its row and column transforms.
 """
 
 import math
@@ -255,10 +256,146 @@ def diagonal_orbits(
     return count
 
 
-def snf(M):
-    """(S, U, V) with U M V = S in Smith normal form."""
-    S, U, V, _ = materialize.snf_full(M)
-    return S, U, V
+def _row_op(S, U, Uinv, i, j, T):
+    """Rows i, j of S and U get T; columns i, j of Uinv get T^{-1} (det T = +-1)."""
+    a, b, c, d = T
+    det = a * d - b * c
+    for X in (S, U):
+        for col in range(len(X[0])):
+            x, y = X[i][col], X[j][col]
+            X[i][col] = a * x + b * y
+            X[j][col] = c * x + d * y
+    # T^{-1} = (1/det) [[d, -b], [-c, a]] with det = +-1
+    ia, ib, ic, id_ = d * det, -b * det, -c * det, a * det
+    for row in Uinv:
+        x, y = row[i], row[j]
+        row[i] = x * ia + y * ic
+        row[j] = x * ib + y * id_
+
+
+def _col_op(S, V, i, j, T):
+    """Columns i, j of S and V get T."""
+    a, b, c, d = T
+    for X in (S, V):
+        for row in X:
+            x, y = row[i], row[j]
+            row[i] = a * x + c * y
+            row[j] = b * x + d * y
+
+
+def _xgcd(a: int, b: int):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _elim_transform(a: int, b: int):
+    """Unimodular (x, y, z, w) sending (a, b) to (g, 0) with g = gcd.
+
+    When a divides b the transform is a plain subtraction that leaves
+    the pivot row/column untouched (important for termination).
+    """
+    if b % a == 0:
+        return (1, 0, -(b // a), 1)
+    g, x, y = _xgcd(a, b)
+    if g < 0:
+        g, x, y = -g, -x, -y
+    return (x, y, -(b // g), a // g)
+
+
+def snf_full(M: list):
+    """(S, U, V, Uinv) with U M V = S in Smith normal form.
+
+    S is diagonal with d_1 | d_2 | ..., all entries >= 0; U and V are
+    unimodular, and Uinv is the exact inverse of U.  Every row and column
+    operation is carried through U, Uinv and V, and the chain is enforced
+    on the matrix, not on its diagonal: the reference for the invariants
+    of abelian.snf.
+    """
+    r = len(M)
+    c = len(M[0]) if r else 0
+    S = [row[:] for row in M]
+    U, Uinv = materialize.identity(r), materialize.identity(r)
+    V = materialize.identity(c)
+
+    def clear_at(k):
+        while True:
+            # move a pivot to (k, k)
+            if S[k][k] == 0:
+                found = False
+                for i in range(k, r):
+                    for j in range(k, c):
+                        if S[i][j] != 0:
+                            if i != k:
+                                _row_op(S, U, Uinv, k, i, (0, 1, 1, 0))
+                            if j != k:
+                                _col_op(S, V, k, j, (0, 1, 1, 0))
+                            found = True
+                            break
+                    if found:
+                        break
+                if not found:
+                    return
+            for i in range(k + 1, r):
+                if S[i][k]:
+                    x, y, z, w = _elim_transform(S[k][k], S[i][k])
+                    _row_op(S, U, Uinv, k, i, (x, y, z, w))
+            if all(S[k][j] == 0 for j in range(k + 1, c)):
+                return
+            for j in range(k + 1, c):
+                if S[k][j]:
+                    x, y, z, w = _elim_transform(S[k][k], S[k][j])
+                    _col_op(S, V, k, j, (x, z, y, w))
+            if all(S[i][k] == 0 for i in range(k + 1, r)):
+                return
+
+    for k in range(min(r, c)):
+        clear_at(k)
+
+    # enforce the divisibility chain; each fix dirties only the trailing
+    # block, which is re-diagonalized before the next scan
+    while True:
+        viol = None
+        for k in range(min(r, c) - 1):
+            a, b = S[k][k], S[k + 1][k + 1]
+            if b != 0 and (a == 0 or b % a != 0):
+                viol = k
+                break
+        if viol is None:
+            break
+        _col_op(S, V, viol, viol + 1, (1, 0, 1, 1))  # col k += col k+1
+        for k in range(viol, min(r, c)):
+            clear_at(k)
+    # normalize signs
+    for k in range(min(r, c)):
+        if S[k][k] < 0:
+            for X in (S, U):
+                X[k] = [-v for v in X[k]]
+            for row in Uinv:
+                row[k] = -row[k]
+    return S, U, V, Uinv
+
+
+def diagonal(S: list) -> list:
+    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+
+
+def block_diag(blocks: list) -> list:
+    n = sum(len(b) for b in blocks)
+    out = materialize.zeros(n, n)
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(b)] = row[:]
+        at += len(b)
+    return out
+
+
+def x_pow_minus_1(n: int) -> list:
+    return [-1] + [0] * (n - 1) + [1]
 
 
 def mat_add(A, B):
@@ -293,7 +430,7 @@ def kernel_basis(M) -> list:
     """Columns spanning the integer kernel lattice of M (saturated)."""
     r = len(M)
     c = len(M[0]) if r else 0
-    S, U, V, Uinv = materialize.snf_full(M)
+    S, U, V, Uinv = snf_full(M)
     cols = []
     for j in range(c):
         d = S[j][j] if j < min(r, c) else 0
@@ -307,7 +444,7 @@ def solve_exact(A_cols: list, b: list) -> list:
     n = len(b)
     k = len(A_cols)
     M = [[A_cols[j][i] for j in range(k)] for i in range(n)]
-    S, U, V, _ = materialize.snf_full(M)
+    S, U, V, _ = snf_full(M)
     rhs = materialize.mat_vec(U, b)
     y = [0] * k
     for i in range(n):
@@ -369,9 +506,9 @@ def snf_ext_group(x_name: str, p: int) -> AbGroup:
     action = {
         "Z": [[1]],
         "R": mat.companion(mat.phi_p(p)),
-        "E": mat.companion(mat.x_pow_minus_1(p)),
+        "E": mat.companion(x_pow_minus_1(p)),
     }
-    G = mat.block_diag([action[c] for c in x_name.split("+")])
+    G = block_diag([action[c] for c in x_name.split("+")])
     n = len(G)
     torsion = mat.mat_sub(mat_pow(G, p), mat.identity(n))
     K = kernel_basis(torsion)  # columns spanning Hom(E, X)
@@ -388,7 +525,7 @@ def snf_ext_group(x_name: str, p: int) -> AbGroup:
         cols.append(solve_exact(K, mat.mat_vec(phi_of_G, e)))
     k = len(K)
     M_map = [[cols[j][i] for j in range(n)] for i in range(k)]
-    diag = mat.diagonal(mat.snf_full(M_map)[0])
+    diag = diagonal(snf_full(M_map)[0])
     if len([d for d in diag if d != 0]) != k:
         raise Cp2Error("Ext group is not finite; inconsistent input")
     return AbGroup(tuple(d for d in diag if d > 1))
@@ -562,9 +699,9 @@ def snf_pushout_block(p: int, s) -> list:
     """materialize._pushout_block with the quotient basis taken from a
     Smith normal form of the dense relation matrix."""
     mat = materialize
-    G_X = mat.block_diag([mat._component(p, c) for c in mat._X_OF_KIND[s.kind]])
+    G_X = block_diag([mat._component(p, c) for c in mat._X_OF_KIND[s.kind]])
     N = p * p + len(G_X)
-    G_L = mat.block_diag([mat.companion(mat.x_pow_minus_1(p * p)), G_X])
+    G_L = block_diag([mat.companion(x_pow_minus_1(p * p)), G_X])
 
     # columns (i0(g^j * e), -g^j * f0), j = 0..p-1
     cols = []
@@ -579,7 +716,7 @@ def snf_pushout_block(p: int, s) -> list:
         fj = mat.mat_vec(G_X, fj)
     B = [[cols[j][i] for j in range(p)] for i in range(N)]
 
-    S, U, _, Uinv = mat.snf_full(B)
+    S, U, _, Uinv = snf_full(B)
     for i in range(p):
         if S[i][i] != 1:
             raise InternalError(
@@ -597,9 +734,9 @@ def product_pushout_block(p: int, s) -> list:
     """materialize._pushout_block as rows p..N-1 of the sparse product
     U G U^-1, with G = G_L + G_X in full, densified."""
     mat = materialize
-    G_X = mat.block_diag([mat._component(p, c) for c in mat._X_OF_KIND[s.kind]])
+    G_X = block_diag([mat._component(p, c) for c in mat._X_OF_KIND[s.kind]])
     N = p * p + len(G_X)
-    G_L = mat.sparse_rows(mat.block_diag([mat.companion(mat.x_pow_minus_1(p * p)), G_X]))
+    G_L = mat.sparse_rows(block_diag([mat.companion(x_pow_minus_1(p * p)), G_X]))
 
     # C as sparse rows: row i p + j of the relations (i >= 1) is e_j, and
     # row p^2 + t holds -(g^j f0)_t in column j

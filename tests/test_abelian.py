@@ -1,5 +1,7 @@
 import math
+import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +13,12 @@ from oracles import (
     apply_matrix,
     brute_fixed_counts,
     cycles,
+    diagonal,
     diagonal_orbits,
     element_neg,
     orbits,
     per_power,
+    snf_full,
     trivial_action,
     walk_primitive_root,
     walk_unit_order,
@@ -43,13 +47,18 @@ def test_abgroup_invariants():
 
 def test_element_add():
     G0 = ab.AbGroup(())
-    assert ab.element_add(G0, (), ()) == ()
+    assert ab._add(G0, (), ()) == ()
     G6 = ab.AbGroup((6,))
-    assert ab.element_add(G6, (4,), (5,)) == (3,)
+    assert ab._add(G6, (4,), (5,)) == (3,)
     x = (5,)
-    assert ab.element_add(G6, x, element_neg(G6, x)) == (0,)
+    assert ab._add(G6, x, element_neg(G6, x)) == (0,)
+    # membership is checked where an element enters from outside
+    A = ab.CyclicAction(G6, 7, 6, 3, ((5,),))
+    A.validate()
     with pytest.raises(Cp2Error):
-        ab.element_add(G6, (1, 2), (0,))
+        ab.apply_action(A, 3, (1, 2))
+    with pytest.raises(Cp2Error):
+        ab.apply_action(A, 3, (6,))
 
 
 def test_reduce_element():
@@ -190,6 +199,73 @@ def test_smith_fixed_counts_match_walks(A):
     A.validate()
     assert per_power(A.fixed_counts, A.acting_order) == brute_fixed_counts(A)
     assert ab.orbit_count(A) == len(orbits(A))
+
+
+def _leibniz_det(M) -> int:
+    """The determinant of a square matrix as a sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(M))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(M[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def _minor_gcds(M) -> list[int]:
+    """[gcd of the k x k minors of M for k = 1 .. min(rows, columns)]."""
+    r, c = len(M), len(M[0]) if M else 0
+    return [math.gcd(*(_leibniz_det([[M[i][j] for j in cols] for i in rows])
+                       for rows in combinations(range(r), k)
+                       for cols in combinations(range(c), k)))
+            for k in range(1, min(r, c) + 1)]
+
+
+def _fixed_count_rows(P, factors) -> list:
+    """[P - I | diag(f)], the matrix CyclicAction.fixed_counts reduces."""
+    n = len(factors)
+    return [[P[i][j] - (i == j) for j in range(n)]
+            + [factors[i] * (i == j) for j in range(n)] for i in range(n)]
+
+
+def _smith_inputs(rng) -> list:
+    out = [[], [[], []], [[0, 0, 0]], [[0], [0], [0]]]
+    for _ in range(200):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice((1.0, 0.5, 0.2))
+        big = rng.choice((9, 9, 10**6))
+        M = [[rng.randint(-big, big) if rng.random() < density else 0 for _ in range(c)]
+             for _ in range(r)]
+        if rng.random() < 0.3:
+            M[rng.randrange(r)] = [0] * c
+        if rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in M:
+                row[j] = 0
+        out.append(M)
+    # the shapes fixed_counts builds: every unit power of real actions,
+    # and random matrices beside random invariant factor chains
+    for A in [c43_action(m) for m in (1, 3, 6, 42)] + [c2x4_action()]:
+        out += [_fixed_count_rows(P, A.target.factors) for P in A._unit_matrices.values()]
+    for _ in range(60):
+        factors = [rng.randint(2, 6)]
+        for _ in range(rng.randint(0, 2)):
+            factors.append(factors[-1] * rng.randint(1, 4))
+        P = [[rng.randrange(f) for _ in factors] for f in factors]
+        out.append(_fixed_count_rows(P, factors))
+    return out
+
+
+def test_snf_matches_transform_oracle_and_minors():
+    inputs = _smith_inputs(random.Random(20))
+    assert len(inputs) >= 300
+    for M in inputs:
+        before = [row[:] for row in M]
+        d = ab.snf(M)
+        assert M == before
+        assert d == diagonal(snf_full(M)[0]), M
+        assert len(d) == min(len(M), len(M[0]) if M else 0)
+        if len(M) <= 3 and M and len(M[0]) <= 3:
+            products = [math.prod(d[:k]) for k in range(1, len(d) + 1)]
+            assert products == _minor_gcds(M), M
 
 
 def test_apply_action_matches_repeated_generator():

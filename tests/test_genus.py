@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,8 +10,9 @@ from cp2genus import abelian, classdata, galois, genus, iso, lattice as lat, mod
 from cp2genus.errors import EnumerationGuard, InternalError, NotFaithful
 
 from conftest import (classdata_both_nontrivial, exp_l3_extra, indecomposable_templates,
-                      random_descriptor, synthetic_c43)
+                      random_descriptor, synthetic_c43, synthetic_cyclic)
 from oracles import (
+    brute_fixed_counts,
     brute_orbit_genus_count,
     brute_ut_orbit_count,
     diagonal_orbits,
@@ -191,6 +193,56 @@ def test_orbit_engine_matches_walk_nontrivial_classes():
         for _ in range(25):
             D = random_descriptor(rng, 7, ctx, faithful=True, max_m=6)
             assert genus.orbit_genus_count(D) == brute_orbit_genus_count(D), lat.render(D)
+
+
+def test_p5_cyclic_class_data_pins_the_closed_form_split():
+    # H_{p^2} = C_11 under x2 and C_41 under x36 at p = 5: the closed form
+    # of B(0,0;1) disagrees with the orbit engine, and the package's own
+    # isomorphism verdicts side with the engine.  Every lattice B(0,c;1,u)
+    # lies in one genus with distinct invariants, and grouping them by
+    # twisted isomorphism gives the engine's count.  These are the current
+    # answers; the closed form is the one the ROADMAP expects to change.
+    assert lat.unit_index("B", 1, 5) == 4
+    for q, a, closed, engine in ((11, 2, 4, 5), (41, 36, 6, 12)):
+        ctx = synthetic_cyclic(5, q, a)
+        rep = genus.genus_report(SD(lat.parse("B(0,0;1)", 5, ctx)))
+        assert rep.closed_form == (closed, genus.CASE_MAIS_SIMPLES)
+        assert (rep.enumeration, rep.agree) == (engine, False)
+        lattices = [
+            lat.descriptor(5, ctx, [lat.make_summand(5, ctx, "B", b=(), c=(c,), r=1, u=u)])
+            for c in range(q) for u in ctx.unit_quotient(4).reps
+        ]
+        assert len(lattices) == 5 * q
+        assert all(iso.same_genus(lattices[0], D) for D in lattices)
+        assert len({iso.invariants_of(D) for D in lattices}) == len(lattices)
+        classes = []
+        for D in lattices:
+            if not any(galois.twisted_isomorphic(first, D) is not None for first in classes):
+                classes.append(D)
+        assert len(classes) == engine, q
+
+
+@st.composite
+def cyclic_class_data(draw):
+    """Synthetic class data at p in {3, 5}: H_{p^2} = C_q under
+    multiplication by a random a with a^(p(p-1)) = 1 mod q."""
+    p = draw(st.sampled_from([3, 5]))
+    q = draw(st.integers(2, 60))
+    order = p * (p - 1)
+    a = draw(st.sampled_from([a for a in range(1, q)
+                              if math.gcd(a, q) == 1 and pow(a, order, q) == 1]))
+    return synthetic_cyclic(p, q, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_class_data(), st.integers(0, 2**32 - 1))
+def test_orbit_engine_matches_walk_on_cyclic_class_data(ctx, seed):
+    for A in (ctx.H_p, ctx.H_p2):
+        assert per_power(A.fixed_counts, A.acting_order) == brute_fixed_counts(A)
+    rng = random.Random(seed)
+    for _ in range(3):
+        D = random_descriptor(rng, ctx.p, ctx, faithful=True)
+        assert genus.orbit_genus_count(D) == brute_orbit_genus_count(D), lat.render(D)
 
 
 def test_ut_orbit_count_matches_walk(ctx2, ctx3, ctx5):

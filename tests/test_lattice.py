@@ -12,6 +12,7 @@ from cp2genus.errors import Cp2Error, ParseError
 from cp2genus.lattice import Faithfulness
 
 from conftest import random_descriptor, synthetic_c43
+from oracles import x_pow_minus_1
 
 
 def test_parse_basics(ctx2):
@@ -143,7 +144,7 @@ def test_rational_types_pin_kind_tables(ctx2, ctx3, ctx5, ctx7_synthetic):
     # tables it replaced
     x1 = [-1, 1]
     for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, ctx7_synthetic)):
-        xp1, phip, phip2 = mat.x_pow_minus_1(p), mat.phi_p(p), mat.phi_p2(p)
+        xp1, phip, phip2 = x_pow_minus_1(p), mat.phi_p(p), mat.phi_p2(p)
         old = {  # kind: (rank, char poly factors, fixed rank)
             "Z": (1, [x1], 1),
             "b": (p - 1, [phip], 0),

@@ -19,21 +19,24 @@ from oracles import (
     mat_pow,
     multiplicative_order,
     product_pushout_block,
+    block_diag,
+    diagonal,
     root_one_multiplicity,
-    snf,
     snf_ext_group,
+    snf_full,
     snf_pushout_block,
     solve_exact,
+    x_pow_minus_1,
 )
 
 
 def test_snf_examples():
-    S, U, V = snf([[2, 0], [0, 3]])
-    assert mat.diagonal(S) == [1, 6]
-    S, U, V = snf([[1, 0], [0, 1]])
-    assert mat.diagonal(S) == [1, 1]
-    S, U, V = snf([[0, 0], [0, 0]])
-    assert mat.diagonal(S) == [0, 0]
+    for M, want in (([[2, 0], [0, 3]], [1, 6]), ([[1, 0], [0, 1]], [1, 1]),
+                    ([[0, 0], [0, 0]], [0, 0]), ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [2, 2, 60]),
+                    ([[0, 2], [3, 0], [0, 0]], [1, 6]), ([], []), ([[], []], [])):
+        assert mat.snf(M) == want, M
+        if M and M[0]:
+            assert diagonal(snf_full(M)[0]) == want, M
 
 
 def test_snf_roundtrip_random():
@@ -42,12 +45,12 @@ def test_snf_roundtrip_random():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         M = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        S, U, V, Uinv = mat.snf_full(M)
+        S, U, V, Uinv = snf_full(M)
         assert mat_mul(mat_mul(U, M), V) == S
         assert mat_mul(U, Uinv) == mat.identity(r)
         assert abs(bareiss_det(U)) == 1
         assert abs(bareiss_det(V)) == 1
-        d = mat.diagonal(S)
+        d = diagonal(S)
         assert all(x >= 0 for x in d)
         for a, b in zip(d, d[1:]):
             assert b == 0 or (a != 0 and b % a == 0)
@@ -396,8 +399,8 @@ def _snf_profile(A, p):
     """Z-conjugacy invariants: SNF diagonals of f(A) for the structural
     polynomials f."""
     out = []
-    for f in ([-1, 1], mat.phi_p(p), mat.phi_p2(p), mat.x_pow_minus_1(p)):
-        out.append(tuple(mat.diagonal(snf(_eval_poly_at_matrix(f, A))[0])))
+    for f in ([-1, 1], mat.phi_p(p), mat.phi_p2(p), x_pow_minus_1(p)):
+        out.append(tuple(mat.snf(_eval_poly_at_matrix(f, A))))
     return tuple(out)
 
 
@@ -407,8 +410,8 @@ def test_snf_invariants_detect_nonsplit(ctx2, ctx3):
     for p, ctx in ((2, ctx2), (3, ctx3)):
         A_ns = [list(r) for r in mat.rep_of(lat.parse("Ec(0)", p, ctx)).matrix]
         A_sp = [list(r) for r in mat.rep_of(lat.parse("Z + c(0)", p, ctx)).matrix]
-        d_ns = mat.diagonal(snf(mat.mat_sub(A_ns, mat.identity(len(A_ns))))[0])
-        d_sp = mat.diagonal(snf(mat.mat_sub(A_sp, mat.identity(len(A_sp))))[0])
+        d_ns = mat.snf(mat.mat_sub(A_ns, mat.identity(len(A_ns))))
+        d_sp = mat.snf(mat.mat_sub(A_sp, mat.identity(len(A_sp))))
         assert d_ns != d_sp
         assert [d for d in d_sp if d not in (0, 1)] == [p]
         assert [d for d in d_ns if d not in (0, 1)] == []
@@ -420,7 +423,7 @@ def test_b_zero_block_matches_regular_representation(ctx2, ctx3):
     # conjugacy profile as the plain regular representation
     for p, ctx in ((2, ctx2), (3, ctx3)):
         built = [list(r) for r in mat.rep_of(lat.parse("B(0,0;0,1)", p, ctx)).matrix]
-        regular = mat.companion(mat.x_pow_minus_1(p * p))
+        regular = mat.companion(x_pow_minus_1(p * p))
         assert _snf_profile(built, p) == _snf_profile(regular, p)
 
 
@@ -589,7 +592,7 @@ def test_validate_rep_on_a_matrix_of_another_size(ctx3):
     for n, spans in ((2, [(0, 1), (1, 2)]), (3, [(0, 1), (1, 2), (2, 3)]),
                      (6, [(0, 1), (1, 2), (2, 4), (4, 6)])):
         for A, want in ((mat.identity(n), spans),
-                        (mat.companion(mat.x_pow_minus_1(n)), [(0, n)])):
+                        (mat.companion(x_pow_minus_1(n)), [(0, n)])):
             rep = mat.IntegerRep(n, A, D)
             assert _spans(rep) == want
             assert not _assert_matches_oracle(rep).passed
@@ -634,7 +637,7 @@ def test_rep_of_builds_each_distinct_summand_once(ctx3, fresh_block_memo, monkey
         {s for s in D.summands if s.kind != "Z"}, key=lat.Summand.sort_key)
     copies = [[list(r) for r in mat.rep_of(lat.descriptor(3, ctx3, [s])).matrix]
               for s in D.summands]
-    assert [list(r) for r in rep.matrix] == mat.block_diag(copies)
+    assert [list(r) for r in rep.matrix] == block_diag(copies)
 
 
 def test_rep_of_builds_each_summand_block_once_per_process(ctx3, fresh_block_memo, monkeypatch):
