@@ -7,8 +7,8 @@ and replaces each unit parameter u by the canonical representative of
 its image under the ring map l -> (1+l)^k - 1; exponents r and type
 tags are untouched.  Two faithful semidirect products are isomorphic
 as groups exactly when one module is isomorphic to some twist of the
-other, which is what twisted_isomorphic searches for, by acting on
-isomorphism invariants directly (act_on_invariants).
+other, which is what twisted_isomorphic searches for, by acting on the
+isomorphism invariants of one module directly.
 
 The search is over residues first.  The u0 coset lives in U_t with
 t <= p, where l^p = 0 and so (1+l)^p = 1: the ring map, like the
@@ -58,23 +58,6 @@ def twist(D: LatticeDescriptor, k: int) -> LatticeDescriptor:
 
 def galois_units(p: int) -> list[int]:
     return [k for k in range(1, p * p) if k % p != 0]
-
-
-def act_on_invariants(context, k: int, inv: IsoInvariants) -> IsoInvariants:
-    """The invariants of twist(D, k), computed from inv = invariants_of(D).
-
-    Twisting moves the ideal classes by the class-group actions and the
-    u0 coset by the ring map l -> (1+l)^k - 1; the genus, t and the
-    quadratic character (the constant term of u0) do not change.
-    """
-    return IsoInvariants(
-        inv.padic,
-        apply_action(context.H_p, k % context.p, inv.R_class),
-        apply_action(context.H_p2, k, inv.S_class),
-        inv.t,
-        _move_coset(context, k, inv),
-        inv.quad_char,
-    )
 
 
 def _move_coset(context, k: int, inv: IsoInvariants):

@@ -1,37 +1,36 @@
 """Profinite genus of the groups Z^n x| C_{p^2}.
 
-For a faithful semidirect product the genus size is computed two ways:
+The genus of a faithful semidirect product is a product of finite sets
+on which G(p^2) = (Z/p^2)^* acts diagonally: the R class, the S class,
+the U_t coset of u0 and the quadratic character, each listed when the
+action moves it (_genus_coordinates).  Each set carries its fixed-point
+counts per divisor e of N = p(p-1), since gen^d fixes as many points as
+gen^gcd(d, N): Smith invariants on the class groups
+(abelian.CyclicAction.fixed_counts) and a closed form in the free
+degrees on U_t, so no count lists a class, a coset or a tuple.  Two
+counts read the same sets:
 
-* a closed-form dispatch over module shapes, multiplying orbit counts
-  of the Galois actions on the two class groups, on U_t, and the
-  two-element split detected by Sigma;
+* the closed form dispatches over module shapes to name a case, and
+  its value is the product of the orbit counts of the sets;
 
-* the orbit engine: count orbits of the diagonal G(p^2) action on the
-  isomorphism-invariant tuples of the genus by Burnside's lemma, from
-  the fixed-point counts of each coordinate set separately.  Each count
-  depends on the power gen^d only through e = gcd(d, N), N = p(p-1), so
-  the counts are kept per divisor e | N.  On the class groups they come
-  from Smith invariants (abelian.CyclicAction.fixed_counts) and on U_t
-  they are a closed form in its free degrees, so no count lists a
-  class, a coset or a tuple, and no count has a size guard.  Only
-  enumerate_genus lists the genus, under the guard.
+* the orbit engine is the orbit count of their product, by Burnside.
 
-The two engines agree on every tested shape with trivial class groups;
-with nontrivial class data any disagreement is reported, never
-suppressed.
+They agree when the stabilisers allow it, which they always do with
+trivial class groups; any disagreement is reported, never suppressed.
+Only enumerate_genus lists the genus, under the guard.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
+from itertools import product
+from typing import Callable, Optional
 
-from . import galois, iso, lattice, modring
-from .abelian import (DEFAULT_GUARD, burnside_count, divisor_weights, orbit_count,
-                      primitive_root)
+from . import galois, iso, lattice
+from .abelian import DEFAULT_GUARD, burnside_count, divisor_weights, orbit_count
 from .classdata import ClassData
-from .errors import EnumerationGuard, InternalError, NotFaithful
+from .errors import EnumerationGuard, NotFaithful
 from .iso import IsoInvariants
 from .lattice import Faithfulness, LatticeDescriptor
 from .value import Value
@@ -116,57 +115,63 @@ def ut_orbit_count(context: ClassData, t: int) -> int:
     return burnside_count(_ut_fixed_counts(context, t), context.p * (context.p - 1))
 
 
-class _GenusCoordinates(Value):
-    """The coordinate sets of the invariant tuples in the genus of D.
+# the cached orbit count of each coordinate set, by field name
+_ORBIT_COUNTS = {
+    "R_class": lambda context, t: orbit_count(context.H_p),
+    "S_class": lambda context, t: orbit_count(context.H_p2),
+    "u0_class": ut_orbit_count,
+    "quad_char": lambda context, t: 2,
+}
 
-    The R and S classes range over the whole class group and the u0
-    coset over all of U_t when live, and keep their base values
-    otherwise; chi_range lists the character's values.  base is the
-    IsoInvariants of D and the *_live fields are bools.
+
+def _genus_coordinates(D: LatticeDescriptor) -> list[tuple[str, dict[int, int], Callable]]:
+    """The coordinate sets of the genus of D that G(p^2) moves, in
+    IsoInvariants field order: (field name, {e: fixed points of gen^e}
+    over the divisors e of N = p(p-1), zero-argument lister of the set),
+    so fixed[N] is the size of the set.
+
+    A class coordinate ranges over its whole class group exactly when
+    some summand carries the ideal slot; gen^e acts on H_p as
+    generator^gcd(e, p - 1).  The u0 coset ranges over U_t exactly when
+    the coset invariant applies and an extension summand is present, and
+    the quadratic character takes both signs exactly when
+    lattice.sigma(D) = 2.  Every other field of invariants_of(D) is a
+    single value every ring map fixes: the identity class, one sign, or
+    u0 = 1 on a sum of Z's.
     """
-
-    __slots__ = ("base", "r_live", "s_live", "u_live", "chi_range")
-
-
-def _genus_coordinates(D: LatticeDescriptor) -> _GenusCoordinates:
-    """Class coordinates range over the full class group exactly when some
-    summand carries the corresponding ideal slot; the U_t coordinate
-    ranges over all cosets exactly when the coset invariant applies and
-    an extension summand is present; the quadratic character takes both
-    signs exactly when lattice.sigma(D) = 2.
-    """
-    base = iso.invariants_of(D)
-    r_live = lattice.has_R_slot(D)
-    s_live = lattice.has_S_slot(D)
-    has_ext = any(s.kind in lattice.EXTENSION_KINDS for s in D.summands)
-    u_live = base.u0_class is not None and has_ext
-    chi_range = (1, -1) if lattice.sigma(D) == 2 else (base.quad_char,)
-    return _GenusCoordinates(base, r_live, s_live, u_live, chi_range)
+    ctx, p = D.context, D.p
+    weights = divisor_weights(p * (p - 1))
+    coords = []
+    if lattice.has_R_slot(D):
+        fix = ctx.H_p.fixed_counts
+        coords.append(("R_class", {e: fix[math.gcd(e, p - 1)] for e, _ in weights},
+                       ctx.H_p.target.elements))
+    if lattice.has_S_slot(D):
+        coords.append(("S_class", ctx.H_p2.fixed_counts, ctx.H_p2.target.elements))
+    if iso.u0_coset_applies(D) and any(s.kind in lattice.EXTENSION_KINDS for s in D.summands):
+        t = lattice.t_of(D)
+        coords.append(("u0_class", _ut_fixed_counts(ctx, t), lambda: ctx.unit_quotient(t).reps))
+    if lattice.sigma(D) == 2:
+        coords.append(("quad_char", {e: 2 for e, _ in weights}, lambda: (1, -1)))
+    return coords
 
 
 def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[IsoInvariants]:
-    """Every isomorphism-invariant tuple realized in the genus of D.
+    """Every isomorphism-invariant tuple realized in the genus of D: the
+    product of the moving coordinate sets, substituted into
+    invariants_of(D).
 
     Raises EnumerationGuard when the genus has more than guard tuples.
     """
-    co = _genus_coordinates(D)
-    base = co.base
-    Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
-    quotient = D.context.unit_quotient(base.t) if co.u_live else None
-    total = ((Hp.order if co.r_live else 1) * (Hp2.order if co.s_live else 1)
-             * (quotient.order if quotient is not None else 1) * len(co.chi_range))
+    coords = _genus_coordinates(D)
+    total = math.prod(fixed[D.p * (D.p - 1)] for _, fixed, _ in coords)
     if total > guard:
         raise EnumerationGuard(f"genus of size {total} exceeds guard {guard}")
-    r_range = Hp.elements() if co.r_live else [Hp.identity()]
-    s_range = Hp2.elements() if co.s_live else [Hp2.identity()]
-    u_range = quotient.reps if quotient is not None else [base.u0_class]
-    return [
-        IsoInvariants(base.padic, rc, sc, base.t, u, chi)
-        for rc in r_range
-        for sc in s_range
-        for u in u_range
-        for chi in co.chi_range
-    ]
+    base = iso.invariants_of(D)
+    fields = {f: getattr(base, f) for f in IsoInvariants._fields}
+    names = [name for name, _, _ in coords]
+    return [IsoInvariants(**{**fields, **dict(zip(names, point))})
+            for point in product(*(lister() for _, _, lister in coords))]
 
 
 def orbit_genus_count(D: LatticeDescriptor) -> int:
@@ -177,85 +182,62 @@ def orbit_genus_count(D: LatticeDescriptor) -> int:
     genus is the product of its coordinate sets and G(p^2) is cyclic of
     order N = p(p-1), so Burnside's lemma gives
     (1/N) sum_{e | N} phi(N/e) prod_i fix_i(gen^e) without listing the
-    tuples.  Each class-group generator generates its unit group
-    (CyclicAction.validate), so gen^d fixes as many classes as
-    generator^gcd(d, N) on H_p2 and generator^gcd(d, p - 1) on H_p.
+    tuples.
     """
-    ctx = D.context
-    co = _genus_coordinates(D)
-    p = ctx.p
-    order = p * (p - 1)
-    weights = divisor_weights(order)
-    ones = {e: 1 for e, _ in weights}
-    # a singleton class coordinate is the identity class, fixed by every
-    # automorphism; the character carries the trivial action
-    fix_r = ctx.H_p.fixed_counts if co.r_live else ones
-    fix_s = ctx.H_p2.fixed_counts if co.s_live else ones
-    if co.u_live:
-        fix_u = _ut_fixed_counts(ctx, co.base.t)
-    else:
-        u = co.base.u0_class
-        if u is not None:
-            quotient = ctx.unit_quotient(co.base.t)
-            gen = primitive_root(p * p)
-            if quotient.rep_of(modring.galois_on_unit(gen, u)) != u:
-                raise InternalError(f"the fixed coset coordinate {u} is not Galois-stable")
-        fix_u = ones
-    n_chi = len(co.chi_range)
-    fixed = {e: fix_r[math.gcd(e, p - 1)] * fix_s[e] * fix_u[e] * n_chi for e, _ in weights}
-    return burnside_count(fixed, order)
+    order = D.p * (D.p - 1)
+    coords = _genus_coordinates(D)
+    return burnside_count(
+        {e: math.prod(fixed[e] for _, fixed, _ in coords) for e, _ in divisor_weights(order)},
+        order)
 
 
-def closed_form_count(E: SemidirectDescriptor) -> Optional[tuple[int, str]]:
-    """The genus size by shape dispatch, or None when no case matches.
+def _closed_form_case(D: LatticeDescriptor) -> Optional[str]:
+    """The name of the closed-form case covering the shape of D, or None.
 
-    Case tags name the matched shape; uncovered faithful shapes (for
-    example an Ec summand next to a type C part when p = 1 mod 4) are
-    deliberately left to the enumeration engine.
+    Uncovered faithful shapes (for example an Ec summand next to a type
+    C part when p = 1 mod 4) are deliberately left to the orbit engine.
     """
-    D = E.module
-    ctx = D.context
-    p = D.p
-    n = lattice.counts(D)
     faith = lattice.faithfulness(D)
     if faith == Faithfulness.TRIVIAL:
-        return (1, CASE_TRIVIAL)
-    orb_hp = orbit_count(ctx.H_p)
+        return CASE_TRIVIAL
     if faith == Faithfulness.ORDER_P:
-        return (orb_hp, CASE_NONFAITHFUL)
-    orb_hp2 = orbit_count(ctx.H_p2)
+        return CASE_NONFAITHFUL
+    n = lattice.counts(D)
     n_q = n["B"] + n["C"] + n["D"] + n["E"] + n["F"]
     r_side = n["b"] + n["Eb"] >= 1
     s_side = n["c"] + n["Ec"] >= 1
-
     if not r_side and n_q == 0 and s_side:
-        return (orb_hp2, CASE_SO_CS)
-
-    if p % 4 != 1:
-        if sum([r_side, s_side, n_q >= 1]) >= 2:
-            return (orb_hp * orb_hp2, CASE_CS_BS)
-        if not r_side and not s_side and n_q >= 1:
-            orb_ut = ut_orbit_count(ctx, lattice.t_of(D))
-            return (orb_hp * orb_hp2 * orb_ut, CASE_SEM_ABSORCAO)
-        return None
-
-    # p = 1 (mod 4)
-    sig = lattice.sigma(D)
+        return CASE_SO_CS
     if not r_side and not s_side and n_q >= 1:
-        orb_ut = ut_orbit_count(ctx, lattice.t_of(D))
-        return (orb_hp * orb_hp2 * orb_ut * sig, CASE_MAIS_SIMPLES)
+        return CASE_MAIS_SIMPLES if D.p % 4 == 1 else CASE_SEM_ABSORCAO
+    if D.p % 4 != 1:
+        return CASE_CS_BS if sum([r_side, s_side, n_q >= 1]) >= 2 else None
     if n["Z"] + n["Eb"] + n["Ec"] + n["B"] + n["F"] == 0:
         cde = n["C"] + n["D"] + n["E"]
         if (n["b"] >= 1 and (n["c"] >= 1 or cde >= 1)) or (
             n["b"] + n["c"] >= 1 and cde >= 1
         ):
-            return (orb_hp * orb_hp2 * sig, CASE_COM_BC)
+            return CASE_COM_BC
     if (n["Ec"] >= 1 and n["Eb"] >= 1) or (
         n["b"] + n["c"] >= 1
         and (n["Z"] + n["Eb"] + n["Ec"] >= 1 or n["B"] + n["F"] >= 1)
     ):
-        return (orb_hp * orb_hp2, CASE_ULTIMAO)
+        return CASE_ULTIMAO
     return None
+
+
+def closed_form_count(E: SemidirectDescriptor) -> Optional[tuple[int, str]]:
+    """The genus size by shape dispatch, or None when no case matches:
+    the product of the cached orbit counts of the moving coordinate
+    sets, tagged with the name of the matched case.
+    """
+    D = E.module
+    case = _closed_form_case(D)
+    if case is None:
+        return None
+    t = lattice.t_of(D)
+    return (math.prod(_ORBIT_COUNTS[name](D.context, t) for name, _, _ in _genus_coordinates(D)),
+            case)
 
 
 def genus_bounds(E: SemidirectDescriptor) -> tuple[int, int]:

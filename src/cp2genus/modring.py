@@ -211,19 +211,21 @@ def _galois_columns(p: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
 def galois_on_unit(k: int, x: PolyMod) -> PolyMod:
     """Apply the ring map l -> (1+l)^k - 1 (the image of g -> g^k).
 
-    Defined on every element, not only units; k must be coprime to p.
-    The map is F_p-linear, so it is applied as a matrix-vector product.
-    For m <= p, l^p = 0 gives (1+l)^p = 1 + l^p = 1, so the map sees k
-    only mod p; for m > p it sees k mod p^2.
+    Defined on every element, not only units; k must be coprime to p,
+    and m <= p, as for every U_m.  The map is F_p-linear, so it is
+    applied as a matrix-vector product.  l^p = 0 gives
+    (1+l)^p = 1 + l^p = 1, so the map sees k only mod p.
     """
     p, m = x.p, x.m
     if math.gcd(k, p) != 1:
         raise Cp2Error(f"k={k} is not coprime to p={p}")
+    if m > p:
+        raise Cp2Error(f"the Galois action is defined on F_{p}[l]/(l^m) for m <= {p}, not m={m}")
     if m == 0:
         return x
     out = [0] * m
     # mu has no constant term, so mu^j vanishes below degree j
-    k %= p if m <= p else p * p
+    k %= p
     for j, (c, col) in enumerate(zip(x.coeffs, _galois_columns(p, m, k))):
         if c:
             for i in range(j, m):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -128,6 +129,18 @@ def indecomposable_templates(p, ctx):
                     )
                 )
     return out
+
+
+def faithful_shapes(p, ctx):
+    """Every faithful sum of one or two indecomposable shapes: a plain kind,
+    or an extension kind with an exponent r, its classes 0 and unit 1."""
+    shapes = [lattice.make_summand(p, ctx, kind) for kind in ("Z", "b", "c", "Eb", "Ec")]
+    shapes += [lattice.make_summand(p, ctx, kind, r=r)
+               for kind in lattice.EXTENSION_KINDS if kind != "D" or p % 4 == 1
+               for r in lattice.r_range(kind, p)]
+    combos = [(s,) for s in shapes] + list(itertools.combinations_with_replacement(shapes, 2))
+    sums = [lattice.descriptor(p, ctx, combo) for combo in combos]
+    return [D for D in sums if lattice.faithfulness(D) == lattice.Faithfulness.FAITHFUL]
 
 
 def random_summand(rng: random.Random, p, ctx, max_m=None):

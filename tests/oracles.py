@@ -3,7 +3,9 @@
 Each one does the job the slow, direct way: walking orbits point by
 point, walking the powers of a unit for its order, applying the
 generator matrix power by power, twisting a descriptor and re-deriving
-its invariants, scanning every Galois unit for a twist, substituting
+its invariants, moving invariants by the class-group actions and the
+ring map, realizing a genus as descriptors and grouping them by twist,
+scanning every Galois unit for a twist, substituting
 (1+l)^k - 1 for l with the unreduced k, listing a unit group and its
 cosets element by element, closing a unit subgroup by the general
 sift with a p-th-power requeue, listing the p^2 - p + 1 classical ES
@@ -162,14 +164,78 @@ def walk_ut_fixed_counts(context, t: int) -> tuple[int, ...]:
     return fixed_point_counts([len(c) for c in perm], context.p * (context.p - 1))
 
 
+def act_on_invariants(context, k: int, inv):
+    """The invariants of twist(D, k), computed from inv = invariants_of(D).
+
+    Twisting moves the ideal classes by the class-group actions and the
+    u0 coset by the ring map l -> (1+l)^k - 1; the genus, t and the
+    quadratic character (the constant term of u0) do not change.
+    """
+    return iso.IsoInvariants(
+        inv.padic,
+        apply_action(context.H_p, k % context.p, inv.R_class),
+        apply_action(context.H_p2, k, inv.S_class),
+        inv.t,
+        galois._move_coset(context, k, inv),
+        inv.quad_char,
+    )
+
+
 def brute_orbit_genus_count(D, guard: int = DEFAULT_GUARD) -> int:
     """Orbits of the diagonal Galois action, walked over the listed genus."""
     ctx = D.context
     gen = primitive_root(ctx.p ** 2)
     return walk_orbit_count(
         genus.enumerate_genus(D, guard),
-        lambda inv: galois.act_on_invariants(ctx, gen, inv),
+        lambda inv: act_on_invariants(ctx, gen, inv),
     )
+
+
+def census_genus_count(D) -> int:
+    """The genus of D realized as descriptors and counted up to Galois twist.
+
+    The classes of the first summand with a b slot run over H_p, those of
+    the first summand with a c slot over H_{p^2}, and the unit of the
+    first extension summand over the reps of its U_m; at p = 1 (mod 4)
+    that summand also swaps between types C and D.  One member is kept
+    per distinct iso.invariants_of.  Each member that no twist of an
+    earlier class reached starts a new class, whose members are marked
+    by twisting it with every unit.  Raises InternalError when a twist
+    leaves the realized members.
+    """
+    p, ctx = D.p, D.context
+    summands = [dict(kind=s.kind, b=s.b, c=s.c, r=s.r, u=s.u) for s in D.summands]
+    ib = next((i for i, s in enumerate(summands) if s["b"] is not None), None)
+    ic = next((i for i, s in enumerate(summands) if s["c"] is not None), None)
+    iu = next((i for i, s in enumerate(summands) if s["kind"] in lattice.EXTENSION_KINDS), None)
+    b_values = ctx.H_p.target.elements() if ib is not None else [None]
+    c_values = ctx.H_p2.target.elements() if ic is not None else [None]
+    units = [(None, None)]
+    if iu is not None:
+        s = summands[iu]
+        kinds = ("C", "D") if p % 4 == 1 and s["kind"] in ("C", "D") else (s["kind"],)
+        reps = ctx.unit_quotient(lattice.unit_index(s["kind"], s["r"], p)).reps
+        units = [(kind, u) for kind in kinds for u in reps]
+    members = {}
+    for b, c, (kind, u) in product(b_values, c_values, units):
+        parts = [dict(s) for s in summands]
+        if ib is not None:
+            parts[ib]["b"] = b
+        if ic is not None:
+            parts[ic]["c"] = c
+        if iu is not None:
+            parts[iu].update(kind=kind, u=u)
+        M = lattice.descriptor(p, ctx, [lattice.make_summand(p, ctx, **s) for s in parts])
+        members.setdefault(iso.invariants_of(M), M)
+    reached: set = set()
+    classes = 0
+    for inv, M in members.items():
+        if inv not in reached:
+            classes += 1
+            reached.update(iso.invariants_of(galois.twist(M, k)) for k in galois.galois_units(p))
+    if not reached <= members.keys():
+        raise InternalError("a twist of a realized member is not realized")
+    return classes
 
 
 def twist_search(D1, D2):
@@ -191,7 +257,7 @@ def scan_twisted_isomorphic(D1, D2):
     target = iso.invariants_of(D1)
     inv = iso.invariants_of(D2)
     for k in galois.galois_units(D1.p):
-        if galois.act_on_invariants(D2.context, k, inv) == target:
+        if act_on_invariants(D2.context, k, inv) == target:
             return k
     return None
 

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import cp2genus
-from cp2genus import iso
+from cp2genus import classdata, iso
 from cp2genus.cli import main
-from cp2genus.errors import InternalError
+from cp2genus.errors import ConfigError, InternalError
 
 from conftest import trivial_config
 
@@ -152,6 +152,20 @@ def test_bad_classdata_exit_3(capsys, tmp_path):
     path.write_text(json.dumps(trivial_config(7, extra_R_unit_gens=[[1, 0, 0, 1, 2, 1]])))
     code, out, err = run(capsys, "orbits", "--p", "7", "--classdata", str(path))
     assert code == 3 and out == "" and err.startswith("error: ") and "m=6" in err
+
+
+def test_classdata_matrix_of_the_wrong_shape_exit_3(capsys, tmp_path):
+    # a 1 x 2 generator matrix on the cyclic C_43: the shape check must
+    # reject it, so orbits never answers with it
+    config = json.loads((Path(__file__).resolve().parent.parent
+                         / "perfbench" / "data" / "c43.json").read_text())
+    config["H_p2"]["generator_matrix"] = [[3, 5]]
+    path = tmp_path / "c43_wide.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match="H_p2"):
+        classdata.load_config(path)
+    code, out, err = run(capsys, "orbits", "--p", "7", "--classdata", str(path))
+    assert code == 3 and out == "" and err.startswith("error: ")
 
 
 def test_oversized_classdata_prime_exit_3(tmp_path):

@@ -1,20 +1,24 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from cp2genus import abelian, classdata, galois, genus, iso, lattice as lat, modring
-from cp2genus.errors import EnumerationGuard, InternalError, NotFaithful
+from cp2genus.errors import EnumerationGuard, NotFaithful
 
-from conftest import (classdata_both_nontrivial, exp_l3_extra, indecomposable_templates,
-                      random_descriptor, synthetic_c43, synthetic_cyclic)
+from conftest import (classdata_both_nontrivial, exp_l3_extra, faithful_shapes,
+                      indecomposable_templates, random_descriptor, synthetic_c43,
+                      synthetic_cyclic)
 from oracles import (
+    act_on_invariants,
     brute_fixed_counts,
     brute_orbit_genus_count,
     brute_ut_orbit_count,
+    census_genus_count,
     diagonal_orbits,
     orbits,
     per_power,
@@ -288,15 +292,23 @@ def test_cached_orbit_counts_match_walk(ctx2, ctx3, ctx5, monkeypatch):
     assert calls == [42]
 
 
-def test_orbit_engine_rejects_unstable_fixed_coordinate(ctx5, monkeypatch):
-    # "Z" at p = 5: the u0 coset is a single fixed point of U_4, which has
-    # 2 orbits; a Galois map moving it must not yield a count
-    D = lat.parse("Z", 5, ctx5)
-    reps = ctx5.unit_quotient(lat.t_of(D)).reps
-    other = next(r for r in reps if r != iso.invariants_of(D).u0_class)
-    monkeypatch.setattr(modring, "galois_on_unit", lambda k, x: other)
-    with pytest.raises(InternalError):
-        genus.orbit_genus_count(D)
+def test_fixed_coset_coordinate_is_one_on_sums_of_z(ctx2, ctx3, ctx5):
+    # the u0 coset is a coordinate the action moves whenever an extension
+    # summand is present; where the coset invariant applies without one,
+    # the module is a sum of Z's and its u0 = 1 is fixed by every ring map
+    rng = random.Random(27)
+    for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, synthetic_c43())):
+        samples = [random_descriptor(rng, p, ctx, max_m=6) for _ in range(200)]
+        samples += [lat.parse(f"{n}*Z", p, ctx) for n in (1, 3)]
+        fixed = [D for D in samples if iso.u0_coset_applies(D)
+                 and not any(s.kind in lat.EXTENSION_KINDS for s in D.summands)]
+        assert fixed
+        for D in fixed:
+            assert all(s.kind == "Z" for s in D.summands), lat.render(D)
+            u = iso.invariants_of(D).u0_class
+            assert u == modring.one(p, lat.t_of(D))
+            assert all(modring.galois_on_unit(k, u) == u for k in galois.galois_units(p))
+            assert "u0_class" not in [name for name, _, _ in genus._genus_coordinates(D)]
 
 
 def test_c43_group_iso_by_twist():
@@ -347,7 +359,7 @@ def test_twist_commutes_with_invariants(ctx3, ctx5):
             base = iso.invariants_of(D)
             for k in galois.galois_units(p)[:6]:
                 left = iso.invariants_of(galois.twist(D, k))
-                right = galois.act_on_invariants(ctx, k, base)
+                right = act_on_invariants(ctx, k, base)
                 assert left == right, (p, lat.render(D), k)
 
 
@@ -376,3 +388,82 @@ def test_genus_bounds_values(ctx5):
     E = SD(lat.parse("B(0,0;6)", 7, ctx))
     lo, hi = genus.genus_bounds(E)
     assert lo == 2 and hi == 4
+
+
+# --- the census: the genus realized as descriptors, grouped by twist ------
+
+
+CENSUS_DATA = {
+    "p3": lambda: classdata.builtin(3),
+    "p5": lambda: classdata.builtin(5),
+    "p5-C11": lambda: synthetic_cyclic(5, 11, 2),
+    "p5-C41": lambda: synthetic_cyclic(5, 41, 36),
+    "p7": lambda: classdata.trivial(7),
+    "p7-C43": synthetic_c43,
+}
+
+
+@pytest.mark.parametrize("data, n_shapes, closed_form_misses", [
+    ("p3", 95, {}),
+    ("p5", 315, {}),
+    ("p5-C11", 315, {genus.CASE_MAIS_SIMPLES: 18}),
+    pytest.param("p5-C41", 315, {genus.CASE_MAIS_SIMPLES: 18}, marks=pytest.mark.slow),
+    pytest.param("p7", 455, {}, marks=pytest.mark.slow),
+    pytest.param("p7-C43", 455, {genus.CASE_SEM_ABSORCAO: 102}, marks=pytest.mark.slow),
+], ids=list(CENSUS_DATA))
+def test_census_matches_engine_on_small_shapes(data, n_shapes, closed_form_misses):
+    # over the faithful shapes of at most two summands the orbit engine
+    # equals the census, and the closed form misses it on exactly these
+    # numbers of shapes per case
+    ctx = CENSUS_DATA[data]()
+    shapes = faithful_shapes(ctx.p, ctx)
+    assert len(shapes) == n_shapes
+    misses = Counter()
+    for D in shapes:
+        census = census_genus_count(D)
+        assert genus.orbit_genus_count(D) == census, lat.render(D)
+        closed = genus.closed_form_count(SD(D))
+        if closed is not None and closed[0] != census:
+            misses[closed[1]] += 1
+    assert misses == closed_form_misses
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclic_class_data(), st.integers(0, 2**32 - 1))
+def test_census_matches_engine_on_cyclic_class_data(ctx, seed):
+    D = random_descriptor(random.Random(seed), ctx.p, ctx, faithful=True)
+    assert genus.orbit_genus_count(D) == census_genus_count(D), lat.render(D)
+
+
+def test_closed_form_case_names_per_shape(ctx3, ctx5):
+    # how many faithful shapes of at most two summands each case covers
+    for ctx, expected in (
+        (ctx5, {genus.CASE_SO_CS: 7, genus.CASE_MAIS_SIMPLES: 228, genus.CASE_COM_BC: 21,
+                genus.CASE_ULTIMAO: 21, None: 38}),
+        (ctx3, {genus.CASE_SO_CS: 7, genus.CASE_SEM_ABSORCAO: 52, genus.CASE_CS_BS: 36}),
+    ):
+        cases = Counter()
+        for D in faithful_shapes(ctx.p, ctx):
+            closed = genus.closed_form_count(SD(D))
+            cases[closed[1] if closed else None] += 1
+        assert cases == expected, ctx.p
+    for text, case in (("b(0) + E(0,0;1)", genus.CASE_COM_BC), ("b(0) + c(0)", genus.CASE_COM_BC),
+                       ("b(0) + F(0,0;0)", genus.CASE_ULTIMAO),
+                       ("Eb(0) + Ec(0)", genus.CASE_ULTIMAO), ("Ec(0) + C(0,0;1)", None)):
+        D = lat.parse(text, 5, ctx5)
+        closed = genus.closed_form_count(SD(D))
+        assert (closed[1] if closed else None) == case, text
+    assert lat.sigma(lat.parse("b(0) + E(0,0;1)", 5, ctx5)) == 1
+
+
+def test_counts_derive_no_invariants(ctx5, monkeypatch):
+    # the engine and the closed form read the shape, never invariants_of
+    shapes = [lat.parse(t, 5, ctx5) for t in ("B(0,0;1)", "b(0) + C(0,0;1)", "Z + c(0)")]
+
+    def refuse(D):
+        raise AssertionError("invariants_of was called")
+
+    monkeypatch.setattr(iso, "invariants_of", refuse)
+    for D in shapes:
+        genus.orbit_genus_count(D)
+        genus.closed_form_count(SD(D))

@@ -43,6 +43,15 @@ def test_poly_mul_ambient_mismatch():
         mr.poly_mul(mr.one(3, 2), mr.one(5, 2))
 
 
+def test_rep_of_rejects_a_unit_with_one_wrong_ambient_parameter():
+    # rep_of must check p and m each on its own
+    quotient = mr.compute_Um(5, 4)
+    assert quotient.rep_of(mr.poly(5, 4, (1, 1))).m == 4
+    for wrong in (mr.poly(7, 4, (1, 1)), mr.poly(5, 3, (1, 1))):
+        with pytest.raises(AmbientMismatch):
+            quotient.rep_of(wrong)
+
+
 def test_poly_inv_examples():
     assert mr.poly_inv(mr.poly(3, 2, (1, 1))) == mr.poly(3, 2, (1, 2))
     assert mr.poly_inv(mr.one(5, 3)) == mr.one(5, 3)
@@ -293,14 +302,17 @@ def test_galois_sees_k_mod_p_certificate():
                     assert mr.galois_on_unit(k, x) == mr.galois_on_unit(k % p, x)
 
 
-def test_galois_sees_k_mod_p_squared_beyond_m_p():
+def test_galois_rejects_m_beyond_p():
     # at m = p + 1, l^p survives: (1+l)^(p+1) - 1 = l + l^p (mod l^(p+1)),
-    # not l, so reducing k mod p there would be wrong
+    # not l, so the map would see k mod p^2 there; no U_m has m > p, and
+    # galois_on_unit refuses such an element rather than act on it
     for p in (2, 3, 5, 7):
         m, x = p + 1, mr.lam(p, p + 1)
         assert galois_by_substitution(p + 1, x) == mr.poly(p, m, [0, 1] + [0] * (p - 2) + [1])
-        assert mr.galois_on_unit(p + 1, x) == galois_by_substitution(p + 1, x)
-        assert mr.galois_on_unit(p + 1, x) != mr.galois_on_unit(1, x)
+        for k in (1, p + 1):
+            with pytest.raises(Cp2Error, match="m <= "):
+                mr.galois_on_unit(k, x)
+        assert mr.galois_on_unit(p + 1, mr.lam(p, p)) == mr.lam(p, p)
 
 
 def test_twisted_shift_identity_small():

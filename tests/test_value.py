@@ -37,7 +37,6 @@ FIELDS = {
     iso.IsoInvariants: ("padic", "R_class", "S_class", "t", "u0_class", "quad_char"),
     genus.SemidirectDescriptor: ("module",),
     genus.GenusReport: ("closed_form", "enumeration", "agree", "bounds", "notes"),
-    genus._GenusCoordinates: ("base", "r_live", "s_live", "u_live", "chi_range"),
     materialize.IntegerRep: ("n", "matrix", "source"),
     materialize.RepCheck: ("name", "ok", "detail"),
     materialize.RepReport: ("checks",),
@@ -55,8 +54,7 @@ def instances(ctx5):
     return [
         ctx7.H_p2.target, ctx7.H_p2, ctx7, modring.lam(5, 3), quotient.subgroup,
         quotient, D.summands[-1], D, lattice.genus_vector(D), iso.padic_completion(D),
-        iso.invariants_of(D), E, genus.genus_report(E), genus._genus_coordinates(D),
-        rep, report.checks[0], report,
+        iso.invariants_of(D), E, genus.genus_report(E), rep, report.checks[0], report,
     ]
 
 
