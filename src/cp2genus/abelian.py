@@ -70,9 +70,9 @@ def _check_member(G: AbGroup, x):
         raise Cp2Error(f"element {x} out of range for factors {G.factors}")
 
 
-def _add(G: AbGroup, x, y) -> tuple[int, ...]:
-    """x + y for x and y already known to lie in G."""
-    return tuple((a + b) % f for a, b, f in zip(x, y, G.factors))
+def _add(G: AbGroup, x, y, n: int = 1) -> tuple[int, ...]:
+    """x + n*y for x and y already known to lie in G."""
+    return tuple((a + n * b) % f for a, b, f in zip(x, y, G.factors))
 
 
 def reduce_element(G: AbGroup, raw) -> tuple[int, ...]:

@@ -72,7 +72,7 @@ def cmd_check(args) -> int:
         "u0": list(lattice.u0(D).coeffs),
         "R_class": list(rc),
         "S_class": list(sc),
-        "summands": [lattice.summand_to_json(s) for s in D.summands],
+        "summands": lattice.to_json(D)["summands"],
     }
     lines = [
         f"descriptor: {info['descriptor']}",
@@ -286,7 +286,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # e.g. a multiplicity like 10**15 expands to that many summands
+        # check, twist and materialize list every copy of a summand: a
+        # multiplicity like 10**15 asks for that many entries at once
         print("error: input too large", file=sys.stderr)
         return 2
 

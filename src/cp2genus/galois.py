@@ -52,7 +52,7 @@ def twist(D: LatticeDescriptor, k: int) -> LatticeDescriptor:
     """The descriptor of the twisted lattice M^(g -> g^k)."""
     k = _normalize_k(k, D.p)
     return lattice.descriptor(
-        D.p, D.context, [twist_summand(s, k, D.p, D.context) for s in D.summands]
+        D.p, D.context, [(twist_summand(s, k, D.p, D.context), n) for s, n in D.summands]
     )
 
 

@@ -142,13 +142,15 @@ def _genus_coordinates(D: LatticeDescriptor) -> list[tuple[str, dict[int, int], 
     ctx, p = D.context, D.p
     weights = divisor_weights(p * (p - 1))
     coords = []
-    if lattice.has_R_slot(D):
+    _, R_slot, S_slot = lattice.rational_type(D)
+    if R_slot:
         fix = ctx.H_p.fixed_counts
         coords.append(("R_class", {e: fix[math.gcd(e, p - 1)] for e, _ in weights},
                        ctx.H_p.target.elements))
-    if lattice.has_S_slot(D):
+    if S_slot:
         coords.append(("S_class", ctx.H_p2.fixed_counts, ctx.H_p2.target.elements))
-    if iso.u0_coset_applies(D) and any(s.kind in lattice.EXTENSION_KINDS for s in D.summands):
+    n = lattice.counts(D)
+    if lattice.u0_coset_applies(D) and any(n[k] for k in lattice.EXTENSION_KINDS):
         t = lattice.t_of(D)
         coords.append(("u0_class", _ut_fixed_counts(ctx, t), lambda: ctx.unit_quotient(t).reps))
     if lattice.sigma(D) == 2:

@@ -57,16 +57,6 @@ class IsoInvariants(Value):
     __slots__ = ("padic", "R_class", "S_class", "t", "u0_class", "quad_char")
 
 
-def u0_coset_applies(D: LatticeDescriptor) -> bool:
-    return not any(s.kind in ("b", "Eb", "c", "Ec") for s in D.summands)
-
-
-def quad_char_applies(D: LatticeDescriptor) -> bool:
-    if D.p % 4 != 1:
-        return False
-    return not any(s.kind in ("Z", "Eb", "Ec", "B", "F") for s in D.summands)
-
-
 def invariants_of(D: LatticeDescriptor) -> IsoInvariants:
     return _invariants(D, padic_completion(D))
 
@@ -76,7 +66,7 @@ def _invariants(D: LatticeDescriptor, padic: PadicDescriptor) -> IsoInvariants:
     p = D.p
     rc, sc = lattice.ideal_classes(D)
     t = lattice.t_of(D)
-    coset, quad_applies = u0_coset_applies(D), quad_char_applies(D)
+    coset, quad_applies = lattice.u0_coset_applies(D), lattice.quad_char_applies(D)
     u0 = lattice.u0(D) if coset or quad_applies else None
     u0_class = quad = None
     if coset:

@@ -18,10 +18,14 @@ Each kind has a rational type (a, b, c) in CYCLOTOMIC: Q tensor L is
 Q^a + Q(zeta_p)^b + Q(zeta_{p^2})^c and g has char poly Phi_1^a Phi_p^b
 Phi_{p^2}^c.  Rank, fixed rank, class slots and faithfulness follow.
 
-A descriptor is a prime p, a ClassData context, and a sorted tuple of
-summands.  Everything downstream (genus vectors, the unit product u0,
-the exponents r1/r2 and the derived index t, the sign Sigma, action
-faithfulness) is read off the multiset here.
+A descriptor is a prime p, a ClassData context, and a multiset of
+summands: one (summand, multiplicity) pair per distinct summand, sorted
+by Summand.sort_key, so "Z + Z" and "2*Z" are one descriptor.  Every
+fact downstream (rank, faithfulness, genus vector, u0, the index t, the
+sign Sigma, ideal classes, which invariants apply) is read off the pairs
+here, the shape through one per-kind count, counts(D): no cost grows
+with a multiplicity.  Only the JSON summand lists and the matrix models
+of materialize list every copy.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ CYCLOTOMIC = {
     "F": (1, 1, 1),
 }
 KINDS = tuple(CYCLOTOMIC)
+_ZERO_COUNTS = dict.fromkeys(KINDS, 0)
 _KIND_ORDER = {k: i for i, k in enumerate(KINDS)}
 EXTENSION_KINDS = ("B", "C", "D", "E", "F")
 
@@ -99,7 +104,8 @@ _Z = Summand("Z")
 
 
 class LatticeDescriptor(Value):
-    """A prime p, its ClassData context and a sorted tuple of Summands."""
+    """A prime p, its ClassData context and a sorted tuple of
+    (Summand, multiplicity >= 1) pairs, each summand once."""
 
     __slots__ = ("p", "context", "summands")
 
@@ -165,17 +171,23 @@ def make_summand(
 
 
 def descriptor(p: int, context: ClassData, summands) -> LatticeDescriptor:
-    """Assemble a descriptor; summands are sorted so equal multisets compare equal."""
+    """Assemble a descriptor from (Summand, multiplicity) pairs; repeats are
+    merged and the pairs sorted, so equal multisets compare equal."""
     if context.p != p:
         raise Cp2Error(f"class data is for p={context.p}, descriptor wants p={p}")
-    ordered = tuple(sorted(summands, key=Summand.sort_key))
-    return LatticeDescriptor(p, context, ordered)
+    pairs: list[tuple[Summand, int]] = []
+    for s, n in sorted(summands, key=lambda pair: pair[0].sort_key()):
+        if pairs and pairs[-1][0] == s:  # equal summands sort next to each other
+            n += pairs.pop()[1]
+        pairs.append((s, n))
+    return LatticeDescriptor(p, context, tuple(pairs))
 
 
 def counts(D: LatticeDescriptor) -> dict[str, int]:
-    out = {k: 0 for k in KINDS}
-    for s in D.summands:
-        out[s.kind] += 1
+    """The number of summands of each kind, copies included."""
+    out = _ZERO_COUNTS.copy()
+    for s, n in D.summands:
+        out[s.kind] += n
     return out
 
 
@@ -186,9 +198,10 @@ def counts(D: LatticeDescriptor) -> dict[str, int]:
 def rational_type(D: LatticeDescriptor) -> tuple[int, int, int]:
     """The summed CYCLOTOMIC type (a, b, c) of all summands."""
     a = b = c = 0
-    for s in D.summands:
-        da, db, dc = CYCLOTOMIC[s.kind]
-        a, b, c = a + da, b + db, c + dc
+    for kind, n in counts(D).items():
+        if n:
+            da, db, dc = CYCLOTOMIC[kind]
+            a, b, c = a + n * da, b + n * db, c + n * dc
     return a, b, c
 
 
@@ -221,70 +234,77 @@ def genus_vector(D: LatticeDescriptor) -> GenusVector:
     delta = [0] * max(p - 2, 0)
     eps = [0] * (p - 1)
     eta = [0] * (p - 1)
-    for s in D.summands:
+    for s, k in D.summands:
         if s.kind == "B":
-            beta[s.r] += 1
+            beta[s.r] += k
         elif s.kind == "C":
-            gamma[s.r - 1] += 1
+            gamma[s.r - 1] += k
         elif s.kind == "D":
-            delta[s.r - 1] += 1
+            delta[s.r - 1] += k
         elif s.kind == "E":
-            eps[s.r] += 1
+            eps[s.r] += k
         elif s.kind == "F":
-            eta[s.r] += 1
+            eta[s.r] += k
     return GenusVector(n["Z"], n["b"], n["c"], n["b"] + n["Eb"], n["c"] + n["Ec"],
                        tuple(beta), tuple(gamma), tuple(delta), tuple(eps), tuple(eta))
 
 
 def u0(D: LatticeDescriptor) -> PolyMod:
-    """Product of all unit parameters (with one n0 factor per type D
-    summand), taken in F_p[l]/(l^p) via zero-padded lifts; 1 when there
-    are no extension summands."""
+    """Product of all unit parameters, one factor per copy (with an n0 factor
+    per copy of a type D summand), taken in F_p[l]/(l^p) via zero-padded
+    lifts; 1 when there are no extension summands."""
     p = D.p
     acc = modring.one(p, p)
-    for s in D.summands:
+    for s, k in D.summands:
         if s.kind in EXTENSION_KINDS:
-            acc = modring.poly_mul(acc, modring.lift_poly(s.u, p))
+            u = modring.lift_poly(s.u, p)
+            acc = modring.poly_mul(acc, u if k == 1 else modring.poly_pow(u, k))
             if s.kind == "D":
-                acc = modring.poly_mul(acc, modring.poly(p, p, (n0(p),)))
+                acc = modring.poly_mul(acc, modring.poly(p, p, (pow(n0(p), k, p),)))
     return acc
-
-
-def r1(D: LatticeDescriptor) -> int:
-    rs = [s.r for s in D.summands if s.kind == "B"]
-    return max(rs) if rs else 0
-
-
-def r2(D: LatticeDescriptor) -> int:
-    rs = [s.r for s in D.summands if s.kind in ("C", "D", "E", "F")]
-    return max(rs) if rs else 0
 
 
 def t_of(D: LatticeDescriptor) -> int:
     """The truncation index t steering which U_t the unit product lands in.
 
-    Equals p - 1 - max(r2, r1 - 1) except for the special shape
-    Z^a + (type B summands all with r = 0), where t = p.
+    Equals p - 1 - max(r2, r1 - 1), r1 and r2 the largest r of a type B
+    and of a type C, D, E or F summand (0 if none), except for the special
+    shape Z^a + (type B summands all with r = 0), where t = p.
     """
+    r1 = r2 = 0
+    for s, _ in D.summands:
+        if s.kind == "B":
+            r1 = max(r1, s.r)
+        elif s.r is not None:
+            r2 = max(r2, s.r)
     n = counts(D)
-    only_Z_and_B = all(s.kind in ("Z", "B") for s in D.summands)
-    if n["B"] >= 1 and only_Z_and_B and r1(D) == 0:
+    if n["B"] and n["Z"] + n["B"] == sum(n.values()) and r1 == 0:
         return D.p
-    return D.p - 1 - max(r2(D), r1(D) - 1)
+    return D.p - 1 - max(r2, r1 - 1)
+
+
+def u0_coset_applies(D: LatticeDescriptor) -> bool:
+    """The U_t coset of u0 is an invariant: no summand b, Eb, c or Ec."""
+    n = counts(D)
+    return n["b"] + n["Eb"] + n["c"] + n["Ec"] == 0
+
+
+def quad_char_applies(D: LatticeDescriptor) -> bool:
+    """u0's quadratic character is an invariant: p = 1 (mod 4) and no
+    summand Z, Eb, Ec, B or F."""
+    if D.p % 4 != 1:
+        return False
+    n = counts(D)
+    return n["Z"] + n["Eb"] + n["Ec"] + n["B"] + n["F"] == 0
 
 
 def sigma(D: LatticeDescriptor) -> int:
     """2 when the C/D part can flip its quadratic character inside the
-    genus: p = 1 (mod 4), at least one C or D summand, and no summand of
-    kind Z, Eb, Ec, B or F.  Otherwise 1."""
-    if D.p % 4 != 1:
+    genus (the character applies and a C or D summand is present), else 1."""
+    if not quad_char_applies(D):
         return 1
     n = counts(D)
-    if n["C"] + n["D"] == 0:
-        return 1
-    if n["Z"] + n["Eb"] + n["Ec"] + n["B"] + n["F"] > 0:
-        return 1
-    return 2
+    return 2 if n["C"] + n["D"] else 1
 
 
 class Faithfulness:
@@ -303,7 +323,8 @@ def faithfulness(D: LatticeDescriptor) -> str:
 
 
 def ideal_classes(D: LatticeDescriptor) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The R- and S-ideal classes: sums of all b's and of all c's.
+    """The R- and S-ideal classes: sums of all b's and of all c's, each
+    class times its summand's multiplicity.
 
     make_summand (or a twist) has already reduced every class into its
     group, so the sums are taken without membership checks.
@@ -311,20 +332,12 @@ def ideal_classes(D: LatticeDescriptor) -> tuple[tuple[int, ...], tuple[int, ...
     Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
     rc = Hp.identity()
     sc = Hp2.identity()
-    for s in D.summands:
+    for s, n in D.summands:
         if s.b is not None:
-            rc = _add(Hp, rc, s.b)
+            rc = _add(Hp, rc, s.b, n)
         if s.c is not None:
-            sc = _add(Hp2, sc, s.c)
+            sc = _add(Hp2, sc, s.c, n)
     return rc, sc
-
-
-def has_R_slot(D: LatticeDescriptor) -> bool:
-    return rational_type(D)[1] > 0
-
-
-def has_S_slot(D: LatticeDescriptor) -> bool:
-    return rational_type(D)[2] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +409,20 @@ class _Parser:
         return val
 
     def parse(self) -> LatticeDescriptor:
-        summands = self.parse_summand()
+        summands = [self.parse_summand()]
         while True:
             kind, val, at = self.peek()
             if kind == "SYM" and val == "+":
                 self.next()
-                summands.extend(self.parse_summand())
+                summands.append(self.parse_summand())
             elif kind == "END":
                 break
             else:
                 raise ParseError("expected '+' or end of input", at)
         return descriptor(self.p, self.context, summands)
 
-    def parse_summand(self) -> list[Summand]:
+    def parse_summand(self) -> tuple[Summand, int]:
+        """One term n*X as the pair (X, n)."""
         mult = 1
         kind, val, at = self.peek()
         if kind == "NAT":
@@ -417,10 +431,11 @@ class _Parser:
             self.expect_sym("*")
             if mult < 1:
                 raise ParseError("multiplicity must be >= 1", at)
-            if mult > sys.maxsize:  # [s] * mult would raise OverflowError
+            # the JSON summand lists and the matrix models list every
+            # copy, and no Python sequence is longer than sys.maxsize
+            if mult > sys.maxsize:
                 raise ParseError(f"multiplicity must be <= {sys.maxsize}", at)
-        s = self.parse_atom()
-        return [s] * mult
+        return self.parse_atom(), mult
 
     def parse_atom(self) -> Summand:
         kind, name, at = self.next()
@@ -526,10 +541,6 @@ def _render_class(vec: tuple[int, ...]) -> str:
     return ":".join(str(v) for v in vec) if vec else "0"
 
 
-def _render_unit(u: PolyMod) -> str:
-    return str(u)
-
-
 def render_summand(s: Summand) -> str:
     if s.kind == "Z":
         return "Z"
@@ -540,24 +551,15 @@ def render_summand(s: Summand) -> str:
     base = f"{s.kind}({_render_class(s.b)},{_render_class(s.c)};{s.r}"
     if s.u is not None and s.u.constant == 1 and all(c == 0 for c in s.u.coeffs[1:]):
         return base + ")"
-    return base + f",{_render_unit(s.u)})"
+    return base + f",{s.u})"
 
 
 def render(D: LatticeDescriptor) -> str:
     """Canonical text form; parse(render(D)) == D."""
     if not D.summands:
         raise Cp2Error("the zero module has no textual form")
-    parts = []
-    i = 0
-    ss = D.summands
-    while i < len(ss):
-        j = i
-        while j < len(ss) and ss[j] == ss[i]:
-            j += 1
-        text = render_summand(ss[i])
-        parts.append(text if j - i == 1 else f"{j - i}*{text}")
-        i = j
-    return " + ".join(parts)
+    return " + ".join(render_summand(s) if n == 1 else f"{n}*{render_summand(s)}"
+                      for s, n in D.summands)
 
 
 # ---------------------------------------------------------------------------
@@ -578,22 +580,20 @@ def summand_to_json(s: Summand) -> dict:
 
 
 def to_json(D: LatticeDescriptor) -> dict:
-    return {"p": D.p, "summands": [summand_to_json(s) for s in D.summands]}
+    """One summand object per copy.  The copies share one object and are
+    allocated at once, so a multiplicity too large to list raises
+    MemoryError up front instead of filling memory."""
+    summands: list[dict] = []
+    for s, n in D.summands:
+        summands += [summand_to_json(s)] * n
+    return {"p": D.p, "summands": summands}
 
 
 def from_json(obj: dict, context: ClassData, lenient: bool = False) -> LatticeDescriptor:
     p = int(obj["p"])
     summands = [
-        make_summand(
-            p,
-            context,
-            s["kind"],
-            b=s.get("b"),
-            c=s.get("c"),
-            r=s.get("r"),
-            u=s.get("u"),
-            lenient=lenient,
-        )
+        (make_summand(p, context, s["kind"], b=s.get("b"), c=s.get("c"), r=s.get("r"),
+                      u=s.get("u"), lenient=lenient), 1)
         for s in obj["summands"]
     ]
     return descriptor(p, context, summands)

@@ -348,18 +348,19 @@ def rep_of(D: LatticeDescriptor) -> IntegerRep:
     block-diagonal matrix exactly when it holds on every block.
     """
     p = D.p
-    for s in D.summands:
+    for s, _ in D.summands:
         if not (_is_trivial_class(s.b) and _is_trivial_class(s.c)):
             raise NontrivialClass(
                 "matrix models are built for trivial ideal classes only"
             )
-    blocks = [_summand_block(p, s) for s in D.summands]
-    n = sum(map(len, blocks))
+    blocks = [(_summand_block(p, s), copies) for s, copies in D.summands]
+    n = sum(len(rows) * copies for rows, copies in blocks)
     matrix, at = [], 0
-    for rows in blocks:
-        left, right = (0,) * at, (0,) * (n - at - len(rows))
-        matrix.extend(left + row + right for row in rows)
-        at += len(rows)
+    for rows, copies in blocks:  # one diagonal block per copy
+        for _ in range(copies):
+            left, right = (0,) * at, (0,) * (n - at - len(rows))
+            matrix.extend(left + row + right for row in rows)
+            at += len(rows)
     return IntegerRep(n, tuple(matrix), D)
 
 
@@ -454,19 +455,19 @@ def _diagonal_blocks(A, n: int, D: LatticeDescriptor) -> list:
     B = A[lo:hi][lo:hi] (a tuple of row slices), which tile 0..n-1.
 
     The partition starts from the descriptor's summands: the cumulative
-    ranks in D.summands order, cut off at n.  A row is proved to have no
-    entry outside its block by two C-level counts, row.count(0) minus
-    the block row's count(0) being n - m.  A row that has one merges
-    every block its span (first to last nonzero column, from one compress
-    scan of that row) meets; merged blocks are sliced again.  So each
-    block is a union of connected components of A, for any square A.
+    ranks of every copy in D.summands order, cut off at n.  A row is
+    proved to have no entry outside its block by two C-level counts,
+    row.count(0) minus the block row's count(0) being n - m.  A row that
+    has one merges every block its span (first to last nonzero column,
+    from one compress scan of that row) meets; merged blocks are sliced
+    again.  So each block is a union of connected components of A, for
+    any square A.
     """
     cuts, at = [0], 0
-    for s in D.summands:
-        at += lattice.type_rank(*lattice.CYCLOTOMIC[s.kind], D.p)
-        if at >= n:
-            break
-        cuts.append(at)
+    for s, copies in D.summands:
+        size = lattice.type_rank(*lattice.CYCLOTOMIC[s.kind], D.p)
+        cuts += range(at + size, min(at + copies * size + 1, n), size)
+        at += copies * size
     cuts.append(n)
     out = []  # [lo, hi, B or None], by ascending lo
     for lo, hi in zip(cuts, cuts[1:]):

@@ -7,6 +7,8 @@ import pytest
 from cp2genus import classdata, lattice
 from cp2genus.abelian import AbGroup, CyclicAction, primitive_root
 
+from oracles import expand, from_list
+
 
 @pytest.fixture(scope="session")
 def ctx2():
@@ -123,11 +125,7 @@ def indecomposable_templates(p, ctx):
         for r in lattice.r_range(kind, p):
             m = lattice.unit_index(kind, r, p)
             for u in ctx.unit_quotient(m).reps:
-                out.append(
-                    lattice.descriptor(
-                        p, ctx, [lattice.make_summand(p, ctx, kind, r=r, u=u)]
-                    )
-                )
+                out.append(from_list(p, ctx, [lattice.make_summand(p, ctx, kind, r=r, u=u)]))
     return out
 
 
@@ -139,12 +137,12 @@ def faithful_shapes(p, ctx):
                for kind in lattice.EXTENSION_KINDS if kind != "D" or p % 4 == 1
                for r in lattice.r_range(kind, p)]
     combos = [(s,) for s in shapes] + list(itertools.combinations_with_replacement(shapes, 2))
-    sums = [lattice.descriptor(p, ctx, combo) for combo in combos]
+    sums = [from_list(p, ctx, combo) for combo in combos]
     return [D for D in sums if lattice.faithfulness(D) == lattice.Faithfulness.FAITHFUL]
 
 
-def random_summand(rng: random.Random, p, ctx, max_m=None):
-    """A random summand; max_m caps the index m of its unit quotient U_m."""
+def random_summand(rng: random.Random, p, ctx):
+    """A random summand: kind, classes, exponent r and unit."""
     kind = rng.choice(lattice.KINDS)
     if kind == "D" and p % 4 != 1:
         kind = "C"
@@ -159,22 +157,26 @@ def random_summand(rng: random.Random, p, ctx, max_m=None):
         return lattice.make_summand(p, ctx, kind, b=b)
     if kind in ("c", "Ec"):
         return lattice.make_summand(p, ctx, kind, c=c)
-    r = rng.choice([r for r in lattice.r_range(kind, p)
-                    if max_m is None or lattice.unit_index(kind, r, p) <= max_m])
+    r = rng.choice(lattice.r_range(kind, p))
     m = lattice.unit_index(kind, r, p)
     u = rng.choice(ctx.unit_quotient(m).reps)
     return lattice.make_summand(p, ctx, kind, b=b, c=c, r=r, u=u)
 
 
-def random_descriptor(rng: random.Random, p, ctx, max_summands=3, faithful=False,
-                      max_m=None):
+def random_descriptor(rng: random.Random, p, ctx, max_summands=3, faithful=False):
     while True:
         k = rng.randint(1, max_summands)
-        D = lattice.descriptor(
-            p, ctx, [random_summand(rng, p, ctx, max_m) for _ in range(k)]
-        )
+        D = from_list(p, ctx, [random_summand(rng, p, ctx) for _ in range(k)])
         if not faithful or lattice.faithfulness(D) == lattice.Faithfulness.FAITHFUL:
             return D
+
+
+def random_multiset(rng: random.Random, p, ctx, max_distinct=4, max_mult=5):
+    """A random descriptor of up to max_distinct random summands, each
+    with a multiplicity up to max_mult (a summand drawn twice merges)."""
+    pairs = [(random_summand(rng, p, ctx), rng.randint(1, max_mult))
+             for _ in range(rng.randint(1, max_distinct))]
+    return lattice.descriptor(p, ctx, pairs)
 
 
 def genus_mate(rng: random.Random, D):
@@ -182,7 +184,7 @@ def genus_mate(rng: random.Random, D):
     and exponent r and gets random ideal classes and unit parameter."""
     p, ctx = D.p, D.context
     summands = []
-    for s in D.summands:
+    for s in expand(D):
         b = c = u = None
         if s.b is not None:
             b = tuple(rng.randrange(f) for f in ctx.H_p.target.factors)
@@ -191,4 +193,4 @@ def genus_mate(rng: random.Random, D):
         if s.u is not None:
             u = rng.choice(ctx.unit_quotient(lattice.unit_index(s.kind, s.r, p)).reps)
         summands.append(lattice.make_summand(p, ctx, s.kind, b=b, c=c, r=s.r, u=u))
-    return lattice.descriptor(p, ctx, summands)
+    return from_list(p, ctx, summands)

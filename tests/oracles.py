@@ -14,8 +14,10 @@ matrix model on the whole matrix with dense powers and a Smith normal
 form instead of per diagonal block, counting the root 1 of a
 char poly by synthetic division instead of reading it off traces,
 building a pushout block from a Smith normal form of its relations,
-computing an Ext group as a Smith normal form cokernel, or taking a
-Smith normal form with its row and column transforms.
+computing an Ext group as a Smith normal form cokernel, taking a
+Smith normal form with its row and column transforms, or reading a
+descriptor's facts off the flat list of its summands, one entry per
+copy.
 """
 
 import math
@@ -28,6 +30,7 @@ from cp2genus.abelian import (
     DEFAULT_GUARD,
     AbGroup,
     CyclicAction,
+    _add,
     apply_action,
     primitive_root,
 )
@@ -204,7 +207,7 @@ def census_genus_count(D) -> int:
     leaves the realized members.
     """
     p, ctx = D.p, D.context
-    summands = [dict(kind=s.kind, b=s.b, c=s.c, r=s.r, u=s.u) for s in D.summands]
+    summands = [dict(kind=s.kind, b=s.b, c=s.c, r=s.r, u=s.u) for s in expand(D)]
     ib = next((i for i, s in enumerate(summands) if s["b"] is not None), None)
     ic = next((i for i, s in enumerate(summands) if s["c"] is not None), None)
     iu = next((i for i, s in enumerate(summands) if s["kind"] in lattice.EXTENSION_KINDS), None)
@@ -225,7 +228,7 @@ def census_genus_count(D) -> int:
             parts[ic]["c"] = c
         if iu is not None:
             parts[iu].update(kind=kind, u=u)
-        M = lattice.descriptor(p, ctx, [lattice.make_summand(p, ctx, **s) for s in parts])
+        M = from_list(p, ctx, [lattice.make_summand(p, ctx, **s) for s in parts])
         members.setdefault(iso.invariants_of(M), M)
     reached: set = set()
     classes = 0
@@ -894,3 +897,137 @@ def dense_validate_rep(rep) -> materialize.RepReport:
     checks.append(RepCheck("fixed_rank", fixed == expected_fixed,
                            f"rank ker(A - I) = {fixed}, expected {expected_fixed}"))
     return mat.RepReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# descriptors as flat lists: every copy of a summand is one entry, and
+# each fact is read off by walking the list
+
+
+def expand(D) -> list:
+    """The summands of D with every copy listed, in D.summands order."""
+    return [s for s, n in D.summands for _ in range(n)]
+
+
+def from_list(p, ctx, summands):
+    """The descriptor of a flat list of summands, repeats allowed."""
+    return lattice.descriptor(p, ctx, [(s, 1) for s in summands])
+
+
+def flat_counts(D) -> dict:
+    out = {k: 0 for k in lattice.KINDS}
+    for s in expand(D):
+        out[s.kind] += 1
+    return out
+
+
+def flat_rational_type(D) -> tuple:
+    a = b = c = 0
+    for s in expand(D):
+        da, db, dc = lattice.CYCLOTOMIC[s.kind]
+        a, b, c = a + da, b + db, c + dc
+    return a, b, c
+
+
+def flat_genus_vector(D) -> lattice.GenusVector:
+    p, n = D.p, flat_counts(D)
+    beta, gamma, delta = [0] * p, [0] * max(p - 2, 0), [0] * max(p - 2, 0)
+    eps, eta = [0] * (p - 1), [0] * (p - 1)
+    slots = {"B": (beta, 0), "C": (gamma, 1), "D": (delta, 1), "E": (eps, 0), "F": (eta, 0)}
+    for s in expand(D):
+        if s.kind in slots:
+            vec, shift = slots[s.kind]
+            vec[s.r - shift] += 1
+    return lattice.GenusVector(n["Z"], n["b"], n["c"], n["b"] + n["Eb"], n["c"] + n["Ec"],
+                               tuple(beta), tuple(gamma), tuple(delta), tuple(eps),
+                               tuple(eta))
+
+
+def flat_r1(D) -> int:
+    return max((s.r for s in expand(D) if s.kind == "B"), default=0)
+
+
+def flat_r2(D) -> int:
+    return max((s.r for s in expand(D) if s.kind in ("C", "D", "E", "F")), default=0)
+
+
+def flat_t_of(D) -> int:
+    summands = expand(D)
+    if (any(s.kind == "B" for s in summands) and all(s.kind in ("Z", "B") for s in summands)
+            and flat_r1(D) == 0):
+        return D.p
+    return D.p - 1 - max(flat_r2(D), flat_r1(D) - 1)
+
+
+def flat_sigma(D) -> int:
+    kinds = [s.kind for s in expand(D)]
+    if D.p % 4 != 1 or not {"C", "D"} & set(kinds):
+        return 1
+    return 1 if {"Z", "Eb", "Ec", "B", "F"} & set(kinds) else 2
+
+
+def flat_u0(D) -> PolyMod:
+    """The product of the lifted units, one factor per copy, times n0 per
+    copy of a type D summand."""
+    p = D.p
+    acc = modring.one(p, p)
+    for s in expand(D):
+        if s.kind in lattice.EXTENSION_KINDS:
+            acc = poly_mul(acc, modring.lift_poly(s.u, p))
+            if s.kind == "D":
+                acc = poly_mul(acc, modring.poly(p, p, (lattice.n0(p),)))
+    return acc
+
+
+def flat_ideal_classes(D) -> tuple:
+    Hp, Hp2 = D.context.H_p.target, D.context.H_p2.target
+    rc, sc = Hp.identity(), Hp2.identity()
+    for s in expand(D):
+        if s.b is not None:
+            rc = _add(Hp, rc, s.b)
+        if s.c is not None:
+            sc = _add(Hp2, sc, s.c)
+    return rc, sc
+
+
+def flat_render(D) -> str:
+    """Runs of equal summands in the flat list written as n*X."""
+    ss, parts, i = expand(D), [], 0
+    while i < len(ss):
+        j = i
+        while j < len(ss) and ss[j] == ss[i]:
+            j += 1
+        text = lattice.render_summand(ss[i])
+        parts.append(text if j - i == 1 else f"{j - i}*{text}")
+        i = j
+    return " + ".join(parts)
+
+
+def flat_invariants(D) -> iso.IsoInvariants:
+    """invariants_of(D) from the flat facts above and the kinds in the list."""
+    p, n = D.p, flat_counts(D)
+    gv = flat_genus_vector(D)
+    padic = iso.PadicDescriptor(p, n["Z"], n["b"], n["Eb"], n["c"], n["Ec"], gv.beta,
+                                tuple(g + d for g, d in zip(gv.gamma, gv.delta)),
+                                gv.eps, gv.eta)
+    kinds = {s.kind for s in expand(D)}
+    t, u0 = flat_t_of(D), flat_u0(D)
+    coset = quad = None
+    if not kinds & {"b", "Eb", "c", "Ec"}:
+        coset = D.context.unit_quotient(t).rep_of(modring.truncate_poly(u0, t))
+    if p % 4 == 1 and not kinds & {"Z", "Eb", "Ec", "B", "F"}:
+        quad = 1 if pow(u0.constant, (p - 1) // 2, p) == 1 else -1
+    return iso.IsoInvariants(padic, *flat_ideal_classes(D), t, coset, quad)
+
+
+def flat_twist(D, k: int):
+    """twist(D, k) with every copy twisted on its own."""
+    k %= D.p * D.p
+    return from_list(D.p, D.context,
+                     [galois.twist_summand(s, k, D.p, D.context) for s in expand(D)])
+
+
+def flat_rep_matrix(D) -> list:
+    """The block-diagonal model of D, one block per copy, as lists."""
+    return block_diag([[list(row) for row in materialize._summand_block(D.p, s)]
+                       for s in expand(D)])

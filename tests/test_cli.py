@@ -245,8 +245,21 @@ def test_orbits_command(capsys):
     assert out.count("= 1") == 3
 
 
+def test_huge_multiplicity_is_answered(capsys):
+    # a descriptor keeps each summand once with its multiplicity, so no
+    # count grows with it: the genus of 10^12 copies of Z next to B(0,0;1)
+    # is that of one copy
+    code, out, err = run(capsys, "genus-count", "--p", "5", "--json",
+                         "1000000000000*Z + B(0,0;1)")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["enumeration"] == 2
+    assert obj["closed_form"] == {"value": 2, "case": "MaisSimples"}
+
+
 def test_huge_multiplicity_exit_2(capsys):
-    # the parser expands the multiplicity into a list, which cannot be allocated
+    # check lists every copy of a summand in its output, and a list of
+    # 10^15 entries cannot be allocated
     code, out, err = run(capsys, "check", "--p", "5", "999999999999999*Z")
     assert code == 2 and out == ""
     assert err == "error: input too large\n"

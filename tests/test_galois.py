@@ -60,17 +60,18 @@ def test_twist_moves_classes():
     ctx = synthetic_c43()
     D = lat.parse("c(1)", 7, ctx)
     T = galois.twist(D, 3)  # generator residue: multiplication by 3
-    assert T.summands[0].c == (3,)
+    assert T.summands[0][0].c == (3,)
     T = galois.twist(D, 9)
-    assert T.summands[0].c == (9,)
+    assert T.summands[0][0].c == (9,)
 
 
 def test_twist_d_tag_and_unit(ctx5):
     D = lat.parse("D(0,0;1,1)", 5, ctx5)
     for k in galois.galois_units(5):
         T = galois.twist(D, k)
-        assert T.summands[0].kind == "D"
-        assert T.summands[0].u.constant == 1
+        (s, n), = T.summands
+        assert s.kind == "D" and n == 1
+        assert s.u.constant == 1
 
 
 def test_twist_rejects_bad_k(ctx5):
@@ -127,13 +128,16 @@ def test_twisted_isomorphic_finds_twist():
 
 def test_invariant_twist_search_matches_descriptor_search(ctx3, ctx5):
     rng = random.Random(8)
+    ts = set()
     for p, ctx in ((3, ctx3), (5, ctx5), (7, synthetic_c43())):
         for _ in range(15):
-            D1 = random_descriptor(rng, p, ctx, max_m=6)
+            D1 = random_descriptor(rng, p, ctx)
             k = rng.choice(galois.galois_units(p))
-            D2 = random_descriptor(rng, p, ctx, max_m=6)
+            D2 = random_descriptor(rng, p, ctx)
+            ts |= {(p, lat.t_of(D1)), (p, lat.t_of(D2))}
             for other in (galois.twist(D1, k), D2, D1):
                 assert galois.twisted_isomorphic(D1, other) == twist_search(D1, other)
+    assert (7, 7) in ts  # a u0 coset in U_7
 
 
 def test_twisted_isomorphic_negative(ctx3, ctx5):
@@ -155,10 +159,9 @@ def test_twisted_isomorphic_context_mismatch(ctx3, ctx5):
 def search_corpus(rng, ctx2, ctx3, ctx5):
     """(p, D) pairs over trivial data at p <= 5, the synthetic C_43, both
     class groups nontrivial (where the residue filter acts on R classes)
-    and the stable extra generator exp(L^3) at p = 7.  max_m=6 leaves U_7
-    out at p = 7: building it takes seconds."""
+    and the stable extra generator exp(L^3) at p = 7."""
     both = classdata_both_nontrivial()
-    out = [(p, random_descriptor(rng, p, ctx, max_m=6))
+    out = [(p, random_descriptor(rng, p, ctx))
            for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, synthetic_c43()), (7, both),
                           (7, exp_l3_extra()))
            for _ in range(4)]
@@ -183,9 +186,9 @@ def test_twisted_isomorphic_matches_scan_property(ctx2, ctx3, ctx5, ctx7_synthet
                                                   data):
     ctx = {2: ctx2, 3: ctx3, 5: ctx5, 7: ctx7_synthetic}[p]
     rng = random.Random(seed)
-    D = random_descriptor(rng, p, ctx, max_m=6)
+    D = random_descriptor(rng, p, ctx)
     k = data.draw(st.sampled_from(galois.galois_units(p)))
-    for other in (galois.twist(D, k), genus_mate(rng, D), random_descriptor(rng, p, ctx, max_m=6)):
+    for other in (galois.twist(D, k), genus_mate(rng, D), random_descriptor(rng, p, ctx)):
         assert galois.twisted_isomorphic(D, other) == scan_twisted_isomorphic(D, other)
 
 
@@ -204,7 +207,7 @@ def test_search_work_is_linear_in_p(monkeypatch):
     rng = random.Random(16)
     pairs = []
     for _ in range(20):
-        D = random_descriptor(rng, p, ctx, max_m=6)
+        D = random_descriptor(rng, p, ctx)
         pairs += [(D, galois.twist(D, rng.choice(galois.galois_units(p)))), (D, genus_mate(rng, D))]
     monkeypatch.setattr(galois, "galois_on_unit", counted("galois_on_unit", galois.galois_on_unit))
     monkeypatch.setattr(iso, "padic_completion", counted("padic_completion", iso.padic_completion))

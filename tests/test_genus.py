@@ -191,11 +191,10 @@ def test_c43_matches_diagonal_orbit_oracle():
 
 
 def test_orbit_engine_matches_walk_nontrivial_classes():
-    # U_7 is left out (max_m=6): building it takes seconds
     rng = random.Random(41)
     for ctx in (synthetic_c43(), classdata_both_nontrivial()):
         for _ in range(25):
-            D = random_descriptor(rng, 7, ctx, faithful=True, max_m=6)
+            D = random_descriptor(rng, 7, ctx, faithful=True)
             assert genus.orbit_genus_count(D) == brute_orbit_genus_count(D), lat.render(D)
 
 
@@ -213,7 +212,7 @@ def test_p5_cyclic_class_data_pins_the_closed_form_split():
         assert rep.closed_form == (closed, genus.CASE_MAIS_SIMPLES)
         assert (rep.enumeration, rep.agree) == (engine, False)
         lattices = [
-            lat.descriptor(5, ctx, [lat.make_summand(5, ctx, "B", b=(), c=(c,), r=1, u=u)])
+            lat.descriptor(5, ctx, [(lat.make_summand(5, ctx, "B", b=(), c=(c,), r=1, u=u), 1)])
             for c in range(q) for u in ctx.unit_quotient(4).reps
         ]
         assert len(lattices) == 5 * q
@@ -298,13 +297,14 @@ def test_fixed_coset_coordinate_is_one_on_sums_of_z(ctx2, ctx3, ctx5):
     # the module is a sum of Z's and its u0 = 1 is fixed by every ring map
     rng = random.Random(27)
     for p, ctx in ((2, ctx2), (3, ctx3), (5, ctx5), (7, synthetic_c43())):
-        samples = [random_descriptor(rng, p, ctx, max_m=6) for _ in range(200)]
+        samples = [random_descriptor(rng, p, ctx) for _ in range(200)]
+        assert p < 7 or any(lat.t_of(D) == 7 for D in samples)  # a u0 coset in U_7
         samples += [lat.parse(f"{n}*Z", p, ctx) for n in (1, 3)]
-        fixed = [D for D in samples if iso.u0_coset_applies(D)
-                 and not any(s.kind in lat.EXTENSION_KINDS for s in D.summands)]
+        fixed = [D for D in samples if lat.u0_coset_applies(D)
+                 and not any(s.kind in lat.EXTENSION_KINDS for s, _ in D.summands)]
         assert fixed
         for D in fixed:
-            assert all(s.kind == "Z" for s in D.summands), lat.render(D)
+            assert all(s.kind == "Z" for s, _ in D.summands), lat.render(D)
             u = iso.invariants_of(D).u0_class
             assert u == modring.one(p, lat.t_of(D))
             assert all(modring.galois_on_unit(k, u) == u for k in galois.galois_units(p))
@@ -336,10 +336,7 @@ def test_exhaustive_small_shapes_engines_agree(ctx2, ctx3, ctx5):
         shapes += list(itertools.combinations_with_replacement(templates, 2))
         enum_only = 0
         for combo in shapes:
-            summands = []
-            for D in combo:
-                summands.extend(D.summands)
-            M = lat.descriptor(p, ctx, summands)
+            M = lat.descriptor(p, ctx, [pair for D in combo for pair in D.summands])
             rep = genus.genus_report(SD(M))
             assert rep.enumeration == brute_orbit_genus_count(M), lat.render(M)
             if rep.closed_form is None:

@@ -121,8 +121,8 @@ def test_u0_coset_distinguishes(ctx5):
     # B(r=0) summands carry a unit in U~_5; different cosets, non-isomorphic
     reps = ctx5.unit_quotient(5).reps
     u1, u2 = reps[0], reps[1]
-    D1 = lat.descriptor(5, ctx5, [lat.make_summand(5, ctx5, "B", r=0, u=u1)])
-    D2 = lat.descriptor(5, ctx5, [lat.make_summand(5, ctx5, "B", r=0, u=u2)])
+    D1 = lat.descriptor(5, ctx5, [(lat.make_summand(5, ctx5, "B", r=0, u=u1), 1)])
+    D2 = lat.descriptor(5, ctx5, [(lat.make_summand(5, ctx5, "B", r=0, u=u2), 1)])
     assert iso.same_genus(D1, D2)
     assert not iso.isomorphic(D1, D2)
 

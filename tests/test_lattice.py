@@ -4,24 +4,26 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cp2genus import classdata, iso
+from cp2genus import classdata, galois, iso
 from cp2genus import lattice as lat
 from cp2genus import materialize as mat
 from cp2genus import modring
 from cp2genus.errors import Cp2Error, ParseError
 from cp2genus.lattice import Faithfulness
 
-from conftest import random_descriptor, synthetic_c43
-from oracles import x_pow_minus_1
+from conftest import classdata_both_nontrivial, random_descriptor, random_multiset, synthetic_c43
+from oracles import (expand, flat_counts, flat_genus_vector, flat_ideal_classes, flat_invariants,
+                     flat_r1, flat_r2, flat_rational_type, flat_render, flat_rep_matrix,
+                     flat_sigma, flat_t_of, flat_twist, flat_u0, from_list, x_pow_minus_1)
 
 
 def test_parse_basics(ctx2):
     D = lat.parse("Z + Z", 2, ctx2)
-    assert [s.kind for s in D.summands] == ["Z", "Z"]
+    assert [(s.kind, n) for s, n in D.summands] == [("Z", 2)]
     D = lat.parse("c(0) + B(0,0;1,1)", 2, ctx2)
-    kinds = sorted(s.kind for s in D.summands)
+    kinds = sorted(s.kind for s, _ in D.summands)
     assert kinds == ["B", "c"]
-    B = next(s for s in D.summands if s.kind == "B")
+    B = next(s for s, _ in D.summands if s.kind == "B")
     assert B.r == 1 and B.u == modring.one(2, 1)
 
 
@@ -67,7 +69,8 @@ def test_numerals_are_ascii_and_convertible(ctx3):
 
 
 def test_multiplicity_above_maxsize_is_a_parse_error(ctx3):
-    # [s] * mult raises OverflowError for mult > sys.maxsize
+    # the JSON summand lists and the matrix models list every copy, and
+    # no Python sequence is longer than sys.maxsize
     for text, at in (("99999999999999999999*Z", 0), (f"Z + {sys.maxsize + 1}*c(0)", 4)):
         with pytest.raises(ParseError, match="^multiplicity must be <= ") as err:
             lat.parse(text, 3, ctx3)
@@ -80,7 +83,7 @@ def test_parse_multiplicity_and_whitespace(ctx3):
 
 def test_class_exponents(ctx7_synthetic):
     D = lat.parse("c(7)", 7, ctx7_synthetic)
-    assert D.summands[0].c == (7,)
+    assert D.summands[0][0].c == (7,)
     with pytest.raises(ParseError):
         lat.parse("c(43)", 7, ctx7_synthetic)
     with pytest.raises(ParseError):
@@ -91,13 +94,13 @@ def test_unit_strict_vs_lenient(ctx3, ctx5):
     with pytest.raises(ParseError):
         lat.parse("B(0,0;0,1+l)", 3, ctx3)  # not canonical: coset of 1
     D = lat.parse("B(0,0;0,1+l)", 3, ctx3, lenient=True)
-    assert D.summands[0].u == modring.one(3, 3)
+    assert D.summands[0][0].u == modring.one(3, 3)
     # canonical representative accepted strictly
     reps = ctx5.unit_quotient(5).reps
     other = next(r for r in reps if r != modring.one(5, 5))
     text = f"B(0,0;0,{other})"
     D = lat.parse(text, 5, ctx5)
-    assert D.summands[0].u == other
+    assert D.summands[0][0].u == other
     with pytest.raises(ParseError):
         lat.parse("B(0,0;1,1+l^4)", 5, ctx5)  # degree beyond truncation
 
@@ -159,15 +162,16 @@ def test_rational_types_pin_kind_tables(ctx2, ctx3, ctx5, ctx7_synthetic):
         }
         assert tuple(old) == lat.KINDS
         for kind, (rank, factors, fixed) in old.items():
-            D = lat.descriptor(p, ctx, [lat.Summand(kind)])
+            D = lat.descriptor(p, ctx, [(lat.Summand(kind), 1)])
             assert lat.rank(D) == rank, (kind, p)
             assert lat.rational_type(D)[0] == fixed, (kind, p)
             want = [1]
             for f in factors:
                 want = mat.polymul_z(want, f)
             assert mat.predicted_charpoly(D) == want, (kind, p)
-            assert lat.has_R_slot(D) == (kind in ("b", "Eb", "B", "C", "D", "E", "F"))
-            assert lat.has_S_slot(D) == (kind in ("c", "Ec", "B", "C", "D", "E", "F"))
+            _, R_slot, S_slot = lat.rational_type(D)
+            assert (R_slot > 0) == (kind in ("b", "Eb", "B", "C", "D", "E", "F"))
+            assert (S_slot > 0) == (kind in ("c", "Ec", "B", "C", "D", "E", "F"))
             if kind in ("c", "Ec", "B", "C", "D", "E", "F"):
                 assert lat.faithfulness(D) == Faithfulness.FAITHFUL
             elif kind in ("b", "Eb"):
@@ -187,6 +191,7 @@ def test_rank_additive(ctx3):
         D1 = random_descriptor(rng, 3, ctx3)
         D2 = random_descriptor(rng, 3, ctx3)
         D12 = lat.descriptor(3, ctx3, D1.summands + D2.summands)
+        assert D12 == from_list(3, ctx3, expand(D1) + expand(D2))
         assert lat.rank(D12) == lat.rank(D1) + lat.rank(D2)
 
 
@@ -217,7 +222,7 @@ def test_u0(ctx5, ctx3):
 
 def test_r1_r2_t(ctx5):
     D = lat.parse("Z + B(0,0;0)", 5, ctx5)
-    assert (lat.r1(D), lat.r2(D), lat.t_of(D)) == (0, 0, 5)  # special shape
+    assert (flat_r1(D), flat_r2(D), lat.t_of(D)) == (0, 0, 5)  # special shape
     D = lat.parse("E(0,0;0)", 5, ctx5)
     assert lat.t_of(D) == 4
     D = lat.parse("B(0,0;4)", 5, ctx5)
@@ -225,7 +230,7 @@ def test_r1_r2_t(ctx5):
     D = lat.parse("B(0,0;0) + E(0,0;0)", 5, ctx5)
     assert lat.t_of(D) == 4  # not the special shape: an E summand is present
     D = lat.parse("B(0,0;1) + C(0,0;3)", 5, ctx5)
-    assert (lat.r1(D), lat.r2(D), lat.t_of(D)) == (1, 3, 1)
+    assert (flat_r1(D), flat_r2(D), lat.t_of(D)) == (1, 3, 1)
 
 
 def test_sigma(ctx3, ctx5):
@@ -271,6 +276,36 @@ def test_render_parse_roundtrip_property(p, seed):
     E = lat.parse(lat.render(D), p, ctx)
     assert E == D
     assert iso.invariants_of(E) == iso.invariants_of(D)
+
+
+BOTH_NONTRIVIAL = classdata_both_nontrivial()
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+def test_multiset_facts_match_flat_oracles(ctx2, ctx3, ctx5, p, seed):
+    # every fact read off the (summand, multiplicity) pairs is the one
+    # walked over the flat list that repeats each summand per copy; at
+    # p = 7 both class groups are nontrivial
+    ctx = {2: ctx2, 3: ctx3, 5: ctx5, 7: BOTH_NONTRIVIAL}[p]
+    rng = random.Random(seed)
+    D = random_multiset(rng, p, ctx)
+    assert from_list(p, ctx, expand(D)) == D
+    assert lat.counts(D) == flat_counts(D)
+    assert lat.rational_type(D) == flat_rational_type(D)
+    assert lat.genus_vector(D) == flat_genus_vector(D)
+    assert lat.t_of(D) == flat_t_of(D)
+    assert lat.sigma(D) == flat_sigma(D)
+    assert lat.u0(D) == flat_u0(D)
+    assert lat.ideal_classes(D) == flat_ideal_classes(D)
+    assert lat.render(D) == flat_render(D)
+    assert lat.parse(lat.render(D), p, ctx) == D
+    assert lat.to_json(D) == {"p": p, "summands": [lat.summand_to_json(s) for s in expand(D)]}
+    assert iso.invariants_of(D) == flat_invariants(D)
+    k = rng.choice(galois.galois_units(p))
+    assert galois.twist(D, k) == flat_twist(D, k)
+    if p < 7 and lat.rank(D) <= 150:  # trivial class groups: a matrix model exists
+        assert [list(row) for row in mat.rep_of(D).matrix] == flat_rep_matrix(D)
 
 
 def test_json_roundtrip(ctx5):

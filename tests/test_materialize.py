@@ -13,6 +13,8 @@ from oracles import (
     dense_connected_components,
     dense_validate_rep,
     enumerate_sparse_rows,
+    expand,
+    from_list,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -182,7 +184,7 @@ def test_pushout_block_checks_invariance(ctx3, monkeypatch):
     component = mat._component
     monkeypatch.setattr(mat, "_component",
                         lambda p, name: [[2]] if name == "Z" else component(p, name))
-    for s in (lat.make_summand(3, ctx3, "Ec"), lat.parse("C(0,0;1,1)", 3, ctx3).summands[0]):
+    for s in (lat.make_summand(3, ctx3, "Ec"), lat.parse("C(0,0;1,1)", 3, ctx3).summands[0][0]):
         for build in (mat._pushout_block, product_pushout_block):
             with pytest.raises(InternalError, match="^relation lattice is not invariant under g$"):
                 build(3, s)
@@ -263,7 +265,7 @@ def test_rep_of_and_validate_rep_power_each_distinct_block_once(ctx3, fresh_bloc
     D = lat.parse("3*B(0,0;1) + 2*E(0,0;0) + Z + 2*Z + B(0,0;2)", 3, ctx3)
     calls = _count_powers(monkeypatch)
     rep = mat.rep_of(D)
-    assert len(calls) == 2 * len(set(D.summands)) == 8
+    assert len(calls) == 2 * len(D.summands) == 8
     report = mat.validate_rep(rep)
     assert len(calls) == 8
     assert report.passed
@@ -448,7 +450,7 @@ def test_validate_rep_matches_dense_oracle(ctx2, ctx3, ctx5):
         for i, D1 in enumerate(templates):
             assert _assert_matches_oracle(mat.rep_of(D1)).passed
             for D2 in templates[i:]:
-                D = lat.descriptor(p, ctx, list(D1.summands) + list(D2.summands))
+                D = lat.descriptor(p, ctx, D1.summands + D2.summands)
                 assert _assert_matches_oracle(mat.rep_of(D)).passed
     for text, n in (("B(0,0;1) + F(0,0;1)", 50), ("B(0,0;1) + C(0,0;1,1) + E(0,0;0)", 75)):
         rep = mat.rep_of(lat.parse(text, 5, ctx5))
@@ -512,9 +514,9 @@ def _spans(rep):
 
 
 def _summand_spans(D):
-    """The (lo, hi) of each summand of D in the order of D.summands."""
+    """The (lo, hi) of each copy of a summand of D in the order of D.summands."""
     spans, at = [], 0
-    for s in D.summands:
+    for s in expand(D):
         m = lat.type_rank(*lat.CYCLOTOMIC[s.kind], D.p)
         spans.append((at, at + m))
         at += m
@@ -558,7 +560,7 @@ def test_rep_of_models_take_no_merge_path(p, seed):
     rep = mat.rep_of(D)
     assert _spans(rep) == _summand_spans(D)
     blocks = mat._diagonal_blocks(rep.matrix, rep.n, D)
-    assert [B for _, _, B in blocks] == [mat._summand_block(p, s) for s in D.summands]
+    assert [B for _, _, B in blocks] == [mat._summand_block(p, s) for s in expand(D)]
 
 
 def test_validate_rep_merges_blocks_a_stray_entry_joins(ctx3):
@@ -634,9 +636,9 @@ def test_rep_of_builds_each_distinct_summand_once(ctx3, fresh_block_memo, monkey
     monkeypatch.setattr(mat, "_pushout_block", counting)
     rep = mat.rep_of(D)
     assert sorted(calls, key=lat.Summand.sort_key) == sorted(
-        {s for s in D.summands if s.kind != "Z"}, key=lat.Summand.sort_key)
-    copies = [[list(r) for r in mat.rep_of(lat.descriptor(3, ctx3, [s])).matrix]
-              for s in D.summands]
+        {s for s, _ in D.summands if s.kind != "Z"}, key=lat.Summand.sort_key)
+    copies = [[list(r) for r in mat.rep_of(from_list(3, ctx3, [s])).matrix]
+              for s in expand(D)]
     assert [list(r) for r in rep.matrix] == block_diag(copies)
 
 

@@ -53,7 +53,7 @@ def instances(ctx5):
     ctx7 = synthetic_c43()
     return [
         ctx7.H_p2.target, ctx7.H_p2, ctx7, modring.lam(5, 3), quotient.subgroup,
-        quotient, D.summands[-1], D, lattice.genus_vector(D), iso.padic_completion(D),
+        quotient, D.summands[-1][0], D, lattice.genus_vector(D), iso.padic_completion(D),
         iso.invariants_of(D), E, genus.genus_report(E), rep, report.checks[0], report,
     ]
 
