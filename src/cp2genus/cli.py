@@ -286,8 +286,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # check, twist and materialize list every copy of a summand: a
-        # multiplicity like 10**15 asks for that many entries at once
+        # a last resort: the summand lists of check and twist and the
+        # models of materialize refuse oversized inputs before allocating
         print("error: input too large", file=sys.stderr)
         return 2
 

@@ -7,8 +7,10 @@ action moves it (_genus_coordinates).  Each set carries its fixed-point
 counts per divisor e of N = p(p-1), since gen^d fixes as many points as
 gen^gcd(d, N): Smith invariants on the class groups
 (abelian.CyclicAction.fixed_counts) and a closed form in the free
-degrees on U_t, so no count lists a class, a coset or a tuple.  Two
-counts read the same sets:
+degrees on U_t, so no count lists a class, a coset or a tuple.  A
+count depends on D only through its class data, the names of its
+moving coordinates and t, and both counts read one cached fold per
+(class data, moving coordinates, t), _genus_fold:
 
 * the closed form dispatches over module shapes to name a case, and
   its value is the product of the orbit counts of the sets;
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 from . import galois, iso, lattice
 from .abelian import DEFAULT_GUARD, burnside_count, divisor_weights, orbit_count
@@ -115,47 +117,77 @@ def ut_orbit_count(context: ClassData, t: int) -> int:
     return burnside_count(_ut_fixed_counts(context, t), context.p * (context.p - 1))
 
 
-# the cached orbit count of each coordinate set, by field name
+def _hp_fixed_counts(context: ClassData, t: int) -> dict[int, int]:
+    """gen^e acts on H_p as generator^gcd(e, p - 1)."""
+    p, fix = context.p, context.H_p.fixed_counts
+    return {e: fix[math.gcd(e, p - 1)] for e, _ in divisor_weights(p * (p - 1))}
+
+
+# Each coordinate set by field name, as functions of (context, t): its
+# {e: fixed points of gen^e} over the divisors e of N = p(p-1), so
+# fixed[N] is its size; its cached orbit count; and its lister.
+_FIXED_COUNTS = {
+    "R_class": _hp_fixed_counts,
+    "S_class": lambda context, t: context.H_p2.fixed_counts,
+    "u0_class": _ut_fixed_counts,
+    "quad_char": lambda context, t: {
+        e: 2 for e, _ in divisor_weights(context.p * (context.p - 1))},
+}
 _ORBIT_COUNTS = {
     "R_class": lambda context, t: orbit_count(context.H_p),
     "S_class": lambda context, t: orbit_count(context.H_p2),
     "u0_class": ut_orbit_count,
     "quad_char": lambda context, t: 2,
 }
+_LISTERS = {
+    "R_class": lambda context, t: context.H_p.target.elements(),
+    "S_class": lambda context, t: context.H_p2.target.elements(),
+    "u0_class": lambda context, t: context.unit_quotient(t).reps,
+    "quad_char": lambda context, t: (1, -1),
+}
 
 
-def _genus_coordinates(D: LatticeDescriptor) -> list[tuple[str, dict[int, int], Callable]]:
-    """The coordinate sets of the genus of D that G(p^2) moves, in
-    IsoInvariants field order: (field name, {e: fixed points of gen^e}
-    over the divisors e of N = p(p-1), zero-argument lister of the set),
-    so fixed[N] is the size of the set.
+def _genus_coordinates(D: LatticeDescriptor) -> tuple[str, ...]:
+    """The names of the coordinate sets of the genus of D that G(p^2)
+    moves, in IsoInvariants field order.
 
     A class coordinate ranges over its whole class group exactly when
-    some summand carries the ideal slot; gen^e acts on H_p as
-    generator^gcd(e, p - 1).  The u0 coset ranges over U_t exactly when
-    the coset invariant applies and an extension summand is present, and
-    the quadratic character takes both signs exactly when
+    some summand carries the ideal slot.  The u0 coset ranges over U_t
+    exactly when the coset invariant applies and an extension summand is
+    present, and the quadratic character takes both signs exactly when
     lattice.sigma(D) = 2.  Every other field of invariants_of(D) is a
     single value every ring map fixes: the identity class, one sign, or
     u0 = 1 on a sum of Z's.
     """
-    ctx, p = D.context, D.p
-    weights = divisor_weights(p * (p - 1))
-    coords = []
     _, R_slot, S_slot = lattice.rational_type(D)
-    if R_slot:
-        fix = ctx.H_p.fixed_counts
-        coords.append(("R_class", {e: fix[math.gcd(e, p - 1)] for e, _ in weights},
-                       ctx.H_p.target.elements))
-    if S_slot:
-        coords.append(("S_class", ctx.H_p2.fixed_counts, ctx.H_p2.target.elements))
     n = lattice.counts(D)
+    names = []
+    if R_slot:
+        names.append("R_class")
+    if S_slot:
+        names.append("S_class")
     if lattice.u0_coset_applies(D) and any(n[k] for k in lattice.EXTENSION_KINDS):
-        t = lattice.t_of(D)
-        coords.append(("u0_class", _ut_fixed_counts(ctx, t), lambda: ctx.unit_quotient(t).reps))
+        names.append("u0_class")
     if lattice.sigma(D) == 2:
-        coords.append(("quad_char", {e: 2 for e, _ in weights}, lambda: (1, -1)))
-    return coords
+        names.append("quad_char")
+    return tuple(names)
+
+
+@lru_cache(maxsize=None)
+def _genus_fold(context: ClassData, names: tuple[str, ...], t: int) -> tuple[int, int]:
+    """(orbit engine, closed-form product) for the genus whose moving
+    coordinates are names, with the index t.
+
+    G(p^2) is cyclic of order N = p(p-1) and acts diagonally, so
+    Burnside's lemma counts the orbits of the product as
+    (1/N) sum_{e | N} phi(N/e) prod_i fix_i(gen^e) without listing the
+    tuples; the closed form multiplies the orbit counts of the sets.
+    """
+    order = context.p * (context.p - 1)
+    fixed = [_FIXED_COUNTS[name](context, t) for name in names]
+    orbits = burnside_count(
+        {e: math.prod(f[e] for f in fixed) for e, _ in divisor_weights(order)}, order)
+    return orbits, math.prod(_ORBIT_COUNTS[name](context, t) for name in names)
 
 
 def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[IsoInvariants]:
@@ -165,32 +197,27 @@ def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[Is
 
     Raises EnumerationGuard when the genus has more than guard tuples.
     """
-    coords = _genus_coordinates(D)
-    total = math.prod(fixed[D.p * (D.p - 1)] for _, fixed, _ in coords)
+    ctx, t, names = D.context, lattice.t_of(D), _genus_coordinates(D)
+    total = math.prod(_FIXED_COUNTS[name](ctx, t)[D.p * (D.p - 1)] for name in names)
     if total > guard:
         raise EnumerationGuard(f"genus of size {total} exceeds guard {guard}")
     base = iso.invariants_of(D)
     fields = {f: getattr(base, f) for f in IsoInvariants._fields}
-    names = [name for name, _, _ in coords]
     return [IsoInvariants(**{**fields, **dict(zip(names, point))})
-            for point in product(*(lister() for _, _, lister in coords))]
+            for point in product(*(_LISTERS[name](ctx, t) for name in names))]
 
 
-def orbit_genus_count(D: LatticeDescriptor) -> int:
-    """Number of orbits of the diagonal Galois action on the genus of D.
+def orbit_genus_count(D: LatticeDescriptor, names: Optional[tuple[str, ...]] = None) -> int:
+    """Number of orbits of the diagonal Galois action on the genus of D,
+    read from the cached fold; names is _genus_coordinates(D), for a
+    caller that has it.
 
     For a faithful module this is exactly the number of isomorphism
-    classes of groups in the profinite genus of Z^n x| C_{p^2}.  The
-    genus is the product of its coordinate sets and G(p^2) is cyclic of
-    order N = p(p-1), so Burnside's lemma gives
-    (1/N) sum_{e | N} phi(N/e) prod_i fix_i(gen^e) without listing the
-    tuples.
+    classes of groups in the profinite genus of Z^n x| C_{p^2}.
     """
-    order = D.p * (D.p - 1)
-    coords = _genus_coordinates(D)
-    return burnside_count(
-        {e: math.prod(fixed[e] for _, fixed, _ in coords) for e, _ in divisor_weights(order)},
-        order)
+    if names is None:
+        names = _genus_coordinates(D)
+    return _genus_fold(D.context, names, lattice.t_of(D))[0]
 
 
 def _closed_form_case(D: LatticeDescriptor) -> Optional[str]:
@@ -228,18 +255,21 @@ def _closed_form_case(D: LatticeDescriptor) -> Optional[str]:
     return None
 
 
-def closed_form_count(E: SemidirectDescriptor) -> Optional[tuple[int, str]]:
+def closed_form_count(E: SemidirectDescriptor,
+                      names: Optional[tuple[str, ...]] = None) -> Optional[tuple[int, str]]:
     """The genus size by shape dispatch, or None when no case matches:
     the product of the cached orbit counts of the moving coordinate
-    sets, tagged with the name of the matched case.
+    sets, read from the cached fold and tagged with the name of the
+    matched case; names is _genus_coordinates(E.module), for a caller
+    that has it.
     """
     D = E.module
     case = _closed_form_case(D)
     if case is None:
         return None
-    t = lattice.t_of(D)
-    return (math.prod(_ORBIT_COUNTS[name](D.context, t) for name, _, _ in _genus_coordinates(D)),
-            case)
+    if names is None:
+        names = _genus_coordinates(D)
+    return _genus_fold(D.context, names, lattice.t_of(D))[1], case
 
 
 def genus_bounds(E: SemidirectDescriptor) -> tuple[int, int]:
@@ -253,13 +283,18 @@ def genus_bounds(E: SemidirectDescriptor) -> tuple[int, int]:
 
 
 def genus_report(E: SemidirectDescriptor) -> GenusReport:
-    """Run both engines, record agreement, and check the genus bounds."""
+    """Run both engines, record agreement, and check the genus bounds.
+
+    The moving coordinates are derived once, and both counts read one
+    cached fold per (class data, moving coordinates, t).
+    """
     D = E.module
+    names = _genus_coordinates(D)
     notes = []
-    closed = closed_form_count(E)
+    closed = closed_form_count(E, names)
     if closed is None:
         notes.append("no closed-form case matches this shape; enumeration only")
-    enumeration = orbit_genus_count(D)
+    enumeration = orbit_genus_count(D, names)
     agree = None
     if closed is not None:
         agree = closed[0] == enumeration

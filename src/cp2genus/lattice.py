@@ -23,15 +23,19 @@ summands: one (summand, multiplicity) pair per distinct summand, sorted
 by Summand.sort_key, so "Z + Z" and "2*Z" are one descriptor.  Every
 fact downstream (rank, faithfulness, genus vector, u0, the index t, the
 sign Sigma, ideal classes, which invariants apply) is read off the pairs
-here, the shape through one per-kind count, counts(D): no cost grows
-with a multiplicity.  Only the JSON summand lists and the matrix models
-of materialize list every copy.
+here: no cost grows with a multiplicity.  The shape is derived once per
+descriptor, on first use, into one kept Shape record (the read-only
+per-kind count, the rational type and t), and every shape reader here
+reads that record.  Only the JSON summand lists and the matrix models
+of materialize list every copy, and to_json refuses more than
+MAX_LISTED_COPIES of them.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Optional
 
 from . import modring
@@ -58,6 +62,9 @@ KINDS = tuple(CYCLOTOMIC)
 _ZERO_COUNTS = dict.fromkeys(KINDS, 0)
 _KIND_ORDER = {k: i for i, k in enumerate(KINDS)}
 EXTENSION_KINDS = ("B", "C", "D", "E", "F")
+# the most summand copies to_json lists: a million took 2.9 s and 369 MB
+# as indented JSON
+MAX_LISTED_COPIES = 100_000
 
 
 @lru_cache(maxsize=None)
@@ -103,11 +110,51 @@ class Summand(Value):
 _Z = Summand("Z")
 
 
+class Shape(Value):
+    """The shape facts of a descriptor: counts the read-only {kind: number
+    of summands of that kind, copies included}, rational_type the summed
+    CYCLOTOMIC type (a, b, c) and t the index of t_of."""
+
+    __slots__ = ("counts", "rational_type", "t")
+
+
 class LatticeDescriptor(Value):
     """A prime p, its ClassData context and a sorted tuple of
-    (Summand, multiplicity >= 1) pairs, each summand once."""
+    (Summand, multiplicity >= 1) pairs, each summand once.  Equality,
+    hash, repr and pickling read these three fields only; the shape is
+    kept on first use."""
 
-    __slots__ = ("p", "context", "summands")
+    __slots__ = ("p", "context", "summands", "__dict__")
+
+    @cached_property
+    def shape(self) -> Shape:
+        """The Shape, from one pass over the pairs.
+
+        t is p - 1 - max(r2, r1 - 1), r1 and r2 the largest r of a type B
+        and of a type C, D, E or F summand (0 if none), except for the
+        special shape Z^a + (type B summands all with r = 0), where t = p.
+        """
+        n = _ZERO_COUNTS.copy()
+        r1 = r2 = 0
+        for s, k in self.summands:
+            n[s.kind] += k
+            if s.r is None:
+                continue
+            if s.kind == "B":
+                r1 = max(r1, s.r)
+            else:
+                r2 = max(r2, s.r)
+        a = b = c = 0
+        for kind, k in n.items():
+            if k:
+                da, db, dc = CYCLOTOMIC[kind]
+                a, b, c = a + k * da, b + k * db, c + k * dc
+        p = self.p
+        if n["B"] and n["Z"] + n["B"] == sum(n.values()) and r1 == 0:
+            t = p
+        else:
+            t = p - 1 - max(r2, r1 - 1)
+        return Shape(MappingProxyType(n), (a, b, c), t)
 
 
 def make_summand(
@@ -183,12 +230,9 @@ def descriptor(p: int, context: ClassData, summands) -> LatticeDescriptor:
     return LatticeDescriptor(p, context, tuple(pairs))
 
 
-def counts(D: LatticeDescriptor) -> dict[str, int]:
-    """The number of summands of each kind, copies included."""
-    out = _ZERO_COUNTS.copy()
-    for s, n in D.summands:
-        out[s.kind] += n
-    return out
+def counts(D: LatticeDescriptor) -> MappingProxyType:
+    """The read-only number of summands of each kind, copies included."""
+    return D.shape.counts
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +241,7 @@ def counts(D: LatticeDescriptor) -> dict[str, int]:
 
 def rational_type(D: LatticeDescriptor) -> tuple[int, int, int]:
     """The summed CYCLOTOMIC type (a, b, c) of all summands."""
-    a = b = c = 0
-    for kind, n in counts(D).items():
-        if n:
-            da, db, dc = CYCLOTOMIC[kind]
-            a, b, c = a + n * da, b + n * db, c + n * dc
-    return a, b, c
+    return D.shape.rational_type
 
 
 def type_rank(a: int, b: int, c: int, p: int) -> int:
@@ -211,7 +250,7 @@ def type_rank(a: int, b: int, c: int, p: int) -> int:
 
 
 def rank(D: LatticeDescriptor) -> int:
-    return type_rank(*rational_type(D), D.p)
+    return type_rank(*D.shape.rational_type, D.p)
 
 
 class GenusVector(Value):
@@ -228,7 +267,7 @@ class GenusVector(Value):
 
 def genus_vector(D: LatticeDescriptor) -> GenusVector:
     p = D.p
-    n = counts(D)
+    n = D.shape.counts
     beta = [0] * p
     gamma = [0] * max(p - 2, 0)
     delta = [0] * max(p - 2, 0)
@@ -265,27 +304,14 @@ def u0(D: LatticeDescriptor) -> PolyMod:
 
 
 def t_of(D: LatticeDescriptor) -> int:
-    """The truncation index t steering which U_t the unit product lands in.
-
-    Equals p - 1 - max(r2, r1 - 1), r1 and r2 the largest r of a type B
-    and of a type C, D, E or F summand (0 if none), except for the special
-    shape Z^a + (type B summands all with r = 0), where t = p.
-    """
-    r1 = r2 = 0
-    for s, _ in D.summands:
-        if s.kind == "B":
-            r1 = max(r1, s.r)
-        elif s.r is not None:
-            r2 = max(r2, s.r)
-    n = counts(D)
-    if n["B"] and n["Z"] + n["B"] == sum(n.values()) and r1 == 0:
-        return D.p
-    return D.p - 1 - max(r2, r1 - 1)
+    """The truncation index t steering which U_t the unit product lands in
+    (see LatticeDescriptor.shape)."""
+    return D.shape.t
 
 
 def u0_coset_applies(D: LatticeDescriptor) -> bool:
     """The U_t coset of u0 is an invariant: no summand b, Eb, c or Ec."""
-    n = counts(D)
+    n = D.shape.counts
     return n["b"] + n["Eb"] + n["c"] + n["Ec"] == 0
 
 
@@ -294,7 +320,7 @@ def quad_char_applies(D: LatticeDescriptor) -> bool:
     summand Z, Eb, Ec, B or F."""
     if D.p % 4 != 1:
         return False
-    n = counts(D)
+    n = D.shape.counts
     return n["Z"] + n["Eb"] + n["Ec"] + n["B"] + n["F"] == 0
 
 
@@ -303,7 +329,7 @@ def sigma(D: LatticeDescriptor) -> int:
     genus (the character applies and a C or D summand is present), else 1."""
     if not quad_char_applies(D):
         return 1
-    n = counts(D)
+    n = D.shape.counts
     return 2 if n["C"] + n["D"] else 1
 
 
@@ -314,7 +340,7 @@ class Faithfulness:
 
 
 def faithfulness(D: LatticeDescriptor) -> str:
-    _, b, c = rational_type(D)
+    _, b, c = D.shape.rational_type
     if c:
         return Faithfulness.FAITHFUL
     if b:
@@ -580,9 +606,12 @@ def summand_to_json(s: Summand) -> dict:
 
 
 def to_json(D: LatticeDescriptor) -> dict:
-    """One summand object per copy.  The copies share one object and are
-    allocated at once, so a multiplicity too large to list raises
-    MemoryError up front instead of filling memory."""
+    """One summand object per copy, the copies sharing one object.  More
+    than MAX_LISTED_COPIES copies raise Cp2Error before any is listed."""
+    copies = sum(D.shape.counts.values())
+    if copies > MAX_LISTED_COPIES:
+        raise Cp2Error(f"input too large: {copies} summand copies to list, "
+                       f"at most {MAX_LISTED_COPIES}")
     summands: list[dict] = []
     for s, n in D.summands:
         summands += [summand_to_json(s)] * n

@@ -311,6 +311,10 @@ def _is_trivial_class(vec) -> bool:
 # its key with that memo's value, so the two stay under 4 MB together.
 _TYPE_MEMO_SIZE = 128
 
+# The largest lattice rank n that rep_of models: its dense n x n matrix
+# takes about 45 MB at n = 2000, and would take about 80 GB for 100000*Z.
+MAX_MODEL_RANK = 2000
+
 
 @functools.lru_cache(maxsize=_TYPE_MEMO_SIZE)
 def _summand_block(p: int, s) -> tuple:
@@ -341,7 +345,9 @@ def _summand_block(p: int, s) -> tuple:
 
 
 def rep_of(D: LatticeDescriptor) -> IntegerRep:
-    """Materialize a trivial-class descriptor as an integer matrix.
+    """Materialize a trivial-class descriptor as an n x n integer matrix,
+    n = rank(D).  An n above MAX_MODEL_RANK raises Cp2Error before any
+    row is built.
 
     The blocks come from the memo _summand_block, which checks
     B^(p^2) = I on each block it builds; A^(p^2) = I holds on a
@@ -353,8 +359,11 @@ def rep_of(D: LatticeDescriptor) -> IntegerRep:
             raise NontrivialClass(
                 "matrix models are built for trivial ideal classes only"
             )
+    n = lattice.rank(D)
+    if n > MAX_MODEL_RANK:
+        raise Cp2Error(f"input too large: a matrix model of lattice rank {n}, "
+                       f"at most {MAX_MODEL_RANK}")
     blocks = [(_summand_block(p, s), copies) for s, copies in D.summands]
-    n = sum(len(rows) * copies for rows, copies in blocks)
     matrix, at = [], 0
     for rows, copies in blocks:  # one diagonal block per copy
         for _ in range(copies):

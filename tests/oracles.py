@@ -4,7 +4,8 @@ Each one does the job the slow, direct way: walking orbits point by
 point, walking the powers of a unit for its order, applying the
 generator matrix power by power, twisting a descriptor and re-deriving
 its invariants, moving invariants by the class-group actions and the
-ring map, realizing a genus as descriptors and grouping them by twist,
+ring map, folding a genus count per coordinate on every call,
+realizing a genus as descriptors and grouping them by twist,
 scanning every Galois unit for a twist, substituting
 (1+l)^k - 1 for l with the unreduced k, listing a unit group and its
 cosets element by element, closing a unit subgroup by the general
@@ -32,6 +33,9 @@ from cp2genus.abelian import (
     CyclicAction,
     _add,
     apply_action,
+    burnside_count,
+    divisor_weights,
+    orbit_count,
     primitive_root,
 )
 from cp2genus.errors import Cp2Error, EnumerationGuard, InternalError, NonUnit
@@ -192,6 +196,31 @@ def brute_orbit_genus_count(D, guard: int = DEFAULT_GUARD) -> int:
         genus.enumerate_genus(D, guard),
         lambda inv: act_on_invariants(ctx, gen, inv),
     )
+
+
+def per_coordinate_fold(context, names, t: int) -> tuple[int, int]:
+    """(orbit engine, closed-form product) for the genus whose moving
+    coordinates are names, folded afresh from each set's fixed-point
+    counts {e: fixed points of gen^e} and orbit count, as every genus
+    count did before the fold was kept per (class data, names, t)."""
+    p = context.p
+    order = p * (p - 1)
+    weights = divisor_weights(order)
+    fixed = {
+        "R_class": {e: context.H_p.fixed_counts[math.gcd(e, p - 1)] for e, _ in weights},
+        "S_class": context.H_p2.fixed_counts,
+        "u0_class": genus._ut_fixed_counts(context, t),
+        "quad_char": {e: 2 for e, _ in weights},
+    }
+    orbit_counts = {
+        "R_class": orbit_count(context.H_p),
+        "S_class": orbit_count(context.H_p2),
+        "u0_class": genus.ut_orbit_count(context, t),
+        "quad_char": 2,
+    }
+    engine = burnside_count(
+        {e: math.prod(fixed[name][e] for name in names) for e, _ in weights}, order)
+    return engine, math.prod(orbit_counts[name] for name in names)
 
 
 def census_genus_count(D) -> int:
@@ -959,6 +988,18 @@ def flat_t_of(D) -> int:
     return D.p - 1 - max(flat_r2(D), flat_r1(D) - 1)
 
 
+def flat_rank(D) -> int:
+    return sum(lattice.type_rank(*lattice.CYCLOTOMIC[s.kind], D.p) for s in expand(D))
+
+
+def flat_u0_coset_applies(D) -> bool:
+    return not {s.kind for s in expand(D)} & {"b", "Eb", "c", "Ec"}
+
+
+def flat_quad_char_applies(D) -> bool:
+    return D.p % 4 == 1 and not {s.kind for s in expand(D)} & {"Z", "Eb", "Ec", "B", "F"}
+
+
 def flat_sigma(D) -> int:
     kinds = [s.kind for s in expand(D)]
     if D.p % 4 != 1 or not {"C", "D"} & set(kinds):
@@ -1010,12 +1051,11 @@ def flat_invariants(D) -> iso.IsoInvariants:
     padic = iso.PadicDescriptor(p, n["Z"], n["b"], n["Eb"], n["c"], n["Ec"], gv.beta,
                                 tuple(g + d for g, d in zip(gv.gamma, gv.delta)),
                                 gv.eps, gv.eta)
-    kinds = {s.kind for s in expand(D)}
     t, u0 = flat_t_of(D), flat_u0(D)
     coset = quad = None
-    if not kinds & {"b", "Eb", "c", "Ec"}:
+    if flat_u0_coset_applies(D):
         coset = D.context.unit_quotient(t).rep_of(modring.truncate_poly(u0, t))
-    if p % 4 == 1 and not kinds & {"Z", "Eb", "Ec", "B", "F"}:
+    if flat_quad_char_applies(D):
         quad = 1 if pow(u0.constant, (p - 1) // 2, p) == 1 else -1
     return iso.IsoInvariants(padic, *flat_ideal_classes(D), t, coset, quad)
 

@@ -258,11 +258,27 @@ def test_huge_multiplicity_is_answered(capsys):
 
 
 def test_huge_multiplicity_exit_2(capsys):
-    # check lists every copy of a summand in its output, and a list of
-    # 10^15 entries cannot be allocated
+    # check lists every copy of a summand in its output, and refuses more
+    # than lattice.MAX_LISTED_COPIES of them before listing any
     code, out, err = run(capsys, "check", "--p", "5", "999999999999999*Z")
     assert code == 2 and out == ""
-    assert err == "error: input too large\n"
+    assert err == ("error: input too large: 999999999999999 summand copies to list, "
+                   "at most 100000\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("materialize", "--p", "2", "100000*Z"),
+     "error: input too large: a matrix model of lattice rank 100000, at most 2000\n"),
+    (("check", "--p", "2", "--json", "1000000*Z"),
+     "error: input too large: 1000000 summand copies to list, at most 100000\n"),
+    (("twist", "--p", "2", "--k", "3", "100001*Z"),
+     "error: input too large: 100001 summand copies to list, at most 100000\n"),
+], ids=["materialize", "check", "twist"])
+def test_oversized_output_exit_2_before_allocating(capsys, argv, err):
+    # a dense model of 100000*Z would take about 80 GB, and the summand
+    # list of a million copies took 2.9 s and 369 MB as indented JSON
+    code, out, got = run(capsys, *argv)
+    assert (code, out, got) == (2, "", err)
 
 
 @pytest.mark.parametrize("descriptor",

@@ -21,6 +21,7 @@ from oracles import (
     census_genus_count,
     diagonal_orbits,
     orbits,
+    per_coordinate_fold,
     per_power,
     walk_ut_fixed_counts,
 )
@@ -270,8 +271,9 @@ def test_ut_fixed_counts_match_walk():
 def test_cached_orbit_counts_match_walk(ctx2, ctx3, ctx5, monkeypatch):
     # the orbit counts cached on each CyclicAction (per (context, t) on
     # U_t: test_ut_orbit_count_matches_walk) equal the walked orbits, also
-    # when read a second time; once warm, a genus report calls
-    # burnside_count only in the orbit engine
+    # when read a second time; with those warm, the first genus report on
+    # a context calls burnside_count once, in the fold of its genus shape,
+    # and a second report reads the kept fold without calling it
     for ctx in (ctx2, ctx3, ctx5, synthetic_c43(), classdata_both_nontrivial()):
         for A in (ctx.H_p, ctx.H_p2):
             assert abelian.orbit_count(A) == abelian.orbit_count(A) == len(orbits(A))
@@ -284,11 +286,35 @@ def test_cached_orbit_counts_match_walk(ctx2, ctx3, ctx5, monkeypatch):
     burnside = abelian.burnside_count
     monkeypatch.setattr(abelian, "burnside_count", counted)
     monkeypatch.setattr(genus, "burnside_count", counted)
-    E = SD(lat.parse("E(0,0;1) + Z", 7, synthetic_c43()))
-    genus.genus_report(E)
+    c43 = synthetic_c43()  # a context no fold has seen: its own provenance
+    ctx = classdata.ClassData(7, c43.H_p, c43.H_p2, provenance="unseen C_43 context")
+    E = SD(lat.parse("E(0,0;1) + Z", 7, ctx))
+    assert lat.t_of(E.module) == 5
+    abelian.orbit_count(ctx.H_p), abelian.orbit_count(ctx.H_p2), genus.ut_orbit_count(ctx, 5)
     calls.clear()
     genus.genus_report(E)
     assert calls == [42]
+    calls.clear()
+    genus.genus_report(E)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: classdata.trivial(2), lambda: classdata.trivial(3), lambda: classdata.trivial(5),
+    lambda: classdata.trivial(7), lambda: synthetic_cyclic(5, 11, 2), synthetic_c43,
+    classdata_both_nontrivial,
+], ids=["trivial-p2", "trivial-p3", "trivial-p5", "trivial-p7", "p5-C11", "C43", "both"])
+def test_kept_fold_matches_per_coordinate_fold(make):
+    # the fold kept per (class data, moving coordinates, t) gives both
+    # counts as a fresh fold over the coordinate sets does, for every
+    # subset of the four coordinates and every t <= p
+    ctx = make()
+    names = ("R_class", "S_class", "u0_class", "quad_char")
+    for size in range(len(names) + 1):
+        for live in itertools.combinations(names, size):
+            for t in range(1, ctx.p + 1):
+                assert genus._genus_fold(ctx, live, t) == per_coordinate_fold(ctx, live, t), (
+                    live, t)
 
 
 def test_fixed_coset_coordinate_is_one_on_sums_of_z(ctx2, ctx3, ctx5):
@@ -308,7 +334,7 @@ def test_fixed_coset_coordinate_is_one_on_sums_of_z(ctx2, ctx3, ctx5):
             u = iso.invariants_of(D).u0_class
             assert u == modring.one(p, lat.t_of(D))
             assert all(modring.galois_on_unit(k, u) == u for k in galois.galois_units(p))
-            assert "u0_class" not in [name for name, _, _ in genus._genus_coordinates(D)]
+            assert "u0_class" not in genus._genus_coordinates(D)
 
 
 def test_c43_group_iso_by_twist():

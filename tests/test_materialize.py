@@ -344,6 +344,22 @@ def test_rep_rank_matches(ctx3):
         assert mat.rep_of(D).n == lat.rank(D)
 
 
+def test_rep_of_refuses_a_rank_above_the_limit(ctx2, ctx3, ctx5, monkeypatch):
+    # the rank is checked before any row is built: 10^15 copies of Z
+    # would not fit in memory, and 401 copies of B(0,0;0) at p = 5 are
+    # rank 401 * 25
+    for text, p, ctx in (("999999999999999*Z", 2, ctx2), ("2001*Z", 2, ctx2),
+                         ("401*B(0,0;0)", 5, ctx5)):
+        D = lat.parse(text, p, ctx)
+        with pytest.raises(Cp2Error, match=f"lattice rank {lat.rank(D)}, at most 2000$"):
+            mat.rep_of(D)
+    # the limit itself is allowed, checked on a smaller limit
+    monkeypatch.setattr(mat, "MAX_MODEL_RANK", 7)
+    assert mat.rep_of(lat.parse("Ec(0)", 3, ctx3)).n == 7
+    with pytest.raises(Cp2Error, match="lattice rank 8, at most 7$"):
+        mat.rep_of(lat.parse("Z + Ec(0)", 3, ctx3))
+
+
 def test_rep_of_all_indecomposables(ctx2, ctx3):
     for p, ctx in ((2, ctx2), (3, ctx3)):
         for D in indecomposable_templates(p, ctx):
