@@ -72,8 +72,9 @@ def cmd_check(args) -> int:
         "u0": list(lattice.u0(D).coeffs),
         "R_class": list(rc),
         "S_class": list(sc),
-        "summands": lattice.to_json(D)["summands"],
     }
+    if args.json:  # the text output lists no copies
+        info["summands"] = lattice.to_json(D)["summands"]
     lines = [
         f"descriptor: {info['descriptor']}",
         f"rank: {info['rank']}",
@@ -118,7 +119,7 @@ def cmd_genus_eq(args) -> int:
 def cmd_twist(args) -> int:
     D = _parse_descriptor(args, args.descriptor)
     T = galois.twist(D, args.k)
-    return _emit(args, [lattice.render(T)], lattice.to_json(T))
+    return _emit(args, [lattice.render(T)], lattice.to_json(T) if args.json else None)
 
 
 def cmd_group_iso(args) -> int:
@@ -286,8 +287,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # a last resort: the summand lists of check and twist and the
-        # models of materialize refuse oversized inputs before allocating
+        # a last resort: the --json summand lists of check and twist and
+        # the models of materialize refuse oversized inputs before
+        # allocating
         print("error: input too large", file=sys.stderr)
         return 2
 

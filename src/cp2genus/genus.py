@@ -3,23 +3,29 @@
 The genus of a faithful semidirect product is a product of finite sets
 on which G(p^2) = (Z/p^2)^* acts diagonally: the R class, the S class,
 the U_t coset of u0 and the quadratic character, each listed when the
-action moves it (_genus_coordinates).  Each set carries its fixed-point
-counts per divisor e of N = p(p-1), since gen^d fixes as many points as
-gen^gcd(d, N): Smith invariants on the class groups
-(abelian.CyclicAction.fixed_counts) and a closed form in the free
-degrees on U_t, so no count lists a class, a coset or a tuple.  A
-count depends on D only through its class data, the names of its
-moving coordinates and t, and both counts read one cached fold per
-(class data, moving coordinates, t), _genus_fold:
+action moves it (LatticeDescriptor.moving_coordinates).  Each set
+carries its fixed-point counts per divisor e of N = p(p-1), since gen^d
+fixes as many points as gen^gcd(d, N): Smith invariants on the class
+groups (abelian.CyclicAction.fixed_counts) and a closed form in the free
+degrees on U_t, so no count lists a class, a coset or a tuple.  A count
+depends on D only through its class data, the names of its moving
+coordinates and t, and every genus number reads one kept fold per
+(class data, moving coordinates, t), _genus_fold, which gives the
+Burnside orbit count of the product and the orbit count of each set:
+
+* the orbit engine is the orbit count of the product;
 
 * the closed form dispatches over module shapes to name a case, and
   its value is the product of the orbit counts of the sets;
 
-* the orbit engine is the orbit count of their product, by Burnside.
+* the bounds read the orbit counts of the R class, the S class and U_t
+  from the fold of those three sets, and ut_orbit_count (`orbits --m`)
+  reads U_t's from the fold of U_t alone.
 
-They agree when the stabilisers allow it, which they always do with
-trivial class groups; any disagreement is reported, never suppressed.
-Only enumerate_genus lists the genus, under the guard.
+The engine and the closed form agree when the stabilisers allow it,
+which they always do with trivial class groups; any disagreement is
+reported, never suppressed.  Only enumerate_genus lists the genus, under
+the guard.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from itertools import product
 from typing import Optional
 
 from . import galois, iso, lattice
-from .abelian import DEFAULT_GUARD, burnside_count, divisor_weights, orbit_count
+from .abelian import DEFAULT_GUARD, burnside_count, divisor_weights
 from .classdata import ClassData
 from .errors import EnumerationGuard, NotFaithful
 from .iso import IsoInvariants
@@ -111,12 +117,6 @@ def _ut_fixed_counts(context: ClassData, t: int) -> dict[int, int]:
     }
 
 
-@lru_cache(maxsize=None)
-def ut_orbit_count(context: ClassData, t: int) -> int:
-    """Orbits of the Galois action on the coset representatives of U_t."""
-    return burnside_count(_ut_fixed_counts(context, t), context.p * (context.p - 1))
-
-
 def _hp_fixed_counts(context: ClassData, t: int) -> dict[int, int]:
     """gen^e acts on H_p as generator^gcd(e, p - 1)."""
     p, fix = context.p, context.H_p.fixed_counts
@@ -125,19 +125,13 @@ def _hp_fixed_counts(context: ClassData, t: int) -> dict[int, int]:
 
 # Each coordinate set by field name, as functions of (context, t): its
 # {e: fixed points of gen^e} over the divisors e of N = p(p-1), so
-# fixed[N] is its size; its cached orbit count; and its lister.
+# fixed[N] is its size, and its lister.
 _FIXED_COUNTS = {
     "R_class": _hp_fixed_counts,
     "S_class": lambda context, t: context.H_p2.fixed_counts,
     "u0_class": _ut_fixed_counts,
     "quad_char": lambda context, t: {
         e: 2 for e, _ in divisor_weights(context.p * (context.p - 1))},
-}
-_ORBIT_COUNTS = {
-    "R_class": lambda context, t: orbit_count(context.H_p),
-    "S_class": lambda context, t: orbit_count(context.H_p2),
-    "u0_class": ut_orbit_count,
-    "quad_char": lambda context, t: 2,
 }
 _LISTERS = {
     "R_class": lambda context, t: context.H_p.target.elements(),
@@ -147,47 +141,31 @@ _LISTERS = {
 }
 
 
-def _genus_coordinates(D: LatticeDescriptor) -> tuple[str, ...]:
-    """The names of the coordinate sets of the genus of D that G(p^2)
-    moves, in IsoInvariants field order.
-
-    A class coordinate ranges over its whole class group exactly when
-    some summand carries the ideal slot.  The u0 coset ranges over U_t
-    exactly when the coset invariant applies and an extension summand is
-    present, and the quadratic character takes both signs exactly when
-    lattice.sigma(D) = 2.  Every other field of invariants_of(D) is a
-    single value every ring map fixes: the identity class, one sign, or
-    u0 = 1 on a sum of Z's.
-    """
-    _, R_slot, S_slot = lattice.rational_type(D)
-    n = lattice.counts(D)
-    names = []
-    if R_slot:
-        names.append("R_class")
-    if S_slot:
-        names.append("S_class")
-    if lattice.u0_coset_applies(D) and any(n[k] for k in lattice.EXTENSION_KINDS):
-        names.append("u0_class")
-    if lattice.sigma(D) == 2:
-        names.append("quad_char")
-    return tuple(names)
-
-
 @lru_cache(maxsize=None)
-def _genus_fold(context: ClassData, names: tuple[str, ...], t: int) -> tuple[int, int]:
-    """(orbit engine, closed-form product) for the genus whose moving
+def _genus_fold(context: ClassData, names: tuple[str, ...],
+                t: int) -> tuple[int, tuple[int, ...]]:
+    """(orbit engine, orbit count of each set) for the genus whose moving
     coordinates are names, with the index t.
 
     G(p^2) is cyclic of order N = p(p-1) and acts diagonally, so
     Burnside's lemma counts the orbits of the product as
     (1/N) sum_{e | N} phi(N/e) prod_i fix_i(gen^e) without listing the
-    tuples; the closed form multiplies the orbit counts of the sets.
+    tuples, and the orbits of each set by the same sum over its own
+    counts.  The R class counts are re-indexed from the divisors of p - 1,
+    and each residue mod p - 1 occurs p times among the powers gen^d,
+    d < N, so its orbit count is that of the class group's own action.
     """
     order = context.p * (context.p - 1)
     fixed = [_FIXED_COUNTS[name](context, t) for name in names]
     orbits = burnside_count(
         {e: math.prod(f[e] for f in fixed) for e, _ in divisor_weights(order)}, order)
-    return orbits, math.prod(_ORBIT_COUNTS[name](context, t) for name in names)
+    return orbits, tuple(burnside_count(f, order) for f in fixed)
+
+
+def ut_orbit_count(context: ClassData, t: int) -> int:
+    """Orbits of the Galois action on the coset representatives of U_t,
+    read from the kept fold of the U_t coordinate alone."""
+    return _genus_fold(context, ("u0_class",), t)[1][0]
 
 
 def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[IsoInvariants]:
@@ -197,7 +175,7 @@ def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[Is
 
     Raises EnumerationGuard when the genus has more than guard tuples.
     """
-    ctx, t, names = D.context, lattice.t_of(D), _genus_coordinates(D)
+    ctx, t, names = D.context, lattice.t_of(D), D.moving_coordinates
     total = math.prod(_FIXED_COUNTS[name](ctx, t)[D.p * (D.p - 1)] for name in names)
     if total > guard:
         raise EnumerationGuard(f"genus of size {total} exceeds guard {guard}")
@@ -207,17 +185,14 @@ def enumerate_genus(D: LatticeDescriptor, guard: int = DEFAULT_GUARD) -> list[Is
             for point in product(*(_LISTERS[name](ctx, t) for name in names))]
 
 
-def orbit_genus_count(D: LatticeDescriptor, names: Optional[tuple[str, ...]] = None) -> int:
+def orbit_genus_count(D: LatticeDescriptor) -> int:
     """Number of orbits of the diagonal Galois action on the genus of D,
-    read from the cached fold; names is _genus_coordinates(D), for a
-    caller that has it.
+    read from the kept fold.
 
     For a faithful module this is exactly the number of isomorphism
     classes of groups in the profinite genus of Z^n x| C_{p^2}.
     """
-    if names is None:
-        names = _genus_coordinates(D)
-    return _genus_fold(D.context, names, lattice.t_of(D))[0]
+    return _genus_fold(D.context, D.moving_coordinates, lattice.t_of(D))[0]
 
 
 def _closed_form_case(D: LatticeDescriptor) -> Optional[str]:
@@ -255,46 +230,40 @@ def _closed_form_case(D: LatticeDescriptor) -> Optional[str]:
     return None
 
 
-def closed_form_count(E: SemidirectDescriptor,
-                      names: Optional[tuple[str, ...]] = None) -> Optional[tuple[int, str]]:
+def closed_form_count(E: SemidirectDescriptor) -> Optional[tuple[int, str]]:
     """The genus size by shape dispatch, or None when no case matches:
-    the product of the cached orbit counts of the moving coordinate
-    sets, read from the cached fold and tagged with the name of the
-    matched case; names is _genus_coordinates(E.module), for a caller
-    that has it.
+    the product of the orbit counts of the moving coordinate sets, read
+    from the kept fold and tagged with the name of the matched case.
     """
     D = E.module
     case = _closed_form_case(D)
     if case is None:
         return None
-    if names is None:
-        names = _genus_coordinates(D)
-    return _genus_fold(D.context, names, lattice.t_of(D))[1], case
+    return math.prod(_genus_fold(D.context, D.moving_coordinates, lattice.t_of(D))[1]), case
 
 
 def genus_bounds(E: SemidirectDescriptor) -> tuple[int, int]:
-    """Lower and upper bounds for the genus size of a faithful product."""
+    """Lower and upper bounds for the genus size of a faithful product:
+    the S class orbits, and twice the orbits of the R class, the S class
+    and U_t, read from one kept fold."""
     _require_faithful(E)
-    ctx = E.module.context
-    orb_hp = orbit_count(ctx.H_p)
-    orb_hp2 = orbit_count(ctx.H_p2)
-    orb_ut = ut_orbit_count(ctx, lattice.t_of(E.module))
-    return (orb_hp2, 2 * orb_hp * orb_hp2 * orb_ut)
+    D = E.module
+    R, S, U = _genus_fold(D.context, ("R_class", "S_class", "u0_class"), lattice.t_of(D))[1]
+    return S, 2 * R * S * U
 
 
 def genus_report(E: SemidirectDescriptor) -> GenusReport:
     """Run both engines, record agreement, and check the genus bounds.
 
-    The moving coordinates are derived once, and both counts read one
-    cached fold per (class data, moving coordinates, t).
+    Both counts read one kept fold per (class data, moving coordinates,
+    t), and the bounds one more.
     """
     D = E.module
-    names = _genus_coordinates(D)
     notes = []
-    closed = closed_form_count(E, names)
+    closed = closed_form_count(E)
     if closed is None:
         notes.append("no closed-form case matches this shape; enumeration only")
-    enumeration = orbit_genus_count(D, names)
+    enumeration = orbit_genus_count(D)
     agree = None
     if closed is not None:
         agree = closed[0] == enumeration

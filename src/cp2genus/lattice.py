@@ -121,8 +121,8 @@ class Shape(Value):
 class LatticeDescriptor(Value):
     """A prime p, its ClassData context and a sorted tuple of
     (Summand, multiplicity >= 1) pairs, each summand once.  Equality,
-    hash, repr and pickling read these three fields only; the shape is
-    kept on first use."""
+    hash, repr and pickling read these three fields only; the shape and
+    the moving coordinates are kept on first use."""
 
     __slots__ = ("p", "context", "summands", "__dict__")
 
@@ -155,6 +155,26 @@ class LatticeDescriptor(Value):
         else:
             t = p - 1 - max(r2, r1 - 1)
         return Shape(MappingProxyType(n), (a, b, c), t)
+
+    @cached_property
+    def moving_coordinates(self) -> tuple[str, ...]:
+        """The IsoInvariants fields whose coordinate sets G(p^2) moves in
+        the genus, in field order.
+
+        A class coordinate ranges over its whole class group exactly when
+        some summand carries the ideal slot.  The u0 coset ranges over
+        U_t exactly when the coset invariant applies and an extension
+        summand is present, and the quadratic character takes both signs
+        exactly when sigma = 2.  Every other field of the invariants is a
+        single value every ring map fixes: the identity class, one sign,
+        or u0 = 1 on a sum of Z's.
+        """
+        _, R_slot, S_slot = self.shape.rational_type
+        u0_live = u0_coset_applies(self) and any(
+            self.shape.counts[k] for k in EXTENSION_KINDS)
+        return tuple(name for name, live in (
+            ("R_class", R_slot), ("S_class", S_slot), ("u0_class", u0_live),
+            ("quad_char", sigma(self) == 2)) if live)
 
 
 def make_summand(

@@ -198,11 +198,12 @@ def brute_orbit_genus_count(D, guard: int = DEFAULT_GUARD) -> int:
     )
 
 
-def per_coordinate_fold(context, names, t: int) -> tuple[int, int]:
-    """(orbit engine, closed-form product) for the genus whose moving
+def per_coordinate_fold(context, names, t: int) -> tuple[int, tuple[int, ...]]:
+    """(orbit engine, orbit count of each set) for the genus whose moving
     coordinates are names, folded afresh from each set's fixed-point
-    counts {e: fixed points of gen^e} and orbit count, as every genus
-    count did before the fold was kept per (class data, names, t)."""
+    counts {e: fixed points of gen^e}, as every genus count did before
+    the fold was kept per (class data, names, t); the class groups' orbit
+    counts come from their own actions and U_t's from walking its cosets."""
     p = context.p
     order = p * (p - 1)
     weights = divisor_weights(order)
@@ -215,12 +216,12 @@ def per_coordinate_fold(context, names, t: int) -> tuple[int, int]:
     orbit_counts = {
         "R_class": orbit_count(context.H_p),
         "S_class": orbit_count(context.H_p2),
-        "u0_class": genus.ut_orbit_count(context, t),
+        "u0_class": brute_ut_orbit_count(context, t),
         "quad_char": 2,
     }
     engine = burnside_count(
         {e: math.prod(fixed[name][e] for name in names) for e, _ in weights}, order)
-    return engine, math.prod(orbit_counts[name] for name in names)
+    return engine, tuple(orbit_counts[name] for name in names)
 
 
 def census_genus_count(D) -> int:
@@ -1005,6 +1006,19 @@ def flat_sigma(D) -> int:
     if D.p % 4 != 1 or not {"C", "D"} & set(kinds):
         return 1
     return 1 if {"Z", "Eb", "Ec", "B", "F"} & set(kinds) else 2
+
+
+def flat_moving_coordinates(D) -> tuple:
+    """The IsoInvariants fields the Galois action moves in the genus of D:
+    a class slot for each class group some summand carries, the u0 coset
+    when it applies and an extension summand is present, and the
+    quadratic character when sigma = 2."""
+    _, R_slot, S_slot = flat_rational_type(D)
+    u0_live = flat_u0_coset_applies(D) and any(
+        s.kind in lattice.EXTENSION_KINDS for s in expand(D))
+    live = {"R_class": R_slot, "S_class": S_slot, "u0_class": u0_live,
+            "quad_char": flat_sigma(D) == 2}
+    return tuple(name for name in iso.IsoInvariants._fields if live.get(name))
 
 
 def flat_u0(D) -> PolyMod:

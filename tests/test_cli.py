@@ -258,12 +258,18 @@ def test_huge_multiplicity_is_answered(capsys):
 
 
 def test_huge_multiplicity_exit_2(capsys):
-    # check lists every copy of a summand in its output, and refuses more
-    # than lattice.MAX_LISTED_COPIES of them before listing any
-    code, out, err = run(capsys, "check", "--p", "5", "999999999999999*Z")
+    # check --json lists every copy of a summand, and refuses more than
+    # lattice.MAX_LISTED_COPIES of them before listing any; the text
+    # outputs of check and twist list no copies, so they answer
+    code, out, err = run(capsys, "check", "--p", "5", "--json", "999999999999999*Z")
     assert code == 2 and out == ""
     assert err == ("error: input too large: 999999999999999 summand copies to list, "
                    "at most 100000\n")
+    code, out, err = run(capsys, "check", "--p", "5", "999999999999999*Z")
+    assert (code, err) == (0, "")
+    assert out == ("descriptor: 999999999999999*Z\nrank: 999999999999999\n"
+                   "action: TrivialAction\nt: 4  sigma: 1  u0: 1\nR class: ()  S class: ()\n")
+    assert run(capsys, "twist", "--p", "2", "--k", "3", "100001*Z") == (0, "100001*Z\n", "")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -271,7 +277,7 @@ def test_huge_multiplicity_exit_2(capsys):
      "error: input too large: a matrix model of lattice rank 100000, at most 2000\n"),
     (("check", "--p", "2", "--json", "1000000*Z"),
      "error: input too large: 1000000 summand copies to list, at most 100000\n"),
-    (("twist", "--p", "2", "--k", "3", "100001*Z"),
+    (("twist", "--p", "2", "--k", "3", "--json", "100001*Z"),
      "error: input too large: 100001 summand copies to list, at most 100000\n"),
 ], ids=["materialize", "check", "twist"])
 def test_oversized_output_exit_2_before_allocating(capsys, argv, err):

@@ -271,9 +271,10 @@ def test_ut_fixed_counts_match_walk():
 def test_cached_orbit_counts_match_walk(ctx2, ctx3, ctx5, monkeypatch):
     # the orbit counts cached on each CyclicAction (per (context, t) on
     # U_t: test_ut_orbit_count_matches_walk) equal the walked orbits, also
-    # when read a second time; with those warm, the first genus report on
-    # a context calls burnside_count once, in the fold of its genus shape,
-    # and a second report reads the kept fold without calling it
+    # when read a second time; the first genus report on a context calls
+    # burnside_count four times, all in the one fold of its genus shape
+    # (the engine and the R class, S class and U_t sets, which the bounds
+    # read too), and a second report reads the kept fold without calling it
     for ctx in (ctx2, ctx3, ctx5, synthetic_c43(), classdata_both_nontrivial()):
         for A in (ctx.H_p, ctx.H_p2):
             assert abelian.orbit_count(A) == abelian.orbit_count(A) == len(orbits(A))
@@ -290,10 +291,9 @@ def test_cached_orbit_counts_match_walk(ctx2, ctx3, ctx5, monkeypatch):
     ctx = classdata.ClassData(7, c43.H_p, c43.H_p2, provenance="unseen C_43 context")
     E = SD(lat.parse("E(0,0;1) + Z", 7, ctx))
     assert lat.t_of(E.module) == 5
-    abelian.orbit_count(ctx.H_p), abelian.orbit_count(ctx.H_p2), genus.ut_orbit_count(ctx, 5)
-    calls.clear()
+    assert E.module.moving_coordinates == ("R_class", "S_class", "u0_class")
     genus.genus_report(E)
-    assert calls == [42]
+    assert calls == [42] * 4
     calls.clear()
     genus.genus_report(E)
     assert calls == []
@@ -305,16 +305,26 @@ def test_cached_orbit_counts_match_walk(ctx2, ctx3, ctx5, monkeypatch):
     classdata_both_nontrivial,
 ], ids=["trivial-p2", "trivial-p3", "trivial-p5", "trivial-p7", "p5-C11", "C43", "both"])
 def test_kept_fold_matches_per_coordinate_fold(make):
-    # the fold kept per (class data, moving coordinates, t) gives both
-    # counts as a fresh fold over the coordinate sets does, for every
-    # subset of the four coordinates and every t <= p
+    # the fold kept per (class data, moving coordinates, t) gives the
+    # engine and each set's orbit count as a fresh fold over the
+    # coordinate sets does, for every subset of the four coordinates and
+    # every t <= p; its R class count, Burnside over the divisors of
+    # p(p-1), is the class group's own count over p - 1; and the bounds
+    # are the product formula of the class groups' and U_t's own counts
     ctx = make()
+    p = ctx.p
     names = ("R_class", "S_class", "u0_class", "quad_char")
     for size in range(len(names) + 1):
         for live in itertools.combinations(names, size):
-            for t in range(1, ctx.p + 1):
+            for t in range(1, p + 1):
                 assert genus._genus_fold(ctx, live, t) == per_coordinate_fold(ctx, live, t), (
                     live, t)
+    hp, hp2 = abelian.orbit_count(ctx.H_p), abelian.orbit_count(ctx.H_p2)
+    for r in range(p):  # B(0,0;r) has t = p - r
+        D = lat.descriptor(p, ctx, [(lat.make_summand(p, ctx, "B", r=r), 1)])
+        assert lat.t_of(D) == p - r
+        assert genus.genus_bounds(SD(D)) == (
+            hp2, 2 * hp * hp2 * brute_ut_orbit_count(ctx, p - r)), r
 
 
 def test_fixed_coset_coordinate_is_one_on_sums_of_z(ctx2, ctx3, ctx5):
@@ -334,7 +344,7 @@ def test_fixed_coset_coordinate_is_one_on_sums_of_z(ctx2, ctx3, ctx5):
             u = iso.invariants_of(D).u0_class
             assert u == modring.one(p, lat.t_of(D))
             assert all(modring.galois_on_unit(k, u) == u for k in galois.galois_units(p))
-            assert "u0_class" not in genus._genus_coordinates(D)
+            assert "u0_class" not in D.moving_coordinates
 
 
 def test_c43_group_iso_by_twist():

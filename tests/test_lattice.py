@@ -15,9 +15,9 @@ from cp2genus.lattice import Faithfulness
 
 from conftest import classdata_both_nontrivial, random_descriptor, random_multiset, synthetic_c43
 from oracles import (expand, flat_counts, flat_genus_vector, flat_ideal_classes, flat_invariants,
-                     flat_quad_char_applies, flat_r1, flat_r2, flat_rank, flat_rational_type,
-                     flat_render, flat_rep_matrix, flat_sigma, flat_t_of, flat_twist, flat_u0,
-                     flat_u0_coset_applies, from_list, x_pow_minus_1)
+                     flat_moving_coordinates, flat_quad_char_applies, flat_r1, flat_r2, flat_rank,
+                     flat_rational_type, flat_render, flat_rep_matrix, flat_sigma, flat_t_of,
+                     flat_twist, flat_u0, flat_u0_coset_applies, from_list, x_pow_minus_1)
 
 
 def test_parse_basics(ctx2):
@@ -313,21 +313,22 @@ def test_multiset_facts_match_flat_oracles(ctx2, ctx3, ctx5, p, seed):
 
 def shape_facts(D) -> tuple:
     return (lat.counts(D), lat.rational_type(D), lat.rank(D), lat.t_of(D), lat.sigma(D),
-            lat.u0_coset_applies(D), lat.quad_char_applies(D))
+            lat.u0_coset_applies(D), lat.quad_char_applies(D), D.moving_coordinates)
 
 
 def flat_shape_facts(D) -> tuple:
     return (flat_counts(D), flat_rational_type(D), flat_rank(D), flat_t_of(D), flat_sigma(D),
-            flat_u0_coset_applies(D), flat_quad_char_applies(D))
+            flat_u0_coset_applies(D), flat_quad_char_applies(D), flat_moving_coordinates(D))
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
 def test_kept_shape_facts_match_flat_oracles(ctx2, ctx3, ctx5, p, seed):
-    # the shape is derived once per descriptor and kept: on a fresh, a
-    # twisted, a pickled and a copied descriptor each fact equals its
-    # walk over the flat list, read twice, and the kept counts refuse a
-    # write; equality, hash, repr and pickling ignore what is kept
+    # the shape and the moving coordinates are derived once per
+    # descriptor and kept: on a fresh, a twisted, a pickled and a copied
+    # descriptor each fact equals its walk over the flat list, read
+    # twice, and the kept counts refuse a write; equality, hash, repr
+    # and pickling ignore what is kept
     ctx = {2: ctx2, 3: ctx3, 5: ctx5, 7: BOTH_NONTRIVIAL}[p]
     rng = random.Random(seed)
     D = random_multiset(rng, p, ctx)
@@ -335,15 +336,16 @@ def test_kept_shape_facts_match_flat_oracles(ctx2, ctx3, ctx5, p, seed):
     before = hash(D)
     T = galois.twist(D, rng.choice(galois.galois_units(p)))
     for X in (D, T, pickle.loads(pickle.dumps(D)), copy.copy(D), copy.deepcopy(D)):
-        assert "shape" not in vars(X)
+        assert not {"shape", "moving_coordinates"} & set(vars(X))
         want = flat_shape_facts(X)
         assert shape_facts(X) == want
         with pytest.raises(TypeError):
             lat.counts(X)["Z"] += 1
         assert shape_facts(X) == want
-    assert "shape" in vars(D)
+    assert {"shape", "moving_coordinates"} <= set(vars(D))
     assert hash(D) == before and repr(D) == text and D.__reduce__()[1] == fields
-    assert pickle.loads(pickle.dumps(D)) == D and "shape" not in vars(pickle.loads(pickle.dumps(D)))
+    restored = pickle.loads(pickle.dumps(D))
+    assert restored == D and not {"shape", "moving_coordinates"} & set(vars(restored))
 
 
 def test_json_roundtrip(ctx5):
