@@ -23,7 +23,7 @@ import math
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, count, product
 
-from .errors import Cp2Error, EnumerationGuard, InternalError
+from .errors import ConfigError, Cp2Error, EnumerationGuard, InternalError
 from .value import Value, set_field
 
 DEFAULT_GUARD = 10**6
@@ -57,9 +57,10 @@ class AbGroup(Value):
             0 <= xi < f for xi, f in zip(x, self.factors)
         )
 
-    def elements(self, guard: int = DEFAULT_GUARD):
-        if self.order > guard:
-            raise EnumerationGuard(f"group of order {self.order} exceeds guard {guard}")
+    def elements(self):
+        if self.order > DEFAULT_GUARD:
+            raise EnumerationGuard(
+                f"group of order {self.order} exceeds guard {DEFAULT_GUARD}")
         return list(product(*(range(f) for f in self.factors)))
 
 
@@ -89,7 +90,7 @@ def reduce_element(G: AbGroup, raw) -> tuple[int, ...]:
         if not 0 <= raw[i] < G.factors[i]:
             raise Cp2Error(
                 f"class exponent {raw[i]} out of range [0, {G.factors[i]}) "
-                f"at position {i}"
+                f"in entry {i}"
             )
     return tuple(raw[i] if i < len(raw) else 0 for i in range(n))
 
@@ -113,16 +114,6 @@ def _totient(n: int) -> int:
     for q in _prime_factors(n):
         phi -= phi // q
     return phi
-
-
-def unit_order(g: int, modulus: int) -> int:
-    """The multiplicative order of the unit g mod modulus: phi(modulus)
-    with each prime factor q stripped while g^(order/q) stays 1."""
-    order = _totient(modulus)
-    for q in _prime_factors(order):
-        while order % q == 0 and pow(g, order // q, modulus) == 1:
-            order //= q
-    return order
 
 
 @lru_cache(maxsize=None)
@@ -162,40 +153,31 @@ class CyclicAction(Value):
                  "generator_matrix", "__dict__")
 
     def validate(self, where: str = "action"):
-        n, m = self.target.rank, self.modulus
-        if len(self.generator_matrix) != n or any(
-            len(row) != n for row in self.generator_matrix
-        ):
-            raise Cp2Error(f"{where}: generator_matrix is not {n}x{n}")
-        if self.acting_order < 1:
-            raise Cp2Error(f"{where}: acting_order must be >= 1")
-        if math.gcd(self.generator_residue, m) != 1:
-            raise Cp2Error(f"{where}.generator_residue: not a unit mod {m}")
+        n, m, g, N = self.target.rank, self.modulus, self.generator_residue, self.acting_order
+        M, fs = self.generator_matrix, self.target.factors
+        if len(M) != n or any(len(row) != n for row in M):
+            raise ConfigError(f"{where}: generator_matrix is not {n}x{n}")
+        if N < 1:
+            raise ConfigError(f"{where}: acting_order must be >= 1")
+        if math.gcd(g, m) != 1:
+            raise ConfigError(f"{where}.generator_residue: not a unit mod {m}")
         # exact order: every acting unit is a power of the residue, which
-        # the orbit engine relies on
-        d = unit_order(self.generator_residue, m)
-        if d != self.acting_order:
-            raise Cp2Error(
-                f"{where}.generator_residue: order {d} mod {m}, "
-                f"expected {self.acting_order}"
-            )
-        # well-definedness on the quotient: factor_i | M[i][j]*factor_j
-        fs = self.target.factors
-        for i in range(n):
-            for j in range(n):
-                if (self.generator_matrix[i][j] * fs[j]) % fs[i] != 0:
-                    raise Cp2Error(
-                        f"{where}: matrix entry [{i}][{j}] does not define "
-                        f"a map on the group"
-                    )
-        # M^acting_order = M * M^(acting_order - 1) must be the identity on
-        # the group; this also forces the matrix to act as an automorphism
+        # the orbit engine relies on.  The table keeps the distinct powers
+        # g^d, d < N, so it has min(order, N) entries, and g^N = 1 rules
+        # out an order above N
         table = self._unit_matrices
-        inverse = table[pow(self.generator_residue, -1, m)]
-        if _mat_mul(self.generator_matrix, inverse, fs) != table[1 % m]:
-            raise Cp2Error(
-                f"{where}: matrix^acting_order is not the identity on the group"
-            )
+        if len(table) != N or pow(g, N, m) != 1 % m:
+            order = len(table) if len(table) < N else f"above {N}"
+            raise ConfigError(f"{where}.generator_residue: order {order} mod {m}, expected {N}")
+        # well-definedness on the quotient: factor_i | M[i][j]*factor_j
+        for i, j in product(range(n), repeat=2):
+            if M[i][j] * fs[j] % fs[i] != 0:
+                raise ConfigError(
+                    f"{where}: matrix entry [{i}][{j}] does not define a map on the group")
+        # M^N = M * M^(N - 1) must be the identity on the group; this also
+        # forces the matrix to act as an automorphism
+        if _mat_mul(M, table[pow(g, -1, m)], fs) != table[1 % m]:
+            raise ConfigError(f"{where}: matrix^acting_order is not the identity on the group")
 
     @cached_property
     def _unit_matrices(self) -> dict[int, tuple[tuple[int, ...], ...]]:

@@ -3,7 +3,9 @@ their Galois actions, either built in (small primes) or loaded from a
 JSON config.
 
 The package never computes class groups from field arithmetic; they are
-configured finite abelian groups with a declared generator action.
+configured finite abelian groups with a declared generator action.  A
+config is read strictly, every number a JSON integer, and
+ClassData.validate is the one check of the data on every path.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ BUILTIN_TRIVIAL = (2, 3, 5)
 # p(p-1) matrix powers, so a load at p = 199 already takes about a
 # quarter of a second with rank-2 class groups and half a second at rank 3
 MAX_CONFIG_P = 200
+# the most bytes a config file may have: a real one is far smaller, and a
+# FIFO or a huge file stops here instead of filling memory before parsing
+MAX_CONFIG_BYTES = 1 << 20
 _DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -40,14 +45,11 @@ class ClassData(Value):
 
     def validate(self):
         p = self.p
-        if self.H_p.modulus != p or self.H_p.acting_order != p - 1:
-            raise ConfigError(f"H_p: must carry an action of (Z/{p})^* of order {p - 1}")
-        if self.H_p2.modulus != p * p or self.H_p2.acting_order != p * (p - 1):
-            raise ConfigError(
-                f"H_p2: must carry an action of (Z/{p * p})^* of order {p * (p - 1)}"
-            )
-        self.H_p.validate("H_p")
-        self.H_p2.validate("H_p2")
+        for where, action, m in (("H_p", self.H_p, p), ("H_p2", self.H_p2, p * p)):
+            if action.modulus != m or action.acting_order != m - m // p:
+                raise ConfigError(
+                    f"{where}: must carry an action of (Z/{m})^* of order {m - m // p}")
+            action.validate(where)
         if self.extra_R_unit_gens or self.extra_ES_unit_gens:
             # the Galois action on U_m needs a Galois-stable image; the
             # default generators give one, extra generators may not
@@ -69,14 +71,15 @@ class ClassData(Value):
         return compute_Um(self.p, m, extra)
 
 
-def _trivial_class_action(p: int, i: int) -> CyclicAction:
-    modulus = p**i
-    order = (p - 1) * p ** (i - 1)
-    return CyclicAction(AbGroup(()), modulus, order, primitive_root(modulus), ())
+def _action(p: int, i: int, group: AbGroup, residue: int, matrix) -> CyclicAction:
+    """The action of (Z/p^i)^* on group through the residue, taken mod p^i."""
+    m = p**i
+    return CyclicAction(group, m, m - m // p, residue % m, matrix)
 
 
 def trivial(p: int, provenance: str = "trivial class groups") -> ClassData:
-    data = ClassData(p, _trivial_class_action(p, 1), _trivial_class_action(p, 2),
+    data = ClassData(p, _action(p, 1, AbGroup(()), primitive_root(p), ()),
+                     _action(p, 2, AbGroup(()), primitive_root(p * p), ()),
                      provenance=provenance)
     data.validate()
     return data
@@ -105,67 +108,80 @@ def builtin(p: int) -> ClassData:
     raise UnsupportedPrime(f"no built-in class data for p={p}")
 
 
+def _ints(value, where: str, depth: int):
+    """value as a JSON integer (depth 0) or as lists of them nested depth
+    deep, read into tuples.  Only JSON integers count: a boolean, a
+    fraction and a string are refused, never coerced."""
+    if depth == 0:
+        if type(value) is not int:
+            raise ConfigError(f"{where}: expected an integer")
+        return value
+    if type(value) is not list:
+        raise ConfigError(f"{where}: expected a list")
+    return tuple(_ints(x, f"{where}[{i}]", depth - 1) for i, x in enumerate(value))
+
+
+def _field(obj: dict, key: str, depth: int, where: str = "", default=None):
+    """obj[key] read by _ints; a missing key needs a default."""
+    name = f"{where}.{key}" if where else key
+    if key in obj:
+        return _ints(obj[key], name, depth)
+    if default is None:
+        raise ConfigError(f"{name}: missing")
+    return default
+
+
 def _parse_action(obj, p: int, i: int, where: str) -> CyclicAction:
-    if not isinstance(obj, dict):
+    """The action read from its fields; ClassData.validate checks it."""
+    if type(obj) is not dict:
         raise ConfigError(f"{where}: expected an object")
-    try:
-        factors = tuple(int(f) for f in obj["invariant_factors"])
-        residue = int(obj["generator_residue"])
-        matrix = tuple(tuple(int(x) for x in row) for row in obj["generator_matrix"])
-    except KeyError as exc:
-        raise ConfigError(f"{where}.{exc.args[0]}: missing") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    modulus = p**i
-    order = (p - 1) * p ** (i - 1)
+    factors = _field(obj, "invariant_factors", 1, where)
+    residue = _field(obj, "generator_residue", 0, where)
+    matrix = _field(obj, "generator_matrix", 2, where)
     try:
         group = AbGroup(factors)
-    except Exception as exc:
+    except Cp2Error as exc:
         raise ConfigError(f"{where}.invariant_factors: {exc}") from None
-    # validate checks that the residue generates the full unit group, so
-    # every Galois element is one of its powers
-    action = CyclicAction(group, modulus, order, residue % modulus, matrix)
-    try:
-        action.validate(where)
-    except Exception as exc:
-        raise ConfigError(str(exc)) from None
-    return action
+    return _action(p, i, group, residue, matrix)
 
 
-def _parse_gens(obj, key: str) -> tuple[tuple[int, ...], ...]:
-    raw = obj.get(key, [])
+def _read_json(path):
+    """The JSON value in the file at path, of at most MAX_CONFIG_BYTES."""
     try:
-        return tuple(tuple(int(c) for c in vec) for vec in raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected a list of integer coefficient vectors") from None
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_CONFIG_BYTES + 1)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if len(raw) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"{path}: longer than {MAX_CONFIG_BYTES} bytes")
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and an
+    # integer beyond Python's digit limit; RecursionError deep nesting
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_config(path) -> ClassData:
     """Load and fully validate a class-data JSON config."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
+    obj = _read_json(path)
+    if type(obj) is not dict:
         raise ConfigError("config root must be an object")
-    try:
-        p = int(obj["p"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("p: missing or not an integer") from None
+    p = _field(obj, "p", 0)
     if p > MAX_CONFIG_P:
         raise ConfigError(f"p: {p} exceeds the supported bound {MAX_CONFIG_P}")
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ConfigError(f"p: {p} is not prime")
+    provenance = obj.get("provenance", "")
+    if type(provenance) is not str:
+        raise ConfigError("provenance: expected a string")
     data = ClassData(
         p=p,
         H_p=_parse_action(obj.get("H_p"), p, 1, "H_p"),
         H_p2=_parse_action(obj.get("H_p2"), p, 2, "H_p2"),
-        extra_R_unit_gens=_parse_gens(obj, "extra_R_unit_gens"),
-        extra_ES_unit_gens=_parse_gens(obj, "extra_ES_unit_gens"),
-        provenance=str(obj.get("provenance", "")),
+        extra_R_unit_gens=_field(obj, "extra_R_unit_gens", 2, default=()),
+        extra_ES_unit_gens=_field(obj, "extra_ES_unit_gens", 2, default=()),
+        provenance=provenance,
     )
     data.validate()
     return data

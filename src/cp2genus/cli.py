@@ -34,8 +34,8 @@ def _context(args):
     return classdata.builtin(args.p)
 
 
-def _parse_descriptor(args, text):
-    return lattice.parse(text, args.p, _context(args), lenient=args.lenient_units)
+def _parse_descriptor(args, ctx, text):
+    return lattice.parse(text, args.p, ctx, lenient=args.lenient_units)
 
 
 def _emit(args, text_lines, json_obj) -> int:
@@ -54,8 +54,8 @@ def _decide(args, verdict: bool, yes: str, no: str) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    D = _parse_descriptor(args, args.descriptor)
+def cmd_check(args, ctx) -> int:
+    D = _parse_descriptor(args, ctx, args.descriptor)
     gv = lattice.genus_vector(D)
     rc, sc = lattice.ideal_classes(D)
     info = {
@@ -85,8 +85,8 @@ def cmd_check(args) -> int:
     return _emit(args, lines, info)
 
 
-def cmd_invariants(args) -> int:
-    D = _parse_descriptor(args, args.descriptor)
+def cmd_invariants(args, ctx) -> int:
+    D = _parse_descriptor(args, ctx, args.descriptor)
     inv = iso.invariants_of(D)
     lines = [
         f"genus (p-adic): {iso.padic_to_json(inv.padic)}",
@@ -98,50 +98,50 @@ def cmd_invariants(args) -> int:
     return _emit(args, lines, iso.invariants_to_json(inv))
 
 
-def cmd_padic(args) -> int:
-    D = _parse_descriptor(args, args.descriptor)
+def cmd_padic(args, ctx) -> int:
+    D = _parse_descriptor(args, ctx, args.descriptor)
     pd = iso.padic_completion(D)
     return _emit(args, [f"{iso.padic_to_json(pd)}"], iso.padic_to_json(pd))
 
 
-def cmd_iso(args) -> int:
-    D1 = _parse_descriptor(args, args.descriptor1)
-    D2 = _parse_descriptor(args, args.descriptor2)
+def cmd_iso(args, ctx) -> int:
+    D1 = _parse_descriptor(args, ctx, args.descriptor1)
+    D2 = _parse_descriptor(args, ctx, args.descriptor2)
     return _decide(args, iso.isomorphic(D1, D2), "isomorphic", "not isomorphic")
 
 
-def cmd_genus_eq(args) -> int:
-    D1 = _parse_descriptor(args, args.descriptor1)
-    D2 = _parse_descriptor(args, args.descriptor2)
+def cmd_genus_eq(args, ctx) -> int:
+    D1 = _parse_descriptor(args, ctx, args.descriptor1)
+    D2 = _parse_descriptor(args, ctx, args.descriptor2)
     return _decide(args, iso.same_genus(D1, D2), "same genus", "different genus")
 
 
-def cmd_twist(args) -> int:
-    D = _parse_descriptor(args, args.descriptor)
+def cmd_twist(args, ctx) -> int:
+    D = _parse_descriptor(args, ctx, args.descriptor)
     T = galois.twist(D, args.k)
     return _emit(args, [lattice.render(T)], lattice.to_json(T) if args.json else None)
 
 
-def cmd_group_iso(args) -> int:
-    E1 = genus.SemidirectDescriptor(_parse_descriptor(args, args.descriptor1))
-    E2 = genus.SemidirectDescriptor(_parse_descriptor(args, args.descriptor2))
+def cmd_group_iso(args, ctx) -> int:
+    E1 = genus.SemidirectDescriptor(_parse_descriptor(args, ctx, args.descriptor1))
+    E2 = genus.SemidirectDescriptor(_parse_descriptor(args, ctx, args.descriptor2))
     return _decide(
         args, genus.group_isomorphic(E1, E2),
         "isomorphic as groups", "not isomorphic as groups",
     )
 
 
-def cmd_profinite_iso(args) -> int:
-    E1 = genus.SemidirectDescriptor(_parse_descriptor(args, args.descriptor1))
-    E2 = genus.SemidirectDescriptor(_parse_descriptor(args, args.descriptor2))
+def cmd_profinite_iso(args, ctx) -> int:
+    E1 = genus.SemidirectDescriptor(_parse_descriptor(args, ctx, args.descriptor1))
+    E2 = genus.SemidirectDescriptor(_parse_descriptor(args, ctx, args.descriptor2))
     return _decide(
         args, genus.profinite_isomorphic(E1, E2),
         "profinitely isomorphic", "not profinitely isomorphic",
     )
 
 
-def cmd_genus_count(args) -> int:
-    E = genus.SemidirectDescriptor(_parse_descriptor(args, args.descriptor))
+def cmd_genus_count(args, ctx) -> int:
+    E = genus.SemidirectDescriptor(_parse_descriptor(args, ctx, args.descriptor))
     rep = genus.genus_report(E)
     lines = []
     if rep.closed_form:
@@ -157,8 +157,7 @@ def cmd_genus_count(args) -> int:
     return _emit(args, lines, genus.report_to_json(rep))
 
 
-def cmd_um(args) -> int:
-    ctx = _context(args)
+def cmd_um(args, ctx) -> int:
     q = ctx.unit_quotient(args.m)
     obj = {
         "p": args.p,
@@ -179,8 +178,7 @@ def cmd_um(args) -> int:
     return _emit(args, lines, obj)
 
 
-def cmd_orbits(args) -> int:
-    ctx = _context(args)
+def cmd_orbits(args, ctx) -> int:
     hp = orbit_count(ctx.H_p)
     hp2 = orbit_count(ctx.H_p2)
     obj = {"p": args.p, "H_p_orbits": hp, "H_p2_orbits": hp2}
@@ -196,8 +194,8 @@ def cmd_orbits(args) -> int:
     return _emit(args, lines, obj)
 
 
-def cmd_materialize(args) -> int:
-    D = _parse_descriptor(args, args.descriptor)
+def cmd_materialize(args, ctx) -> int:
+    D = _parse_descriptor(args, ctx, args.descriptor)
     rep = materialize.rep_of(D)
     obj = {"p": args.p, "n": rep.n, "matrix": [list(row) for row in rep.matrix]}
     if args.validate:
@@ -263,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        # every subcommand reads the class data: it is loaded and checked once
+        code = args.func(args, _context(args))
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

@@ -87,6 +87,51 @@ C43_CONFIG = {
 }
 
 
+def _c43_with(where: str, **raw) -> bytes:
+    """The C_43 config text with each field key of where ("" for the root)
+    set to the JSON text raw[key]."""
+    cfg = json.loads(json.dumps(C43_CONFIG))
+    for key in raw:
+        (cfg[where] if where else cfg)[key] = f"@{key}@"
+    text = json.dumps(cfg)
+    for key, value in raw.items():
+        text = text.replace(f'"@{key}@"', value)
+    return text.encode()
+
+
+# class-data files the loader must refuse with a ConfigError naming the
+# field: (file bytes, a pattern of its message).  Each used to crash with
+# a traceback or to be coerced into an answer.
+MALFORMED_CONFIGS = {
+    "residue-1e400": (_c43_with("H_p2", generator_residue="1e400"),
+                      "H_p2.generator_residue"),
+    # Python's digit limit refuses it while parsing; without the limit
+    # (before 3.10.7) the action check does
+    "matrix-5000-digits": (_c43_with("H_p2", generator_matrix=f"[[{'9' * 5000}]]"),
+                           "invalid JSON|H_p2"),
+    "not-utf8": (b'{"p": 7, "provenance": "\xff"}', "invalid JSON"),
+    "nested-100000": (_c43_with("", p="[" * 100000 + "]" * 100000), "invalid JSON"),
+    # with the string coerced, Z/2 + Z/2 under the identity would load
+    "factors-string": (_c43_with("H_p2", invariant_factors='"22"',
+                                 generator_matrix="[[1, 0], [0, 1]]"),
+                       "H_p2.invariant_factors"),
+    "matrix-strings": (_c43_with("H_p2", invariant_factors="[2, 2]",
+                                 generator_matrix='["10", "01"]'),
+                       r"H_p2\.generator_matrix\[0\]"),
+    "residue-3.7": (_c43_with("H_p2", generator_residue="3.7"), "H_p2.generator_residue"),
+    "p-7.9": (_c43_with("", p="7.9"), "^p: expected an integer"),
+    "residue-true": (_c43_with("H_p", generator_residue="true"), "H_p.generator_residue"),
+    "residue-3.0": (_c43_with("H_p2", generator_residue="3.0"), "H_p2.generator_residue"),
+    "p-string": (_c43_with("", p='"7"'), "^p: expected an integer"),
+    "residue-list": (_c43_with("H_p2", generator_residue="[3]"), "H_p2.generator_residue"),
+    "matrix-entry-list": (_c43_with("H_p2", generator_matrix="[[[3]]]"),
+                          r"H_p2\.generator_matrix\[0\]\[0\]"),
+    "extra-gens-string": (_c43_with("", extra_R_unit_gens='[["1", 0]]'),
+                          r"extra_R_unit_gens\[0\]\[0\]"),
+    "provenance-number": (_c43_with("", provenance="5"), "provenance"),
+}
+
+
 def trivial_config(p, **extra) -> dict:
     """A class-data config with trivial class groups at p, plus any extra
     top-level keys (such as extra unit generators)."""

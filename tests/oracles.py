@@ -188,12 +188,12 @@ def act_on_invariants(context, k: int, inv):
     )
 
 
-def brute_orbit_genus_count(D, guard: int = DEFAULT_GUARD) -> int:
+def brute_orbit_genus_count(D) -> int:
     """Orbits of the diagonal Galois action, walked over the listed genus."""
     ctx = D.context
     gen = primitive_root(ctx.p ** 2)
     return walk_orbit_count(
-        genus.enumerate_genus(D, guard),
+        genus.enumerate_genus(D),
         lambda inv: act_on_invariants(ctx, gen, inv),
     )
 
@@ -330,7 +330,7 @@ def diagonal_orbits(
     sizes = [A.target.order for A in actions] + [len(s) for s in extras]
     if math.prod(sizes) > guard:
         raise EnumerationGuard(f"product of size {math.prod(sizes)} exceeds guard {guard}")
-    component_elems = [A.target.elements(guard) for A in actions]
+    component_elems = [A.target.elements() for A in actions]
     points = list(product(*component_elems, *[list(s) for s in extras]))
     units = [k for k in range(1, acting_modulus) if math.gcd(k, acting_modulus) == 1]
     na = len(actions)

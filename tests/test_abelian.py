@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cp2genus import abelian as ab
-from cp2genus.errors import Cp2Error, EnumerationGuard, InternalError
+from cp2genus.errors import ConfigError, Cp2Error, EnumerationGuard, InternalError
 
 from oracles import (
     apply_matrix,
@@ -92,20 +92,39 @@ def cyclic_moduli(bound: int) -> list[int]:
     return sorted(out)
 
 
-def test_primitive_root_and_order_match_walks():
-    """The phi(n)/q power tests give the walked smallest root and unit
-    orders, for every cyclic unit group up to 2*53^2."""
+def test_primitive_root_matches_walk():
+    """The phi(n)/q power tests give the walked smallest root, for every
+    cyclic unit group up to 2*53^2."""
     moduli = cyclic_moduli(2 * 53**2)
     assert {1, 2, 4, 9, 25, 49, 53**2, 2 * 53**2} <= set(moduli)
     for n in moduli:
-        g = ab.primitive_root(n)
-        assert g == walk_primitive_root(n)
-        for k in {g, n - 1, 2}:
-            if math.gcd(k, n) == 1:
-                assert ab.unit_order(k, n) == walk_unit_order(k, n)
+        assert ab.primitive_root(n) == walk_primitive_root(n)
     for n in (8, 12, 15):  # unit groups that are not cyclic
         with pytest.raises(Cp2Error, match=f"\\(Z/{n}\\)\\^\\* is not cyclic"):
             ab.primitive_root(n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_validate_accepts_exactly_the_generating_residues(p):
+    """An action of (Z/p^i)^* passes validation exactly when its residue
+    has the walked order phi(p^i), and a refusal names that order."""
+    for m in (p, p * p):
+        N = m - m // p
+        for k in range(1, m):
+            if math.gcd(k, m) != 1:
+                continue
+            action = ab.CyclicAction(ab.AbGroup(()), m, N, k, ())
+            order = walk_unit_order(k, m)
+            if order == N:
+                action.validate("H")
+            else:
+                with pytest.raises(ConfigError,
+                                   match=rf"^H\.generator_residue: order {order} mod {m}, "
+                                         rf"expected {N}$"):
+                    action.validate("H")
+    # an order above the declared acting order is refused too
+    with pytest.raises(ConfigError, match=r"order above 7 mod 49, expected 7$"):
+        ab.CyclicAction(ab.AbGroup(()), 49, 7, 3, ()).validate()
 
 
 def test_divisor_weights_match_gcd_tally():
@@ -297,9 +316,9 @@ def test_action_validation():
 
 
 def test_enumeration_guard():
-    big = ab.AbGroup((1009, 2018))
-    with pytest.raises(EnumerationGuard):
-        big.elements(guard=1000)
+    # 1001^2 elements, just above the guard: refused before any is listed
+    with pytest.raises(EnumerationGuard, match="exceeds guard 1000000"):
+        ab.AbGroup((1001, 1001)).elements()
 
 
 def test_diagonal_orbits():

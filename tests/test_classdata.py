@@ -6,7 +6,7 @@ from cp2genus import classdata, modring
 from cp2genus.abelian import AbGroup, CyclicAction, apply_action, divisor_weights, orbit_count
 from cp2genus.errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
 
-from conftest import C43_CONFIG, trivial_config
+from conftest import C43_CONFIG, MALFORMED_CONFIGS, synthetic_c43, trivial_config
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -19,6 +19,14 @@ def test_builtin_trivial(p):
     assert data.H_p2.acting_order == p * (p - 1)
     assert data.provenance
     data.validate()
+
+
+def test_validate_checks_hand_built_data():
+    # the one check of load_config, trivial and hand-built data alike
+    bad = classdata.ClassData(7, CyclicAction(AbGroup(()), 7, 6, 3, ()),
+                              CyclicAction(AbGroup((43,)), 49, 42, 3, ((0,),)))
+    with pytest.raises(ConfigError, match=r"^H_p2: matrix\^acting_order is not the identity"):
+        bad.validate()
 
 
 def test_builtin_unsupported_and_needs_config():
@@ -163,3 +171,37 @@ def test_unstable_extra_generators_rejected(tmp_path):
     path.write_text(json.dumps(trivial_config(7, extra_R_unit_gens=[[0, 1]])))
     with pytest.raises(ConfigError, match="not a unit"):
         classdata.load_config(path)
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_malformed_config_is_a_config_error(tmp_path, name):
+    # a boolean, a fraction, a string or a list where an integer is due is
+    # refused, not coerced; so are bad bytes, deep nesting and overlong
+    # numerals, and each refusal is a ConfigError naming its field
+    raw, message = MALFORMED_CONFIGS[name]
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=message):
+        classdata.load_config(path)
+
+
+def test_config_read_is_bounded(tmp_path):
+    # one byte over the bound is refused before parsing (the file is not
+    # even JSON); the bound itself still parses
+    path = tmp_path / "long.json"
+    path.write_bytes(b" " * (classdata.MAX_CONFIG_BYTES + 1))
+    with pytest.raises(ConfigError, match=f"longer than {classdata.MAX_CONFIG_BYTES} bytes"):
+        classdata.load_config(path)
+    text = json.dumps(C43_CONFIG).encode()
+    path.write_bytes(text + b" " * (classdata.MAX_CONFIG_BYTES - len(text)))
+    assert classdata.load_config(path).H_p2.target.factors == (43,)
+
+
+def test_valid_configs_load_to_equal_class_data(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(C43_CONFIG))
+    assert classdata.load_config(path) == synthetic_c43()
+    for p in (2, 3, 5):
+        path.write_text(json.dumps({**trivial_config(p),
+                                    "provenance": f"built-in: class number one for p={p}"}))
+        assert classdata.load_config(path) == classdata.builtin(p)

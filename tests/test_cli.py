@@ -11,7 +11,7 @@ from cp2genus import classdata, iso
 from cp2genus.cli import main
 from cp2genus.errors import ConfigError, InternalError
 
-from conftest import trivial_config
+from conftest import MALFORMED_CONFIGS, trivial_config
 
 
 def run(capsys, *argv):
@@ -166,6 +166,41 @@ def test_classdata_matrix_of_the_wrong_shape_exit_3(capsys, tmp_path):
         classdata.load_config(path)
     code, out, err = run(capsys, "orbits", "--p", "7", "--classdata", str(path))
     assert code == 3 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["residue-1e400", "not-utf8", "nested-100000",
+                                  "factors-string"])
+def test_malformed_classdata_exit_3_without_traceback(tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED_CONFIGS[name][0])
+    src = str(Path(cp2genus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "cp2genus.cli", "orbits", "--p", "7", "--classdata", str(path)],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "B(0,0;1)", "B(0,0;2)"],
+    ["group-iso", "B(0,0;1)", "B(0,0;2)"],
+    ["genus-count", "B(0,0;1)"],
+], ids=["iso", "group-iso", "genus-count"])
+def test_class_data_loaded_once_per_call(capsys, monkeypatch, c43_config_file, argv):
+    calls = []
+    for name in ("load_config", "builtin"):
+        def counted(*args, _load=getattr(classdata, name), _name=name):
+            calls.append(_name)
+            return _load(*args)
+        monkeypatch.setattr(classdata, name, counted)
+    code, _, _ = run(capsys, *argv[:1], "--p", "7", "--classdata", str(c43_config_file),
+                     *argv[1:])
+    assert code == 0 and calls == ["load_config"]
+    calls.clear()
+    code, _, _ = run(capsys, *argv[:1], "--p", "5", *argv[1:])
+    assert code == 0 and calls == ["builtin"]
 
 
 def test_oversized_classdata_prime_exit_3(tmp_path):

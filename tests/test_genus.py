@@ -58,9 +58,14 @@ def test_enumerate_genus_counts(ctx3, ctx5):
     assert len(genus.enumerate_genus(lat.parse("4*Z", 5, ctx5))) == 1
 
 
-def test_enumerate_genus_guard(ctx5):
-    with pytest.raises(EnumerationGuard):
-        genus.enumerate_genus(lat.parse("B(0,0;0)", 5, ctx5), guard=3)
+def test_enumerate_genus_guard():
+    # p = 13, H_p2 = C_3 under the identity: B(0,0;0) has t = 13, and its
+    # genus is the 1 R class, the 3 S classes and the 13^5 cosets of U_13,
+    # above the guard, so it is refused before any tuple is listed
+    D = lat.parse("B(0,0;0)", 13, synthetic_cyclic(13, 3, 1))
+    assert D.moving_coordinates == ("R_class", "S_class", "u0_class")
+    with pytest.raises(EnumerationGuard, match=f"genus of size {3 * 13**5} exceeds"):
+        genus.enumerate_genus(D)
 
 
 def test_orbit_genus_count_examples(ctx3, ctx5):
@@ -466,6 +471,24 @@ def test_census_matches_engine_on_small_shapes(data, n_shapes, closed_form_misse
 def test_census_matches_engine_on_cyclic_class_data(ctx, seed):
     D = random_descriptor(random.Random(seed), ctx.p, ctx, faithful=True)
     assert genus.orbit_genus_count(D) == census_genus_count(D), lat.render(D)
+
+
+def test_closed_form_lies_within_bounds_on_small_shapes():
+    # why genus_report checks only the engine against the bounds: on a
+    # faithful module the S class moves, so the closed form's product of
+    # orbit counts lies between orb(S) and 2 orb(R) orb(S) orb(U_t)
+    checked = 0
+    for ctx in [classdata.trivial(p) for p in (2, 3, 5)] + [
+            synthetic_cyclic(5, 11, 2), synthetic_cyclic(5, 41, 36), synthetic_c43(),
+            classdata_both_nontrivial()]:
+        for D in faithful_shapes(ctx.p, ctx):
+            assert "S_class" in D.moving_coordinates, lat.render(D)
+            closed = genus.closed_form_count(SD(D))
+            lo, hi = genus.genus_bounds(SD(D))
+            if closed is not None:
+                assert lo <= closed[0] <= hi, lat.render(D)
+            checked += 1
+    assert checked == 1995
 
 
 def test_closed_form_case_names_per_shape(ctx3, ctx5):

@@ -87,6 +87,11 @@ def test_parse_multiplicity_and_whitespace(ctx3):
 def test_class_exponents(ctx7_synthetic):
     D = lat.parse("c(7)", 7, ctx7_synthetic)
     assert D.summands[0][0].c == (7,)
+    # one position per message: the vector index is an entry, the text
+    # offset a position
+    with pytest.raises(ParseError) as err:
+        lat.parse("Z + c(50)", 7, ctx7_synthetic)
+    assert str(err.value) == "class exponent 50 out of range [0, 43) in entry 0 (at position 4)"
     with pytest.raises(ParseError):
         lat.parse("c(43)", 7, ctx7_synthetic)
     with pytest.raises(ParseError):
