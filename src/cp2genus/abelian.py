@@ -145,30 +145,35 @@ class CyclicAction(Value):
     """An action of (Z/modulus)^* on the AbGroup target.
 
     generator_matrix (a tuple of int rows) gives the automorphism induced
-    by the unit generator_residue of order acting_order; every unit k acts
-    as the d-th matrix power where generator_residue^d = k (mod modulus).
+    by the unit generator_residue, which generates (Z/modulus)^*; every
+    unit k acts as the d-th matrix power where generator_residue^d = k
+    (mod modulus).
     """
 
-    __slots__ = ("target", "modulus", "acting_order", "generator_residue",
-                 "generator_matrix", "__dict__")
+    __slots__ = ("target", "modulus", "generator_residue", "generator_matrix", "__dict__")
+
+    @cached_property
+    def acting_order(self) -> int:
+        """The order phi(modulus) of the acting group (Z/modulus)^*."""
+        return _totient(self.modulus)
 
     def validate(self, where: str = "action"):
-        n, m, g, N = self.target.rank, self.modulus, self.generator_residue, self.acting_order
+        n, m, g = self.target.rank, self.modulus, self.generator_residue
         M, fs = self.generator_matrix, self.target.factors
         if len(M) != n or any(len(row) != n for row in M):
             raise ConfigError(f"{where}: generator_matrix is not {n}x{n}")
-        if N < 1:
-            raise ConfigError(f"{where}: acting_order must be >= 1")
+        if m < 2:
+            raise ConfigError(f"{where}: modulus {m} must be >= 2")
         if math.gcd(g, m) != 1:
             raise ConfigError(f"{where}.generator_residue: not a unit mod {m}")
         # exact order: every acting unit is a power of the residue, which
-        # the orbit engine relies on.  The table keeps the distinct powers
-        # g^d, d < N, so it has min(order, N) entries, and g^N = 1 rules
-        # out an order above N
-        table = self._unit_matrices
-        if len(table) != N or pow(g, N, m) != 1 % m:
-            order = len(table) if len(table) < N else f"above {N}"
-            raise ConfigError(f"{where}.generator_residue: order {order} mod {m}, expected {N}")
+        # the orbit engine relies on.  The order of a unit divides
+        # N = phi(m), and the table keeps the distinct powers g^d, d < N,
+        # so it has N entries exactly when g generates
+        table, N = self._unit_matrices, self.acting_order
+        if len(table) != N:
+            raise ConfigError(
+                f"{where}.generator_residue: order {len(table)} mod {m}, expected {N}")
         # well-definedness on the quotient: factor_i | M[i][j]*factor_j
         for i, j in product(range(n), repeat=2):
             if M[i][j] * fs[j] % fs[i] != 0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 from .abelian import AbGroup, CyclicAction, primitive_root
 from .errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
@@ -21,13 +20,14 @@ from .value import Value
 
 BUILTIN_TRIVIAL = (2, 3, 5)
 # the largest p a config may declare: validating an action builds its
-# p(p-1) matrix powers, so a load at p = 199 already takes about a
-# quarter of a second with rank-2 class groups and half a second at rank 3
+# p(p-1) matrix powers, so a load at p = 199 takes about a quarter of a
+# second with rank-2 class groups and half a second at rank 3; extra unit
+# generators add one U_{p-1} or U_p build each, about 13 s for U_198 at
+# p = 199 (2-vCPU VM, Python 3.11)
 MAX_CONFIG_P = 200
 # the most bytes a config file may have: a real one is far smaller, and a
 # FIFO or a huge file stops here instead of filling memory before parsing
 MAX_CONFIG_BYTES = 1 << 20
-_DATA_DIR = Path(__file__).parent / "data"
 
 
 class ClassData(Value):
@@ -35,35 +35,38 @@ class ClassData(Value):
 
     H_p and H_p2 are the CyclicActions of (Z/p)^* and (Z/p^2)^* on the
     class groups; the extra unit generators (tuples of coefficient
-    tuples, default none) enlarge every unit image, and provenance is a
-    free-form note (default "").
+    tuples, default none) enlarge every unit image.
     """
 
-    __slots__ = ("p", "H_p", "H_p2", "extra_R_unit_gens", "extra_ES_unit_gens",
-                 "provenance")
-    _defaults = {"extra_R_unit_gens": (), "extra_ES_unit_gens": (), "provenance": ""}
+    __slots__ = ("p", "H_p", "H_p2", "extra_R_unit_gens", "extra_ES_unit_gens")
+    _defaults = {"extra_R_unit_gens": (), "extra_ES_unit_gens": ()}
 
     def validate(self):
         p = self.p
         for where, action, m in (("H_p", self.H_p, p), ("H_p2", self.H_p2, p * p)):
-            if action.modulus != m or action.acting_order != m - m // p:
-                raise ConfigError(
-                    f"{where}: must carry an action of (Z/{m})^* of order {m - m // p}")
+            if action.modulus != m:
+                raise ConfigError(f"{where}: must carry an action of (Z/{m})^*")
             action.validate(where)
-        if self.extra_R_unit_gens or self.extra_ES_unit_gens:
-            # the Galois action on U_m needs a Galois-stable image; the
-            # default generators give one, extra generators may not
-            gen = primitive_root(p * p)
-            for m in range(1, p + 1):
-                try:
-                    sub = self.unit_quotient(m).subgroup
-                except Cp2Error as exc:
-                    raise ConfigError(f"extra unit generators, m={m}: {exc}") from None
-                if any(galois_on_unit(gen, e) not in sub for e in sub.pivots):
-                    raise ConfigError(
-                        f"extra unit generators: the unit image for m={m} is not "
-                        "Galois-stable, so G(p^2) does not act on U_m"
-                    )
+        # the Galois action on U_m needs a Galois-stable image; the default
+        # generators give one, extra generators may not.  U_p is checked
+        # when extra ES generators are set, and U_{p-1} when extra R
+        # generators are: for m < p - 1, U_m is the image of U_{p-1} under
+        # truncation to F_p[l]/(l^m), a ring map that sends the generated
+        # subgroup onto the generated subgroup and commutes with
+        # l -> (1+l)^k - 1, so a stable image at p - 1 is stable at each m
+        gen = primitive_root(p * p)
+        for m, extra in ((p - 1, self.extra_R_unit_gens), (p, self.extra_ES_unit_gens)):
+            if not extra:
+                continue
+            try:
+                sub = self.unit_quotient(m).subgroup
+            except Cp2Error as exc:
+                raise ConfigError(f"extra unit generators, m={m}: {exc}") from None
+            if any(galois_on_unit(gen, e) not in sub for e in sub.pivots):
+                raise ConfigError(
+                    f"extra unit generators: the unit image for m={m} is not "
+                    "Galois-stable, so G(p^2) does not act on U_m"
+                )
 
     def unit_quotient(self, m: int) -> UnitQuotient:
         """U_m computed with any configured extra unit generators."""
@@ -74,13 +77,12 @@ class ClassData(Value):
 def _action(p: int, i: int, group: AbGroup, residue: int, matrix) -> CyclicAction:
     """The action of (Z/p^i)^* on group through the residue, taken mod p^i."""
     m = p**i
-    return CyclicAction(group, m, m - m // p, residue % m, matrix)
+    return CyclicAction(group, m, residue % m, matrix)
 
 
-def trivial(p: int, provenance: str = "trivial class groups") -> ClassData:
+def trivial(p: int) -> ClassData:
     data = ClassData(p, _action(p, 1, AbGroup(()), primitive_root(p), ()),
-                     _action(p, 2, AbGroup(()), primitive_root(p * p), ()),
-                     provenance=provenance)
+                     _action(p, 2, AbGroup(()), primitive_root(p * p), ()))
     data.validate()
     return data
 
@@ -88,18 +90,15 @@ def trivial(p: int, provenance: str = "trivial class groups") -> ClassData:
 def builtin(p: int) -> ClassData:
     """Built-in class data.
 
-    p in {2, 3, 5}: both class groups are trivial (class number one).
-    p = 7: H(Z[zeta_7]) is trivial and H(Z[zeta_49]) is cyclic of order
-    43, but its Galois action is external input; it is only available
-    when a data file data/h49.json ships with the package, and otherwise
-    raises NeedsConfig.
+    p in {2, 3, 5}: both class groups are trivial (class number one), so
+    this is trivial(p).  p = 7: H(Z[zeta_7]) is trivial and H(Z[zeta_49])
+    is cyclic of order 43, but the package does not ship its Galois
+    action; this raises NeedsConfig, and the data comes from a config.
+    Any other p raises UnsupportedPrime.
     """
     if p in BUILTIN_TRIVIAL:
-        return trivial(p, provenance=f"built-in: class number one for p={p}")
+        return trivial(p)
     if p == 7:
-        shipped = _DATA_DIR / "h49.json"
-        if shipped.is_file():
-            return load_config(shipped)
         raise NeedsConfig(
             "p=7: H(Z[zeta_49]) has order 43 but its Galois action is not "
             "shipped with this package; supply a class-data config file "
@@ -172,8 +171,8 @@ def load_config(path) -> ClassData:
         raise ConfigError(f"p: {p} exceeds the supported bound {MAX_CONFIG_P}")
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ConfigError(f"p: {p} is not prime")
-    provenance = obj.get("provenance", "")
-    if type(provenance) is not str:
+    # provenance is a note for the reader of the file: checked, not kept
+    if type(obj.get("provenance", "")) is not str:
         raise ConfigError("provenance: expected a string")
     data = ClassData(
         p=p,
@@ -181,7 +180,6 @@ def load_config(path) -> ClassData:
         H_p2=_parse_action(obj.get("H_p2"), p, 2, "H_p2"),
         extra_R_unit_gens=_field(obj, "extra_R_unit_gens", 2, default=()),
         extra_ES_unit_gens=_field(obj, "extra_ES_unit_gens", 2, default=()),
-        provenance=provenance,
     )
     data.validate()
     return data

@@ -42,7 +42,6 @@ from . import modring
 from .abelian import _add, reduce_element
 from .classdata import ClassData
 from .errors import Cp2Error, ParseError
-from .modring import PolyMod
 from .value import Value
 
 # kind -> (a, b, c), the multiplicities of Q, Q(zeta_p) and Q(zeta_{p^2})
@@ -190,10 +189,10 @@ def make_summand(
     """Validate and canonicalize one summand.
 
     Class exponents must lie in range for the configured groups (missing
-    entries are zero).  For the extension kinds the unit u (a PolyMod or
-    coefficient sequence; omitted means 1) must be the canonical U~
-    representative of its coset; with lenient=True it is replaced by
-    that representative silently instead of being rejected.
+    entries are zero).  For the extension kinds the unit u (a coefficient
+    sequence; omitted means 1) must be the canonical U~ representative
+    of its coset; with lenient=True it is replaced by that representative
+    silently instead of being rejected.
     """
     if kind not in KINDS:
         raise Cp2Error(f"unknown summand kind {kind!r}")
@@ -219,12 +218,6 @@ def make_summand(
         )
     m = unit_index(kind, r, p)
     quotient = context.unit_quotient(m)
-    if isinstance(u, PolyMod):
-        if u.p != p:
-            raise Cp2Error(f"unit {u} has wrong characteristic for p={p}")
-        if u.m != m and not lenient:
-            raise Cp2Error(f"unit {u} should live in F_{p}[l]/(l^{m})")
-        u = u.coeffs
     upoly = modring.one(p, m) if u is None else modring.poly(p, m, u, truncate=lenient)
     if not upoly.is_unit() or upoly.constant != 1:
         raise Cp2Error(f"unit parameter {upoly} must be = 1 (mod l)")
@@ -308,7 +301,7 @@ def genus_vector(D: LatticeDescriptor) -> GenusVector:
                        tuple(beta), tuple(gamma), tuple(delta), tuple(eps), tuple(eta))
 
 
-def u0(D: LatticeDescriptor) -> PolyMod:
+def u0(D: LatticeDescriptor) -> modring.PolyMod:
     """Product of all unit parameters, one factor per copy (with an n0 factor
     per copy of a type D summand), taken in F_p[l]/(l^p) via zero-padded
     lifts; 1 when there are no extension summands."""
@@ -636,13 +629,3 @@ def to_json(D: LatticeDescriptor) -> dict:
     for s, n in D.summands:
         summands += [summand_to_json(s)] * n
     return {"p": D.p, "summands": summands}
-
-
-def from_json(obj: dict, context: ClassData, lenient: bool = False) -> LatticeDescriptor:
-    p = int(obj["p"])
-    summands = [
-        (make_summand(p, context, s["kind"], b=s.get("b"), c=s.get("c"), r=s.get("r"),
-                      u=s.get("u"), lenient=lenient), 1)
-        for s in obj["summands"]
-    ]
-    return descriptor(p, context, summands)

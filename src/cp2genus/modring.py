@@ -360,18 +360,6 @@ def subgroup_closure(gens) -> UnitSubgroup:
     return sub
 
 
-def _as_polys(p: int, m: int, raw_gens) -> list[PolyMod]:
-    out = []
-    for g in raw_gens:
-        if isinstance(g, PolyMod):
-            if g.p != p:
-                raise AmbientMismatch(f"extra generator {g} has wrong characteristic")
-            out.append(truncate_poly(g, m) if g.m >= m else lift_poly(g, m))
-        else:
-            out.append(poly(p, m, g, truncate=True))
-    return out
-
-
 class UnitQuotient(Value):
     """The quotient U_m with canonical coset representatives.
 
@@ -441,7 +429,8 @@ def compute_Um(p: int, m: int, extra_gens: tuple = ()) -> UnitQuotient:
 
     U_0 is trivial.  For 1 <= m <= p - 1 the quotient is by the image of
     u(Z[zeta_p]), for m = p by the image of u(Z C_p) * u(Z[zeta_{p^2}]);
-    extra_gens (coefficient vectors or PolyMods) join either image.
+    extra_gens (coefficient vectors, truncated to degree below m) join
+    either image.
 
     The default generators are -1, the image 1+l of zeta_p (at m = p
     also of zeta_{p^2} and of the generator of C_p), the cyclotomic units
@@ -469,5 +458,5 @@ def compute_Um(p: int, m: int, extra_gens: tuple = ()) -> UnitQuotient:
     gens.extend(delta_poly(p, m, l) for l in range(2, p))
     if m == p:
         gens.append(delta_poly(p, m, p + 1))
-    gens.extend(_as_polys(p, m, extra_gens))
+    gens.extend(poly(p, m, g, truncate=True) for g in extra_gens)
     return _quotient(p, m, subgroup_closure(gens))

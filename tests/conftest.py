@@ -31,9 +31,8 @@ def synthetic_c43() -> classdata.ClassData:
     test data, not the true Galois action."""
     data = classdata.ClassData(
         p=7,
-        H_p=CyclicAction(AbGroup(()), 7, 6, 3, ()),
-        H_p2=CyclicAction(AbGroup((43,)), 49, 42, 3, ((3,),)),
-        provenance="synthetic test action on C_43",
+        H_p=CyclicAction(AbGroup(()), 7, 3, ()),
+        H_p2=CyclicAction(AbGroup((43,)), 49, 3, ((3,),)),
     )
     data.validate()
     return data
@@ -46,9 +45,8 @@ def synthetic_cyclic(p: int, q: int, a: int) -> classdata.ClassData:
     g = primitive_root(p * p)
     data = classdata.ClassData(
         p=p,
-        H_p=CyclicAction(AbGroup(()), p, p - 1, g % p, ()),
-        H_p2=CyclicAction(AbGroup((q,)), p * p, p * (p - 1), g, ((a,),)),
-        provenance=f"synthetic test action on C_{q}",
+        H_p=CyclicAction(AbGroup(()), p, g % p, ()),
+        H_p2=CyclicAction(AbGroup((q,)), p * p, g, ((a,),)),
     )
     data.validate()
     return data
@@ -60,9 +58,8 @@ def classdata_both_nontrivial() -> classdata.ClassData:
     Synthetic test data."""
     data = classdata.ClassData(
         p=7,
-        H_p=CyclicAction(AbGroup((3,)), 7, 6, 3, ((2,),)),
-        H_p2=CyclicAction(AbGroup((43,)), 49, 42, 3, ((3,),)),
-        provenance="synthetic, both class groups nontrivial",
+        H_p=CyclicAction(AbGroup((3,)), 7, 3, ((2,),)),
+        H_p2=CyclicAction(AbGroup((43,)), 49, 3, ((3,),)),
     )
     data.validate()
     return data
@@ -170,7 +167,7 @@ def indecomposable_templates(p, ctx):
         for r in lattice.r_range(kind, p):
             m = lattice.unit_index(kind, r, p)
             for u in ctx.unit_quotient(m).reps:
-                out.append(from_list(p, ctx, [lattice.make_summand(p, ctx, kind, r=r, u=u)]))
+                out.append(from_list(p, ctx, [lattice.make_summand(p, ctx, kind, r=r, u=u.coeffs)]))
     return out
 
 
@@ -204,7 +201,7 @@ def random_summand(rng: random.Random, p, ctx):
         return lattice.make_summand(p, ctx, kind, c=c)
     r = rng.choice(lattice.r_range(kind, p))
     m = lattice.unit_index(kind, r, p)
-    u = rng.choice(ctx.unit_quotient(m).reps)
+    u = rng.choice(ctx.unit_quotient(m).reps).coeffs
     return lattice.make_summand(p, ctx, kind, b=b, c=c, r=r, u=u)
 
 
@@ -236,6 +233,6 @@ def genus_mate(rng: random.Random, D):
         if s.c is not None:
             c = tuple(rng.randrange(f) for f in ctx.H_p2.target.factors)
         if s.u is not None:
-            u = rng.choice(ctx.unit_quotient(lattice.unit_index(s.kind, s.r, p)).reps)
+            u = rng.choice(ctx.unit_quotient(lattice.unit_index(s.kind, s.r, p)).reps).coeffs
         summands.append(lattice.make_summand(p, ctx, s.kind, b=b, c=c, r=s.r, u=u))
     return from_list(p, ctx, summands)

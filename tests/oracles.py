@@ -9,7 +9,8 @@ realizing a genus as descriptors and grouping them by twist,
 scanning every Galois unit for a twist, substituting
 (1+l)^k - 1 for l with the unreduced k, listing a unit group and its
 cosets element by element, closing a unit subgroup by the general
-sift with a p-th-power requeue, listing the p^2 - p + 1 classical ES
+sift with a p-th-power requeue, checking that the unit image is
+Galois-stable at every m, listing the p^2 - p + 1 classical ES
 generators, summing a cyclotomic unit power by power, validating a
 matrix model on the whole matrix with dense powers and a Smith normal
 form instead of per diagonal block, counting the root 1 of a
@@ -67,8 +68,8 @@ def walk_primitive_root(modulus: int) -> int:
     raise Cp2Error(f"(Z/{modulus})^* is not cyclic")
 
 
-def trivial_action(modulus: int, acting_order: int) -> CyclicAction:
-    return CyclicAction(AbGroup(()), modulus, acting_order, primitive_root(modulus), ())
+def trivial_action(modulus: int) -> CyclicAction:
+    return CyclicAction(AbGroup(()), modulus, primitive_root(modulus), ())
 
 
 def apply_matrix(A: CyclicAction, x) -> tuple[int, ...]:
@@ -237,7 +238,8 @@ def census_genus_count(D) -> int:
     leaves the realized members.
     """
     p, ctx = D.p, D.context
-    summands = [dict(kind=s.kind, b=s.b, c=s.c, r=s.r, u=s.u) for s in expand(D)]
+    summands = [dict(kind=s.kind, b=s.b, c=s.c, r=s.r, u=None if s.u is None else s.u.coeffs)
+                 for s in expand(D)]
     ib = next((i for i, s in enumerate(summands) if s["b"] is not None), None)
     ic = next((i for i, s in enumerate(summands) if s["c"] is not None), None)
     iu = next((i for i, s in enumerate(summands) if s["kind"] in lattice.EXTENSION_KINDS), None)
@@ -248,7 +250,7 @@ def census_genus_count(D) -> int:
         s = summands[iu]
         kinds = ("C", "D") if p % 4 == 1 and s["kind"] in ("C", "D") else (s["kind"],)
         reps = ctx.unit_quotient(lattice.unit_index(s["kind"], s["r"], p)).reps
-        units = [(kind, u) for kind in kinds for u in reps]
+        units = [(kind, u.coeffs) for kind in kinds for u in reps]
     members = {}
     for b, c, (kind, u) in product(b_values, c_values, units):
         parts = [dict(s) for s in summands]
@@ -753,6 +755,17 @@ def brute_quotient(p: int, m: int, elements: frozenset[PolyMod]):
         reps.append(rep)
     reps.sort(key=lambda v: v.coeffs)
     return tuple(reps), index
+
+
+def every_m_stable(data) -> bool:
+    """Whether the unit image of every U_m, 1 <= m <= p, with data's extra
+    unit generators is Galois-stable, each m built and checked."""
+    gen = primitive_root(data.p ** 2)
+    for m in range(1, data.p + 1):
+        sub = data.unit_quotient(m).subgroup
+        if any(modring.galois_on_unit(gen, e) not in sub for e in sub.pivots):
+            return False
+    return True
 
 
 def dense_charpoly(A) -> list:

@@ -1,12 +1,16 @@
 import json
+import math
+import random
 
 import pytest
 
-from cp2genus import classdata, modring
+from cp2genus import classdata, iso, lattice, modring
 from cp2genus.abelian import AbGroup, CyclicAction, apply_action, divisor_weights, orbit_count
 from cp2genus.errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
 
-from conftest import C43_CONFIG, MALFORMED_CONFIGS, synthetic_c43, trivial_config
+from conftest import (C43_CONFIG, MALFORMED_CONFIGS, classdata_both_nontrivial, exp_l3_extra,
+                      synthetic_c43, synthetic_cyclic, trivial_config)
+from oracles import every_m_stable
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -17,14 +21,36 @@ def test_builtin_trivial(p):
     assert data.H_p2.target.order == 1
     assert data.H_p.acting_order == p - 1
     assert data.H_p2.acting_order == p * (p - 1)
-    assert data.provenance
+    assert data == classdata.trivial(p)
     data.validate()
+
+
+def test_acting_order_is_phi_of_the_modulus(c43_config_file):
+    # the order of (Z/m)^* is never configured: phi(m), counted here
+    slots = [classdata.builtin(p) for p in (2, 3, 5)] + [classdata.trivial(p) for p in (7, 11)]
+    slots += [synthetic_c43(), synthetic_cyclic(5, 11, 2), synthetic_cyclic(5, 41, 36),
+              classdata_both_nontrivial(), exp_l3_extra(), classdata.load_config(c43_config_file)]
+    for data in slots:
+        for action, m in ((data.H_p, data.p), (data.H_p2, data.p**2)):
+            assert action.modulus == m
+            assert action.acting_order == sum(math.gcd(k, m) == 1 for k in range(1, m))
+
+
+def test_isomorphic_across_builtin_and_trivial_data():
+    # built-in and trivial data are one context, so descriptors over
+    # either compare, and every cache keyed by the context shares entries
+    for text in ("Z", "c(0) + B(0,0;1)", "B(0,0;1,1+l^3)"):
+        D1 = lattice.parse(text, 5, classdata.builtin(5))
+        D2 = lattice.parse(text, 5, classdata.trivial(5))
+        assert D1 == D2 and iso.isomorphic(D1, D2)
+    assert not iso.isomorphic(lattice.parse("B(0,0;1)", 5, classdata.builtin(5)),
+                              lattice.parse("B(0,0;1,1+l^3)", 5, classdata.trivial(5)))
 
 
 def test_validate_checks_hand_built_data():
     # the one check of load_config, trivial and hand-built data alike
-    bad = classdata.ClassData(7, CyclicAction(AbGroup(()), 7, 6, 3, ()),
-                              CyclicAction(AbGroup((43,)), 49, 42, 3, ((0,),)))
+    bad = classdata.ClassData(7, CyclicAction(AbGroup(()), 7, 3, ()),
+                              CyclicAction(AbGroup((43,)), 49, 3, ((0,),)))
     with pytest.raises(ConfigError, match=r"^H_p2: matrix\^acting_order is not the identity"):
         bad.validate()
 
@@ -92,8 +118,8 @@ def test_config_errors(tmp_path):
 
 def test_validate_requires_generating_residue():
     # 2 has order 21 mod 49, so its powers miss half of (Z/49)^*
-    data = classdata.ClassData(7, CyclicAction(AbGroup(()), 7, 6, 3, ()),
-                               CyclicAction(AbGroup(()), 49, 42, 2, ()))
+    data = classdata.ClassData(7, CyclicAction(AbGroup(()), 7, 3, ()),
+                               CyclicAction(AbGroup(()), 49, 2, ()))
     message = r"^H_p2\.generator_residue: order 21 mod 49, expected 42$"
     with pytest.raises(Cp2Error, match=message):
         data.validate()
@@ -127,7 +153,6 @@ def test_extra_es_generators_shrink_U5(ctx5):
         H_p=ctx5.H_p,
         H_p2=ctx5.H_p2,
         extra_ES_unit_gens=((1, 0, 0, 1, 0),),
-        provenance="test",
     )
     assert extra.unit_quotient(5).order == 1
     # R-side quotients are untouched
@@ -143,7 +168,6 @@ def test_extra_r_generators(ctx5):
         H_p=ctx5.H_p,
         H_p2=ctx5.H_p2,
         extra_R_unit_gens=(tuple(rep.coeffs),),
-        provenance="test",
     )
     assert extra.unit_quotient(4).order == 1
 
@@ -171,6 +195,42 @@ def test_unstable_extra_generators_rejected(tmp_path):
     path.write_text(json.dumps(trivial_config(7, extra_R_unit_gens=[[0, 1]])))
     with pytest.raises(ConfigError, match="not a unit"):
         classdata.load_config(path)
+
+
+def test_stability_at_the_top_degree_decides_every_m():
+    # validate checks U_{p-1} for extra R generators and U_p for extra ES
+    # generators; building and checking every U_m gives the same verdict
+    rng = random.Random(2027)
+    verdicts = set()
+    for _ in range(80):
+        p = rng.choice((3, 5, 7, 11))
+        key, m = rng.choice((("extra_R_unit_gens", p - 1), ("extra_ES_unit_gens", p)))
+        gen = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(m - 1))
+        base = classdata.trivial(p)
+        data = classdata.ClassData(p, base.H_p, base.H_p2, **{key: (gen,)})
+        stable = every_m_stable(data)
+        verdicts.add(stable)
+        if stable:
+            data.validate()
+        else:
+            with pytest.raises(ConfigError, match=f"for m={m} is not Galois-stable"):
+                data.validate()
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p, key, vec, m", [
+    (7, "extra_R_unit_gens", [1, 0, 0, 1, 2, 0], 6),
+    (5, "extra_ES_unit_gens", [1, 0, 0, 1, 0], 5),
+])
+def test_extra_generator_load_builds_one_quotient(tmp_path, p, key, vec, m):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(trivial_config(p, **{key: [vec]})))
+    modring.compute_Um.cache_clear()
+    data = classdata.load_config(path)
+    info = modring.compute_Um.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    data.unit_quotient(m)
+    assert modring.compute_Um.cache_info().hits == info.hits + 1
 
 
 @pytest.mark.parametrize("name", MALFORMED_CONFIGS)
@@ -205,3 +265,14 @@ def test_valid_configs_load_to_equal_class_data(tmp_path):
         path.write_text(json.dumps({**trivial_config(p),
                                     "provenance": f"built-in: class number one for p={p}"}))
         assert classdata.load_config(path) == classdata.builtin(p)
+
+
+def test_provenance_is_a_note_the_loader_does_not_keep(tmp_path):
+    path = tmp_path / "cfg.json"
+    loaded = []
+    for note in ({"provenance": "one note"}, {"provenance": "another"}, {}):
+        cfg = {k: v for k, v in C43_CONFIG.items() if k != "provenance"}
+        path.write_text(json.dumps({**cfg, **note}))
+        loaded.append(classdata.load_config(path))
+    assert loaded[0] == loaded[1] == loaded[2] == synthetic_c43()
+    assert len({hash(data) for data in loaded}) == 1

@@ -218,7 +218,7 @@ def test_p5_cyclic_class_data_pins_the_closed_form_split():
         assert rep.closed_form == (closed, genus.CASE_MAIS_SIMPLES)
         assert (rep.enumeration, rep.agree) == (engine, False)
         lattices = [
-            lat.descriptor(5, ctx, [(lat.make_summand(5, ctx, "B", b=(), c=(c,), r=1, u=u), 1)])
+            lat.descriptor(5, ctx, [(lat.make_summand(5, ctx, "B", b=(), c=(c,), r=1, u=u.coeffs), 1)])
             for c in range(q) for u in ctx.unit_quotient(4).reps
         ]
         assert len(lattices) == 5 * q
@@ -292,8 +292,8 @@ def test_cached_orbit_counts_match_walk(ctx2, ctx3, ctx5, monkeypatch):
     burnside = abelian.burnside_count
     monkeypatch.setattr(abelian, "burnside_count", counted)
     monkeypatch.setattr(genus, "burnside_count", counted)
-    c43 = synthetic_c43()  # a context no fold has seen: its own provenance
-    ctx = classdata.ClassData(7, c43.H_p, c43.H_p2, provenance="unseen C_43 context")
+    genus._genus_fold.cache_clear()  # so that no fold has seen the context
+    ctx = synthetic_c43()
     E = SD(lat.parse("E(0,0;1) + Z", 7, ctx))
     assert lat.t_of(E.module) == 5
     assert E.module.moving_coordinates == ("R_class", "S_class", "u0_class")

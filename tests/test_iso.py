@@ -120,7 +120,7 @@ def test_isomorphism_respects_classes():
 def test_u0_coset_distinguishes(ctx5):
     # B(r=0) summands carry a unit in U~_5; different cosets, non-isomorphic
     reps = ctx5.unit_quotient(5).reps
-    u1, u2 = reps[0], reps[1]
+    u1, u2 = reps[0].coeffs, reps[1].coeffs
     D1 = lat.descriptor(5, ctx5, [(lat.make_summand(5, ctx5, "B", r=0, u=u1), 1)])
     D2 = lat.descriptor(5, ctx5, [(lat.make_summand(5, ctx5, "B", r=0, u=u2), 1)])
     assert iso.same_genus(D1, D2)

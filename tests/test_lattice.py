@@ -353,13 +353,6 @@ def test_kept_shape_facts_match_flat_oracles(ctx2, ctx3, ctx5, p, seed):
     assert restored == D and not {"shape", "moving_coordinates"} & set(vars(restored))
 
 
-def test_json_roundtrip(ctx5):
-    rng = random.Random(11)
-    for _ in range(25):
-        D = random_descriptor(rng, 5, ctx5)
-        assert lat.from_json(lat.to_json(D), ctx5) == D
-
-
 def test_to_json_refuses_more_copies_than_the_limit(ctx2, monkeypatch):
     # the copies are counted before any is listed
     for text, copies in (("999999999999999*Z", 999999999999999),

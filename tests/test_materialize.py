@@ -171,7 +171,7 @@ def test_pushout_block_matches_snf_oracle(ctx2, ctx3, ctx5):
             for r in lat.r_range(kind, p):
                 reps = ctx.unit_quotient(lat.unit_index(kind, r, p)).reps
                 units = [reps[0], *rng.sample(reps[1:], min(3, len(reps) - 1))]
-                summands += [lat.make_summand(p, ctx, kind, r=r, u=u) for u in units]
+                summands += [lat.make_summand(p, ctx, kind, r=r, u=u.coeffs) for u in units]
         for s in summands:
             _assert_pushout_matches_oracles(p, s)
             kinds.add(s.kind)
@@ -198,7 +198,7 @@ def test_pushout_block_property(p, seed):
     kind = rng.choice([k for k in lat.EXTENSION_KINDS
                        if lat.r_range(k, p) and (k != "D" or p % 4 == 1)])
     r = rng.choice(list(lat.r_range(kind, p)))
-    u = rng.choice(ctx.unit_quotient(lat.unit_index(kind, r, p)).reps)
+    u = rng.choice(ctx.unit_quotient(lat.unit_index(kind, r, p)).reps).coeffs
     _assert_pushout_matches_oracles(p, lat.make_summand(p, ctx, kind, r=r, u=u))
 
 

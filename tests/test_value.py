@@ -21,10 +21,8 @@ from conftest import synthetic_c43
 
 FIELDS = {
     AbGroup: ("factors",),
-    CyclicAction: ("target", "modulus", "acting_order", "generator_residue",
-                   "generator_matrix"),
-    ClassData: ("p", "H_p", "H_p2", "extra_R_unit_gens", "extra_ES_unit_gens",
-                "provenance"),
+    CyclicAction: ("target", "modulus", "generator_residue", "generator_matrix"),
+    ClassData: ("p", "H_p", "H_p2", "extra_R_unit_gens", "extra_ES_unit_gens"),
     modring.PolyMod: ("p", "m", "coeffs"),
     modring.UnitSubgroup: ("p", "m", "generators", "constants", "pivots"),
     modring.UnitQuotient: ("p", "m", "subgroup", "free_degrees"),
@@ -98,8 +96,8 @@ def test_keyword_construction_with_defaults():
     assert lattice.Summand("b", b=(1,)).b == (1,)
     ctx = synthetic_c43()
     plain = ClassData(p=7, H_p=ctx.H_p, H_p2=ctx.H_p2)
-    assert (plain.extra_R_unit_gens, plain.extra_ES_unit_gens, plain.provenance) == ((), (), "")
-    assert ClassData(7, ctx.H_p, ctx.H_p2, provenance=ctx.provenance) == ctx
+    assert (plain.extra_R_unit_gens, plain.extra_ES_unit_gens) == ((), ())
+    assert plain == ctx
 
 
 @pytest.mark.parametrize("make, message", [
