@@ -1,12 +1,21 @@
 """The answer ledger: one line of recorded answers per (context, descriptor).
 
 The descriptors are every sum of at most two indecomposable shapes
-(classes 0, unit 1), each built from DSL text.  The contexts are trivial
-class data at p = 2, 3, 5 and 7 and three synthetic nontrivial ones.
-Each line records the descriptor's render, t, invariants_to_json, the
+(classes 0, unit 1), each built from DSL text, and the single summands
+that the Galois twist moves: class 1 in each nontrivial class group,
+and each extension shape whose U_m is nontrivial with the unit 1 + l^d,
+d its least free degree.  The contexts are trivial class data at
+p = 2, 3, 5 and 7 and three synthetic nontrivial ones.  Each line
+records the descriptor's render, t, invariants_to_json, the
 report_to_json of its genus report when it is faithful, and the render
 of its twist by the primitive root mod p^2.  The file's header says how
 the values are written; they are packed to keep it small.
+
+Then every canonical unit: for trivial data at p = 2, 3, 5 and 7 and
+the extra exp(L^3) generator at p = 7, one line per U_m, 0 <= m <= p,
+with its order and one sha256 over rep_of(u) and rep_of of the twist
+of u, over the units u in lexicographic order (a fixed stride above
+UNIT_SAMPLE units).
 
     python tests/ledger.py          # print the first lines that differ
     python tests/ledger.py --write  # re-record tests/data/answers.ledger
@@ -16,9 +25,11 @@ Only a change that announces an answer change re-records the file.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 LEDGER = Path(__file__).parent / "data" / "answers.ledger"
@@ -28,8 +39,14 @@ if __name__ == "__main__":
 
 from cp2genus import classdata, galois, genus, iso, lattice  # noqa: E402
 from cp2genus.abelian import primitive_root  # noqa: E402
+from cp2genus.modring import PolyMod, galois_on_unit  # noqa: E402
 
-from conftest import classdata_both_nontrivial, synthetic_c43, synthetic_cyclic  # noqa: E402
+from conftest import (  # noqa: E402
+    classdata_both_nontrivial, exp_l3_extra, synthetic_c43, synthetic_cyclic,
+)
+
+# the most units a U_m line hashes: above it, a fixed lexicographic stride
+UNIT_SAMPLE = 20_000
 
 HEADER = """\
 # cp2genus answer ledger; python tests/ledger.py --write re-records it.
@@ -39,6 +56,10 @@ HEADER = """\
 #   mod p^2 ("=" when the twist is the descriptor itself).
 # A JSON object is written as the list of its values in sorted-key order,
 # a list of digits 0-9 as one string, and each report note by its number.
+# Below each "@ U_m context" line, one line per 0 <= m <= p: m, the order
+#   of U_m, and the sha256 of the bytes of rep_of(u) and rep_of(twist of u)
+#   for every unit u in lexicographic order, or every n-th one above
+#   20000 units, n = ceil(units / 20000).
 """
 
 
@@ -50,12 +71,65 @@ def contexts():
     return out
 
 
+def extensions(p: int) -> list[tuple[str, int]]:
+    """(kind, r) of every extension shape at p."""
+    return [(kind, r) for kind in lattice.EXTENSION_KINDS
+            if kind != "D" or p % 4 == 1 for r in lattice.r_range(kind, p)]
+
+
 def shapes(p: int) -> list[str]:
     """The DSL text of every indecomposable shape at p, classes 0, unit 1."""
-    out = ["Z", "b(0)", "c(0)", "Eb(0)", "Ec(0)"]
-    out += [f"{kind}(0,0;{r})" for kind in lattice.EXTENSION_KINDS
-            if kind != "D" or p % 4 == 1 for r in lattice.r_range(kind, p)]
+    return ["Z", "b(0)", "c(0)", "Eb(0)", "Ec(0)"] + [f"{kind}(0,0;{r})" for kind, r in extensions(p)]
+
+
+def twist_shapes(ctx) -> list[str]:
+    """The DSL text of single summands the twist moves: class 1 in each
+    nontrivial class group, and each extension shape whose U_m is
+    nontrivial with the unit 1 + l^d, d the least free degree of U_m."""
+    out = []
+    for kinds, action in (("b", "Eb"), ctx.H_p), (("c", "Ec"), ctx.H_p2):
+        if action.target.rank:
+            cls = ":".join(["1"] + ["0"] * (action.target.rank - 1))
+            out += [f"{kind}({cls})" for kind in kinds]
+    for kind, r in extensions(ctx.p):
+        free = ctx.unit_quotient(lattice.unit_index(kind, r, ctx.p)).free_degrees
+        if free:
+            out.append(f"{kind}(0,0;{r},1+l^{free[0]})")
     return out
+
+
+def unit_contexts():
+    """(name, class data) whose U_m lines the ledger records."""
+    return [(f"trivial p={p}", classdata.trivial(p)) for p in (2, 3, 5, 7)] + [
+        ("exp(L^3) p=7", exp_l3_extra())]
+
+
+def unit_digest(ctx, m: int) -> str:
+    """The U_m line: m, the order and _digest of U_m."""
+    q = ctx.unit_quotient(m)
+    return f"{m}\t{q.order}\t{_digest(q)}"
+
+
+@lru_cache(maxsize=None)
+def _digest(q) -> str:
+    """The sha256 of the canonical representatives of u and of its twist
+    by the primitive root mod p^2, u over the units of F_p[l]/(l^m) in
+    lexicographic order.  Quotients compare by identity, so a U_m that
+    two contexts share is hashed once."""
+    p, m = q.p, q.m
+    g = primitive_root(p * p)
+    top = p ** (m - 1) if m else 1
+    units = (p - 1) * top if m else 1
+    digest = hashlib.sha256()
+    for i in range(0, units, -(-units // UNIT_SAMPLE)):
+        rest, coeffs = i % top, []
+        for _ in range(m - 1):
+            rest, c = divmod(rest, p)
+            coeffs.append(c)
+        u = PolyMod(p, m, (1 + i // top, *reversed(coeffs)) if m else ())
+        digest.update(bytes(q.rep_of(u).coeffs))
+        digest.update(bytes(q.rep_of(galois_on_unit(g, u)).coeffs))
+    return digest.hexdigest()
 
 
 def _packed(x, keys: dict, name: str):
@@ -98,7 +172,11 @@ def build() -> list[str]:
         single = shapes(ctx.p)
         texts = single + [f"{a} + {b}" for a, b in itertools.combinations_with_replacement(single, 2)]
         body.append(f"@ {name}")
-        body += [_answers(lattice.parse(text, ctx.p, ctx), keys, notes) for text in texts]
+        body += [_answers(lattice.parse(text, ctx.p, ctx), keys, notes)
+                 for text in texts + twist_shapes(ctx)]
+    for name, ctx in unit_contexts():
+        body.append(f"@ U_m {name}")
+        body += [unit_digest(ctx, m) for m in range(ctx.p + 1)]
     head = HEADER.splitlines()
     head += [f"# {name} keys: {' '.join(k)}" for name, k in sorted(keys.items())]
     head += [f"# note {i}: {n}" for n, i in notes.items()]
