@@ -15,7 +15,7 @@ import math
 
 from .abelian import AbGroup, CyclicAction, primitive_root
 from .errors import ConfigError, Cp2Error, NeedsConfig, UnsupportedPrime
-from .modring import UnitQuotient, compute_Um, galois_on_unit
+from .modring import UnitQuotient, compute_Um, galois_on_unit, one
 from .value import Value
 
 BUILTIN_TRIVIAL = (2, 3, 5)
@@ -59,10 +59,11 @@ class ClassData(Value):
             if not extra:
                 continue
             try:
-                sub = self.unit_quotient(m).subgroup
+                q = self.unit_quotient(m)
             except Cp2Error as exc:
                 raise ConfigError(f"extra unit generators, m={m}: {exc}") from None
-            if any(galois_on_unit(gen, e) not in sub for e in sub.pivots):
+            # a unit lies in the image exactly when its representative is 1
+            if any(q.rep_of(galois_on_unit(gen, e)) != one(p, m) for e in q.pivots):
                 raise ConfigError(
                     f"extra unit generators: the unit image for m={m} is not "
                     "Galois-stable, so G(p^2) does not act on U_m"

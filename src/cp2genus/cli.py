@@ -163,15 +163,15 @@ def cmd_um(args, ctx) -> int:
         "p": args.p,
         "m": args.m,
         "order": q.order,
-        "subgroup_order": q.subgroup.order,
+        "subgroup_order": q.subgroup_order,
         "reps": [list(r.coeffs) for r in q.reps] if q.order <= 64 else None,
     }
     name = f"U_{args.m}" + (" = U_p" if args.m == args.p else "")
     lines = [
         f"{name} for p={args.p}: order {q.order}"
         + (" (trivial)" if q.order == 1 else ""),
-        f"ambient unit group order: {q.subgroup.order * q.order}",
-        f"quotient by subgroup of order {q.subgroup.order}",
+        f"ambient unit group order: {q.subgroup_order * q.order}",
+        f"quotient by subgroup of order {q.subgroup_order}",
     ]
     if q.order <= 16:
         lines.append("representatives: " + ", ".join(str(r) for r in q.reps))

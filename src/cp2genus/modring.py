@@ -15,9 +15,10 @@ cyclotomic units Delta_2 .. Delta_{p-1}, and at m = p also
 image as the p^2 - p + 1 classical ones (see compute_Um).  Nothing
 lists the unit group, whose order is (p-1)*p^(m-1): it is F_p^* times
 the p-group 1 + lR, which for m <= p has exponent p and is an F_p-space
-filtered by degree with graded pieces F_p.  So a subgroup is kept as
-its constant terms and one pivot unit per occupied degree, found in one
-echelon pass over the generators, and the canonical representative of
+filtered by degree with graded pieces F_p.  The image always holds
+every scalar, since -1 and Delta_l have constant terms -1 and l, so it
+is kept by its 1-unit pivots alone, at most one per degree, found in
+one echelon pass over the generators; the canonical representative of
 a coset comes from clearing the pivot degrees with the same routine.
 The cyclotomic units Delta_l are binomial coefficient vectors, so U_7
 at p = 7 builds in under a millisecond, U_53 at p = 53 in about 0.1 s
@@ -31,7 +32,7 @@ from bisect import insort
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import AmbientMismatch, Cp2Error, InternalError, NonUnit
+from .errors import AmbientMismatch, Cp2Error, NonUnit
 from .value import Value, set_field
 
 
@@ -145,8 +146,9 @@ def poly_mul(a: PolyMod, b: PolyMod) -> PolyMod:
 
 
 def poly_pow(a: PolyMod, e: int) -> PolyMod:
+    """a^e for e >= 0."""
     if e < 0:
-        return poly_pow(poly_inv(a), -e)
+        raise Cp2Error(f"exponent {e} must be >= 0")
     result = one(a.p, a.m)
     base = a
     while e:
@@ -155,21 +157,6 @@ def poly_pow(a: PolyMod, e: int) -> PolyMod:
         base = poly_mul(base, base)
         e >>= 1
     return result
-
-
-def poly_inv(a: PolyMod) -> PolyMod:
-    """Multiplicative inverse; raises NonUnit when the constant term is 0 mod p."""
-    if a.m == 0 or a.coeffs[0] % a.p == 0:
-        raise NonUnit(f"{a} is not a unit of F_{a.p}[l]/(l^{a.m})")
-    p, m = a.p, a.m
-    c0inv = pow(a.coeffs[0], -1, p)
-    out = [0] * m
-    out[0] = c0inv
-    # back-substitution: sum_{i<=j} a_i r_{j-i} = 0 for j >= 1
-    for j in range(1, m):
-        s = sum(a.coeffs[i] * out[j - i] for i in range(1, j + 1)) % p
-        out[j] = (-c0inv * s) % p
-    return PolyMod(p, m, tuple(out))
 
 
 def truncate_poly(a: PolyMod, m2: int) -> PolyMod:
@@ -241,42 +228,6 @@ def _leading_degree(coeffs) -> int | None:
     return None
 
 
-class UnitSubgroup(Value):
-    """A subgroup H of u(F_p[l]/(l^m)), m <= p, kept by its structure, not
-    its elements.
-
-    The unit group is F_p^* x (1 + lR): the scalars times a p-group.  So
-    H = C x H_1, where C (constants) is the set of constant terms of
-    elements of H, which H holds as scalars, and H_1 = H ∩ (1 + lR).  For
-    m <= p, (1 + x)^p = 1 + x^p = 1 on 1 + lR, so H_1 is an F_p-space, and
-    the filtration by the 1 + l^d R, whose graded pieces are F_p, gives it
-    an echelon basis: at most one pivot 1 + l^d + (higher terms) per
-    degree d, listed by increasing degree.  Every element of H_1 is then a
-    unique product of pivot powers e_d^a, 0 <= a < p.
-    generators and pivots are PolyMod tuples, constants a frozenset of ints.
-    """
-
-    __slots__ = ("p", "m", "generators", "constants", "pivots", "__dict__")
-
-    @property
-    def order(self) -> int:
-        return len(self.constants) * self.p ** len(self.pivots)
-
-    @cached_property
-    def _clearing(self) -> tuple[tuple[int, tuple], ...]:
-        """_pivot_clearing(e) per pivot e, by increasing degree."""
-        return tuple(map(_pivot_clearing, self.pivots))
-
-    def __contains__(self, x) -> bool:
-        if not isinstance(x, PolyMod) or x.p != self.p or x.m != self.m:
-            return False
-        if self.m == 0:
-            return True
-        if x.coeffs[0] not in self.constants:
-            return False
-        return not any(_clear(x.coeffs, self._clearing, self.p)[1:])
-
-
 def _pivot_clearing(e: PolyMod) -> tuple[int, tuple]:
     """(d, table) for the pivot e = 1 + l^d + ..., where table[a],
     1 <= a < p, lists the nonzero terms (j, coefficient), j >= d, of
@@ -317,67 +268,62 @@ def _clear(coeffs, clearing, p: int) -> list[int]:
     return v
 
 
-def subgroup_closure(gens) -> UnitSubgroup:
-    """The subgroup generated by the given units of F_p[l]/(l^m), m <= p.
+def _pivots(p: int, m: int, gens) -> tuple[tuple[PolyMod, ...], tuple[tuple[int, tuple], ...]]:
+    """The pivots of H_1 = H ∩ (1 + lR), H the subgroup the units gens of
+    F_p[l]/(l^m), 1 <= m <= p, generate, and their _pivot_clearing
+    tables, both by increasing degree.
 
-    C is the subgroup of F_p^* generated by the constant terms.  Each
-    generator, divided by its constant term, lies in H_1; the pivots found
-    so far clear its pivot degrees, and a remainder 1 + a l^d + ... other
-    than 1 becomes the pivot at d after raising it to the power 1/a mod p.
-    H_1 has exponent p, so one pass over the generators closes it.
+    Each generator, divided by its constant term, lies in H_1; the pivots
+    found so far clear its pivot degrees, and a remainder 1 + a l^d + ...
+    other than 1 becomes the pivot at d after raising it to the power
+    1/a mod p.  H_1 has exponent p, so one pass over the generators
+    closes it.
     """
-    gens = tuple(gens)
-    if not gens:
-        raise Cp2Error("subgroup_closure needs at least one generator")
-    p, m = gens[0].p, gens[0].m
-    if m > p:
-        raise Cp2Error(f"subgroup_closure needs m <= p, got m={m} at p={p}")
-    for g in gens:
-        _same_ambient(gens[0], g)
-        if not g.is_unit():
-            raise NonUnit(f"generator {g} is not a unit")
-    constants = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g.coeffs[0] % p
-            if y not in constants:
-                constants.add(y)
-                frontier.append(y)
     pivots: dict[int, PolyMod] = {}
     clearing: list[tuple[int, tuple]] = []
     for g in gens:
+        if not g.is_unit():
+            raise NonUnit(f"generator {g} is not a unit")
         v = _clear(g.coeffs, clearing, p)
         d = _leading_degree(v)
         if d is not None:
             pivots[d] = e = poly_pow(PolyMod(p, m, tuple(v)), pow(v[d], -1, p))
             insort(clearing, _pivot_clearing(e))
-    sub = UnitSubgroup(
-        p, m, gens, frozenset(constants), tuple(pivots[d] for d in sorted(pivots))
-    )
-    vars(sub)["_clearing"] = tuple(clearing)  # primes the cached property
-    return sub
+    return tuple(pivots[d] for d in sorted(pivots)), tuple(clearing)
 
 
 class UnitQuotient(Value):
-    """The quotient U_m with canonical coset representatives.
+    """The quotient U_m of u(F_p[l]/(l^m)), m <= p, by the image H of
+    the unit generators, with canonical coset representatives.
+
+    The unit group is F_p^* x (1 + lR): the scalars times a p-group.  H
+    holds every scalar, so H = F_p^* x H_1 with H_1 = H ∩ (1 + lR).  For
+    m <= p, (1 + x)^p = 1 + x^p = 1 on 1 + lR, so H_1 is an F_p-space,
+    and the filtration by the 1 + l^d R, whose graded pieces are F_p,
+    gives it an echelon basis: pivots holds at most one pivot
+    1 + l^d + (higher terms) per degree d, by increasing degree, and
+    clearing their _pivot_clearing tables.  free_degrees lists the
+    degrees 1 <= d < m that carry no pivot.
 
     Each coset holds exactly one element with constant coefficient 1 and
-    a zero coefficient at every pivot degree of the subgroup; it is the
-    lexicographically smallest constant-1 coefficient vector of the
-    coset, and it is the coset's representative.  free_degrees lists the
-    degrees 1 <= d < m that carry no pivot of the UnitSubgroup subgroup.
-    Quotients compare by identity.
+    a zero coefficient at every pivot degree; it is the lexicographically
+    smallest constant-1 coefficient vector of the coset, and it is the
+    coset's representative.  A unit lies in H exactly when its
+    representative is 1.  Quotients compare by identity.
     """
 
-    __slots__ = ("p", "m", "subgroup", "free_degrees", "__dict__")
+    __slots__ = ("p", "m", "pivots", "clearing", "free_degrees", "__dict__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     @property
     def order(self) -> int:
         return self.p ** len(self.free_degrees)
+
+    @property
+    def subgroup_order(self) -> int:
+        """The order of H: (p - 1) * p^(number of pivots), 1 at m = 0."""
+        return (self.p - 1) * self.p ** len(self.pivots) if self.m else 1
 
     @cached_property
     def reps(self) -> tuple[PolyMod, ...]:
@@ -401,26 +347,8 @@ class UnitQuotient(Value):
             raise NonUnit(f"{u} is not a unit")
         if not self.free_degrees:
             return self.reps[0]
-        v = _clear(u.coeffs, self.subgroup._clearing, self.p)
+        v = _clear(u.coeffs, self.clearing, self.p)
         return PolyMod(self.p, self.m, tuple(v))
-
-
-def _quotient(p: int, m: int, subgroup: UnitSubgroup) -> UnitQuotient:
-    missing = sorted(set(range(1, p)) - subgroup.constants)
-    if missing:
-        raise Cp2Error(
-            f"the subgroup has no element with constant term in {missing}, "
-            f"so some cosets in F_{p}[l]/(l^{m}) hold no element with constant 1"
-        )
-    degrees = {_leading_degree(e.coeffs) for e in subgroup.pivots}
-    free = tuple(d for d in range(1, m) if d not in degrees)
-    units = (p - 1) * p ** (m - 1)
-    if subgroup.order * p ** len(free) != units:
-        raise InternalError(
-            f"{p ** len(free)} cosets of a subgroup of order {subgroup.order} "
-            f"do not cover the {units} units"
-        )
-    return UnitQuotient(p, m, subgroup, free)
 
 
 @lru_cache(maxsize=None)
@@ -453,10 +381,12 @@ def compute_Um(p: int, m: int, extra_gens: tuple = ()) -> UnitQuotient:
     if m < 0 or m > p:
         raise Cp2Error(f"U_m is defined for 0 <= m <= p, got m={m}")
     if m == 0:
-        return UnitQuotient(p, 0, UnitSubgroup(p, 0, (), frozenset({1}), ()), ())
+        return UnitQuotient(p, 0, (), (), ())
     gens = [poly(p, m, (p - 1,)), poly_add(one(p, m), lam(p, m))]
     gens.extend(delta_poly(p, m, l) for l in range(2, p))
     if m == p:
         gens.append(delta_poly(p, m, p + 1))
     gens.extend(poly(p, m, g, truncate=True) for g in extra_gens)
-    return _quotient(p, m, subgroup_closure(gens))
+    pivots, clearing = _pivots(p, m, gens)
+    degrees = {d for d, _ in clearing}
+    return UnitQuotient(p, m, pivots, clearing, tuple(d for d in range(1, m) if d not in degrees))

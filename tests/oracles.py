@@ -8,10 +8,11 @@ ring map, folding a genus count per coordinate on every call,
 realizing a genus as descriptors and grouping them by twist,
 scanning every Galois unit for a twist, substituting
 (1+l)^k - 1 for l with the unreduced k, listing a unit group and its
-cosets element by element, closing a unit subgroup by the general
-sift with a p-th-power requeue, checking that the unit image is
-Galois-stable at every m, listing the p^2 - p + 1 classical ES
-generators, summing a cyclotomic unit power by power, validating a
+cosets element by element, inverting a unit by back-substitution,
+listing the generators of the unit image, closing a unit subgroup by
+the general sift with a p-th-power requeue, checking that the unit
+image is Galois-stable at every m, listing the p^2 - p + 1 classical
+ES generators, summing a cyclotomic unit power by power, validating a
 matrix model on the whole matrix with dense powers and a Smith normal
 form instead of per diagonal block, counting the root 1 of a
 char poly by synthetic division instead of reading it off traces,
@@ -665,6 +666,33 @@ def unit_group(p: int, m: int) -> tuple[PolyMod, ...]:
     )
 
 
+def poly_inv(a: PolyMod) -> PolyMod:
+    """The inverse of the unit a, by back-substitution:
+    sum_{i <= j} a_i r_(j-i) = 0 for j >= 1."""
+    if a.m == 0 or a.coeffs[0] % a.p == 0:
+        raise NonUnit(f"{a} is not a unit of F_{a.p}[l]/(l^{a.m})")
+    p, m = a.p, a.m
+    c0inv = pow(a.coeffs[0], -1, p)
+    out = [c0inv] + [0] * (m - 1)
+    for j in range(1, m):
+        s = sum(a.coeffs[i] * out[j - i] for i in range(1, j + 1)) % p
+        out[j] = (-c0inv * s) % p
+    return PolyMod(p, m, tuple(out))
+
+
+def default_unit_generators(p: int, m: int, extra=()) -> tuple[PolyMod, ...]:
+    """The generators whose image compute_Um(p, m, extra) quotients by,
+    1 <= m <= p: -1, 1 + l, Delta_l for 2 <= l <= p - 1, at m = p also
+    Delta_(p+1) = 1 + l^(p-1), then the extra coefficient vectors
+    truncated below degree m."""
+    gens = [modring.poly(p, m, (p - 1,)), modring.poly(p, m, (1, 1), truncate=True)]
+    gens += [modring.delta_poly(p, m, l) for l in range(2, p)]
+    if m == p:
+        gens.append(modring.delta_poly(p, m, p + 1))
+    gens += [modring.poly(p, m, g, truncate=True) for g in extra]
+    return tuple(gens)
+
+
 @lru_cache(maxsize=None)
 def closure_elements(gens: tuple[PolyMod, ...]) -> frozenset[PolyMod]:
     """Every element of the subgroup the units gens generate.  The group
@@ -762,8 +790,9 @@ def every_m_stable(data) -> bool:
     unit generators is Galois-stable, each m built and checked."""
     gen = primitive_root(data.p ** 2)
     for m in range(1, data.p + 1):
-        sub = data.unit_quotient(m).subgroup
-        if any(modring.galois_on_unit(gen, e) not in sub for e in sub.pivots):
+        q = data.unit_quotient(m)
+        if any(q.rep_of(modring.galois_on_unit(gen, e)) != modring.one(data.p, m)
+               for e in q.pivots):
             return False
     return True
 

@@ -7,19 +7,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cp2genus import modring as mr
-from cp2genus.errors import AmbientMismatch, Cp2Error, InternalError, NonUnit
+from cp2genus.errors import AmbientMismatch, Cp2Error, NonUnit
 
+from conftest import exp_l3_extra
 from oracles import (
     brute_quotient,
     closure_elements,
+    default_unit_generators,
     delta_by_products,
     es_family,
     galois_by_substitution,
+    poly_inv,
     poly_shift,
     sift_closure,
     sift_member,
     unit_group,
 )
+
+
+def in_image(q, u) -> bool:
+    """Whether the unit u lies in the image that U_m = q quotients by:
+    exactly when its canonical representative is 1."""
+    return q.rep_of(u) == mr.one(q.p, q.m)
+
+
+def pivot_member(p, m, gens):
+    """Membership of a unit's constant-1 part in the subgroup the units
+    gens generate, read off the pivots of mr._pivots."""
+    clearing = mr._pivots(p, m, gens)[1]
+    return lambda u: not any(mr._clear(u.coeffs, clearing, p)[1:])
 
 
 def test_poly_mul_examples():
@@ -53,16 +69,20 @@ def test_rep_of_rejects_a_unit_with_one_wrong_ambient_parameter():
 
 
 def test_poly_inv_examples():
-    assert mr.poly_inv(mr.poly(3, 2, (1, 1))) == mr.poly(3, 2, (1, 2))
-    assert mr.poly_inv(mr.one(5, 3)) == mr.one(5, 3)
+    # the oracle's inverse; the library inverts no unit, and poly_pow
+    # takes no negative exponent
+    assert poly_inv(mr.poly(3, 2, (1, 1))) == mr.poly(3, 2, (1, 2))
+    assert poly_inv(mr.one(5, 3)) == mr.one(5, 3)
     with pytest.raises(NonUnit):
-        mr.poly_inv(mr.lam(3, 2))
+        poly_inv(mr.lam(3, 2))
+    with pytest.raises(Cp2Error, match=">= 0"):
+        mr.poly_pow(mr.poly(3, 2, (1, 1)), -1)
 
 
 def test_poly_inv_roundtrip_all_units():
     for p, m in ((2, 2), (3, 3), (5, 2)):
         for u in unit_group(p, m):
-            assert mr.poly_mul(u, mr.poly_inv(u)) == mr.one(p, m)
+            assert mr.poly_mul(u, poly_inv(u)) == mr.one(p, m)
 
 
 def test_unit_group_contents():
@@ -82,36 +102,26 @@ def test_unit_group_m0_rejected():
         unit_group(3, 0)
 
 
-def test_subgroup_closure_examples():
-    trivial = mr.subgroup_closure([mr.one(3, 2)])
-    assert trivial.order == 1 and [u for u in unit_group(3, 2) if u in trivial] == [mr.one(3, 2)]
-    whole = mr.subgroup_closure([mr.poly(2, 2, (1, 1))])
-    assert whole.order == 2 and all(u in whole for u in unit_group(2, 2))
-    two = mr.subgroup_closure([mr.poly(3, 2, (2,))])
-    assert two.order == 2
-
-
 def test_subgroup_closure_closed_under_product_and_inverse():
+    # the constant terms 2 generate F_p^*, so the subgroup holds every
+    # scalar and has order (p - 1) p^(number of pivots)
     for gens in ([mr.poly(5, 3, (2, 1))], [mr.poly(3, 3, (1, 1)), mr.poly(3, 3, (2,))]):
-        sub = mr.subgroup_closure(gens)
+        p, m = gens[0].p, gens[0].m
+        member = pivot_member(p, m, gens)
         elements = closure_elements(tuple(gens))
-        assert sub.order == len(elements)
+        assert (p - 1) * p ** len(mr._pivots(p, m, gens)[0]) == len(elements)
         for x in elements:
-            assert mr.poly_inv(x) in sub
+            assert member(poly_inv(x))
             for y in elements:
-                assert mr.poly_mul(x, y) in sub
+                assert member(mr.poly_mul(x, y))
 
 
 def test_subgroup_closure_rejects_non_unit():
     with pytest.raises(NonUnit):
-        mr.subgroup_closure([mr.lam(3, 2)])
-
-
-def test_subgroup_closure_rejects_m_above_p():
-    # 1 + lR has exponent p only for m <= p; the library builds nothing larger
-    for p, m in ((2, 3), (2, 4), (3, 4), (3, 5), (5, 6)):
-        with pytest.raises(Cp2Error, match="m <= p"):
-            mr.subgroup_closure([mr.poly(p, m, (1, 1))])
+        mr._pivots(3, 2, [mr.lam(3, 2)])
+    # an extra generator from a config file
+    with pytest.raises(NonUnit, match="not a unit"):
+        mr.compute_Um(7, 6, ((0, 1),))
 
 
 @st.composite
@@ -130,14 +140,15 @@ def unit_generator_sets(draw):
 @settings(max_examples=80, deadline=None)
 @given(unit_generator_sets(), st.randoms(use_true_random=False))
 def test_subgroup_closure_matches_sift_oracle(gens, rng):
-    # same order, same pivot degrees, same membership as the general sift
-    # with its p-th-power requeue
+    # the same pivot degrees, and for the constant-1 part the same
+    # membership, as the general sift with its p-th-power requeue
     p, m = gens[0].p, gens[0].m
-    sub = mr.subgroup_closure(gens)
-    constants, pivots = sift_closure(gens)
-    assert sub.constants == constants
-    assert sub.order == len(constants) * p ** len(pivots)
-    assert [mr._leading_degree(e.coeffs) for e in sub.pivots] == sorted(pivots)
+    found, clearing = mr._pivots(p, m, gens)
+    _, pivots = sift_closure(gens)
+    assert [mr._leading_degree(e.coeffs) for e in found] == sorted(pivots)
+    assert [d for d, _ in clearing] == sorted(pivots)
+    member = pivot_member(p, m, gens)
+    scalars = frozenset(range(1, p))
     samples = [mr.PolyMod(p, m, (rng.randrange(1, p),)
                           + tuple(rng.randrange(p) for _ in range(m - 1)))
                for _ in range(20)]
@@ -147,15 +158,15 @@ def test_subgroup_closure_matches_sift_oracle(gens, rng):
             x = mr.poly_mul(x, mr.poly_pow(g, rng.randrange(p * p)))
         samples.append(x)
     for u in gens + samples:
-        assert (u in sub) == sift_member(constants, pivots, u), u
+        assert member(u) == sift_member(scalars, pivots, u), u
 
 
 def test_image_of_R_units():
     for p in (3, 5):
-        img = mr.compute_Um(p, 1).subgroup
-        assert img.order == p - 1 and all(u in img for u in unit_group(p, 1))
-    img = mr.compute_Um(2, 1).subgroup
-    assert img.order == 1 and mr.one(2, 1) in img
+        q = mr.compute_Um(p, 1)
+        assert q.subgroup_order == p - 1 and all(in_image(q, u) for u in unit_group(p, 1))
+    q = mr.compute_Um(2, 1)
+    assert q.subgroup_order == 1 and in_image(q, mr.one(2, 1))
     with pytest.raises(Cp2Error):
         mr.compute_Um(3, 4)  # m must be <= p
     with pytest.raises(Cp2Error):
@@ -163,13 +174,13 @@ def test_image_of_R_units():
 
 
 def test_image_of_ES_units():
-    es2 = mr.compute_Um(2, 2).subgroup
-    assert es2.order == 2 and all(u in es2 for u in unit_group(2, 2))
-    es3 = mr.compute_Um(3, 3).subgroup
-    assert mr.poly(3, 3, (1, 1)) in es3
-    assert mr.poly(3, 3, (2,)) in es3
+    es2 = mr.compute_Um(2, 2)
+    assert es2.subgroup_order == 2 and all(in_image(es2, u) for u in unit_group(2, 2))
+    es3 = mr.compute_Um(3, 3)
+    assert in_image(es3, mr.poly(3, 3, (1, 1)))
+    assert in_image(es3, mr.poly(3, 3, (2,)))
     for p in (2, 3, 5):
-        assert mr.one(p, p) in mr.compute_Um(p, p).subgroup
+        assert in_image(mr.compute_Um(p, p), mr.one(p, p))
 
 
 def test_delta_lucas_identity():
@@ -190,17 +201,18 @@ def test_delta_lucas_identity():
 def test_es_family_lies_in_Um_at_m_p(p):
     # the p + 1 default generators belong to the classical family, so every
     # member lying in the image makes the two subgroups equal
-    sub = mr.compute_Um(p, p).subgroup
+    q = mr.compute_Um(p, p)
+    gens = default_unit_generators(p, p)
     family = es_family(p)
     assert len(family) == p * p - p + 1
-    assert set(sub.generators) <= set(family)
+    assert set(gens) <= set(family)
     for u in family:
-        assert u in sub, (p, u)
+        assert in_image(q, u), (p, u)
     # 1 + l^(p-1) = Delta_{p+1} is listed for the Lucas argument, but the
     # other default generators already give it
-    top = sub.generators[-1]
+    top = gens[-1]
     assert top == mr.delta_poly(p, p, p + 1) == mr.poly(p, p, (1,) + (0,) * (p - 2) + (1,))
-    assert top in mr.subgroup_closure(sub.generators[:-1])
+    assert pivot_member(p, p, gens[:-1])(top)
 
 
 def test_compute_Um_facts():
@@ -217,30 +229,31 @@ def test_compute_Um_facts():
 def test_quotient_invariants(p, mmax):
     for m in range(1, mmax + 1):
         q = mr.compute_Um(p, m)
-        assert q.order * q.subgroup.order == (p - 1) * p ** (m - 1)
+        assert q.order * q.subgroup_order == (p - 1) * p ** (m - 1)
         for rep in q.reps:
             assert rep.coeffs[0] == 1
             assert q.rep_of(rep) == rep
         # distinct reps lie in distinct cosets
         for r1, r2 in itertools.combinations(q.reps, 2):
-            assert mr.poly_mul(r1, mr.poly_inv(r2)) not in q.subgroup
+            assert not in_image(q, mr.poly_mul(r1, poly_inv(r2)))
 
 
 def test_rep_of_consistency():
     q = mr.compute_Um(5, 4)
+    elements = closure_elements(default_unit_generators(5, 4))
     for u in unit_group(5, 4):
         rep = q.rep_of(u)
-        # same coset: u / rep lies in the subgroup
-        assert mr.poly_mul(u, mr.poly_inv(rep)) in q.subgroup
+        # same coset: u / rep lies in the oracle's closure of the image
+        assert mr.poly_mul(u, poly_inv(rep)) in elements
 
 
 @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in range(1, p + 1)]
                          + [(13, 13)])
 def test_clearing_tables_match_poly_pow(p, m):
-    sub = mr.compute_Um(p, m).subgroup
-    clearing = sub._clearing
-    assert len(clearing) == len(sub.pivots)
-    for e, (d, table) in zip(sub.pivots, clearing):
+    q = mr.compute_Um(p, m)
+    clearing = q.clearing
+    assert len(clearing) == len(q.pivots)
+    for e, (d, table) in zip(q.pivots, clearing):
         assert e.coeffs[:d] == (1,) + (0,) * (d - 1) and e.coeffs[d]
         assert len(table) == p and table[0] == ()
         for a in range(1, p):
@@ -339,11 +352,11 @@ def test_delta_poly_matches_products():
 
 def test_delta_truncations_in_R_image():
     for p in (2, 3, 5):
-        img = mr.compute_Um(p, p - 1).subgroup
+        q = mr.compute_Um(p, p - 1)
         for k in range(1, p * p):
             if k % p == 0:
                 continue
-            assert mr.truncate_poly(mr.delta_poly(p, p, k), p - 1) in img
+            assert in_image(q, mr.truncate_poly(mr.delta_poly(p, p, k), p - 1))
 
 
 def test_poly_helpers():
@@ -356,29 +369,21 @@ def test_poly_helpers():
     assert mr.lift_poly(mr.truncate_poly(x, 2), 4).coeffs == (4, 4, 0, 0)
 
 
-def test_quotient_rejects_inconsistent_subgroup():
-    # two pivots at degree 1 claim a subgroup of order 2*3^2, but they leave
-    # 3 cosets free, and 2*9*3 is not the 2*3^2 units of F_3[l]/(l^3)
-    forged = mr.UnitSubgroup(
-        3, 3, (), frozenset({1, 2}), (mr.poly(3, 3, (1, 1)), mr.poly(3, 3, (1, 1, 1)))
-    )
-    with pytest.raises(InternalError):
-        mr._quotient(3, 3, forged)
-
-
-def test_quotient_names_missing_constants():
-    # 1 + lR holds no element with constant 2, so the coset of 2 has no
-    # constant-1 representative
-    sub = mr.subgroup_closure([mr.poly(3, 2, (1, 1))])
-    assert sub.constants == frozenset({1}) and sub.order == 3
-    with pytest.raises(Cp2Error, match=r"\[2\]") as info:
-        mr._quotient(3, 2, sub)
-    assert not isinstance(info.value, InternalError)
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_quotient_covers_the_units(p):
+    # the pivots and the free degrees split 1 .. m-1, and the image holds
+    # every scalar, so the cosets of the image cover the (p-1) p^(m-1) units
+    quotients = [mr.compute_Um(p, m) for m in range(p + 1)]
+    if p == 7:
+        quotients += [exp_l3_extra().unit_quotient(m) for m in range(p + 1)]
+    for q in quotients:
+        units = (p - 1) * p ** (q.m - 1) if q.m else 1
+        assert q.subgroup_order * q.order == units, (p, q.m)
 
 
 def _oracle_quotient(q):
-    """The oracle's (elements, reps, index) for the subgroup of q."""
-    elements = closure_elements(q.subgroup.generators)
+    """The oracle's (elements, reps, index) for the image q quotients by."""
+    elements = closure_elements(default_unit_generators(q.p, q.m))
     return (elements, *brute_quotient(q.p, q.m, elements))
 
 
@@ -390,10 +395,10 @@ def test_quotient_matches_enumeration_oracle(p):
         q = mr.compute_Um(p, m)
         elements, reps, index = _oracle_quotient(q)
         assert q.reps == reps and q.order == len(reps)
-        assert q.subgroup.order == len(elements)
+        assert q.subgroup_order == len(elements)
         for u in unit_group(p, m):
             assert q.rep_of(u) == index[u]
-            assert (u in q.subgroup) == (u in elements)
+            assert in_image(q, u) == (u in elements)
 
 
 def test_quotient_u7_at_p7_sampled_against_oracle():
@@ -401,20 +406,20 @@ def test_quotient_u7_at_p7_sampled_against_oracle():
     # coset of the 705,894 units is too slow, so check every 97th unit and
     # that each of the 49 reps is the least constant-1 element of its coset
     q = mr.compute_Um(7, 7)
-    elements = closure_elements(q.subgroup.generators)
-    assert len(elements) == 14406 == q.subgroup.order
+    elements = closure_elements(default_unit_generators(7, 7))
+    assert len(elements) == 14406 == q.subgroup_order
     assert q.order * len(elements) == 6 * 7**6 and q.order == 49
     ones = [h for h in elements if h.coeffs[0] == 1]
     for rep in q.reps:
         assert min(mr.poly_mul(rep, h).coeffs for h in ones) == rep.coeffs
     for r1, r2 in itertools.combinations(q.reps, 2):
-        assert mr.poly_mul(r1, mr.poly_inv(r2)) not in elements
+        assert mr.poly_mul(r1, poly_inv(r2)) not in elements
     reps = set(q.reps)
     sample = itertools.product(range(1, 7), *[range(7)] * 6)
     for u in (mr.PolyMod(7, 7, c) for c in itertools.islice(sample, 0, None, 97)):
         rep = q.rep_of(u)
-        assert rep in reps and mr.poly_mul(u, mr.poly_inv(rep)) in elements
-        assert (u in q.subgroup) == (u in elements)
+        assert rep in reps and mr.poly_mul(u, poly_inv(rep)) in elements
+        assert in_image(q, u) == (u in elements)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -422,7 +427,7 @@ def test_bass_cyclic_units_lie_in_ES_image(p):
     # Bass's cyclic units u_k = (1+g+...+g^(k-1))^(p-1) + ((1-k^(p-1))/p) N of
     # Z C_p, k = 2..p-2, map under g -> 1+l to Delta_k^(p-1) + c l^(p-1),
     # because the norm element N = ((1+l)^p - 1)/l is l^(p-1) mod p
-    image = mr.compute_Um(p, p).subgroup
+    q = mr.compute_Um(p, p)
     top = mr.poly(p, p, (0,) * (p - 1) + (1,))
     for k in range(2, p - 1):
         c = (1 - k ** (p - 1)) // p
@@ -430,11 +435,11 @@ def test_bass_cyclic_units_lie_in_ES_image(p):
             mr.poly_pow(mr.delta_poly(p, p, k), p - 1),
             mr.poly_mul(mr.poly(p, p, (c,)), top),
         )
-        assert u in image, (p, k)
+        assert in_image(q, u), (p, k)
     if p == 5:
         g = mr.poly(5, 5, (1, 1))
         u = mr.poly_sub(mr.poly_add(g, mr.poly_pow(g, 4)), mr.one(5, 5))  # g + g^4 - 1
-        assert u in image
+        assert in_image(q, u)
 
 
 def bernoulli(n: int) -> list[Fraction]:

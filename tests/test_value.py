@@ -24,8 +24,7 @@ FIELDS = {
     CyclicAction: ("target", "modulus", "generator_residue", "generator_matrix"),
     ClassData: ("p", "H_p", "H_p2", "extra_R_unit_gens", "extra_ES_unit_gens"),
     modring.PolyMod: ("p", "m", "coeffs"),
-    modring.UnitSubgroup: ("p", "m", "generators", "constants", "pivots"),
-    modring.UnitQuotient: ("p", "m", "subgroup", "free_degrees"),
+    modring.UnitQuotient: ("p", "m", "pivots", "clearing", "free_degrees"),
     lattice.Summand: ("kind", "b", "c", "r", "u"),
     lattice.LatticeDescriptor: ("p", "context", "summands"),
     lattice.GenusVector: ("a", "b", "c", "d", "e", "beta", "gamma", "delta", "eps",
@@ -50,9 +49,9 @@ def instances(ctx5):
     quotient = ctx5.unit_quotient(4)
     ctx7 = synthetic_c43()
     return [
-        ctx7.H_p2.target, ctx7.H_p2, ctx7, modring.lam(5, 3), quotient.subgroup,
-        quotient, D.summands[-1][0], D, lattice.genus_vector(D), iso.padic_completion(D),
-        iso.invariants_of(D), E, genus.genus_report(E), rep, report.checks[0], report,
+        ctx7.H_p2.target, ctx7.H_p2, ctx7, modring.lam(5, 3), quotient, D.summands[-1][0], D,
+        lattice.genus_vector(D), iso.padic_completion(D), iso.invariants_of(D), E,
+        genus.genus_report(E), rep, report.checks[0], report,
     ]
 
 
