@@ -118,15 +118,11 @@ def _digest(q) -> str:
     two contexts share is hashed once."""
     p, m = q.p, q.m
     g = primitive_root(p * p)
-    top = p ** (m - 1) if m else 1
-    units = (p - 1) * top if m else 1
+    units = (p - 1) * p ** (m - 1) if m else 1
+    vectors = itertools.product(range(1, p), *[range(p)] * (m - 1)) if m else [()]
     digest = hashlib.sha256()
-    for i in range(0, units, -(-units // UNIT_SAMPLE)):
-        rest, coeffs = i % top, []
-        for _ in range(m - 1):
-            rest, c = divmod(rest, p)
-            coeffs.append(c)
-        u = PolyMod(p, m, (1 + i // top, *reversed(coeffs)) if m else ())
+    for coeffs in itertools.islice(vectors, 0, None, -(-units // UNIT_SAMPLE)):
+        u = PolyMod(p, m, coeffs)
         digest.update(bytes(q.rep_of(u).coeffs))
         digest.update(bytes(q.rep_of(galois_on_unit(g, u)).coeffs))
     return digest.hexdigest()

@@ -31,10 +31,9 @@ def in_image(q, u) -> bool:
     return q.rep_of(u) == mr.one(q.p, q.m)
 
 
-def pivot_member(p, m, gens):
-    """Membership of a unit's constant-1 part in the subgroup the units
-    gens generate, read off the pivots of mr._pivots."""
-    clearing = mr._pivots(p, m, gens)[1]
+def pivot_member(p, clearing):
+    """Membership of a unit's constant-1 part in the subgroup whose
+    pivots have these clearing tables (from mr._pivots)."""
     return lambda u: not any(mr._clear(u.coeffs, clearing, p)[1:])
 
 
@@ -107,9 +106,10 @@ def test_subgroup_closure_closed_under_product_and_inverse():
     # scalar and has order (p - 1) p^(number of pivots)
     for gens in ([mr.poly(5, 3, (2, 1))], [mr.poly(3, 3, (1, 1)), mr.poly(3, 3, (2,))]):
         p, m = gens[0].p, gens[0].m
-        member = pivot_member(p, m, gens)
+        pivots, clearing = mr._pivots(p, m, gens)
+        member = pivot_member(p, clearing)
         elements = closure_elements(tuple(gens))
-        assert (p - 1) * p ** len(mr._pivots(p, m, gens)[0]) == len(elements)
+        assert (p - 1) * p ** len(pivots) == len(elements)
         for x in elements:
             assert member(poly_inv(x))
             for y in elements:
@@ -147,7 +147,7 @@ def test_subgroup_closure_matches_sift_oracle(gens, rng):
     _, pivots = sift_closure(gens)
     assert [mr._leading_degree(e.coeffs) for e in found] == sorted(pivots)
     assert [d for d, _ in clearing] == sorted(pivots)
-    member = pivot_member(p, m, gens)
+    member = pivot_member(p, clearing)
     scalars = frozenset(range(1, p))
     samples = [mr.PolyMod(p, m, (rng.randrange(1, p),)
                           + tuple(rng.randrange(p) for _ in range(m - 1)))
@@ -212,7 +212,7 @@ def test_es_family_lies_in_Um_at_m_p(p):
     # other default generators already give it
     top = gens[-1]
     assert top == mr.delta_poly(p, p, p + 1) == mr.poly(p, p, (1,) + (0,) * (p - 2) + (1,))
-    assert pivot_member(p, p, gens[:-1])(top)
+    assert pivot_member(p, mr._pivots(p, p, gens[:-1])[1])(top)
 
 
 def test_compute_Um_facts():
