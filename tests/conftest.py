@@ -126,6 +126,11 @@ MALFORMED_CONFIGS = {
     "extra-gens-string": (_c43_with("", extra_R_unit_gens='[["1", 0]]'),
                           r"extra_R_unit_gens\[0\]\[0\]"),
     "provenance-number": (_c43_with("", provenance="5"), "provenance"),
+    "factors-one": (_c43_with("H_p2", invariant_factors="[1]"),
+                    r"H_p2\.invariant_factors: invariant factor 1 must be >= 2"),
+    "factors-not-dividing": (_c43_with("H_p2", invariant_factors="[4, 6]",
+                                       generator_matrix="[[1, 0], [0, 1]]"),
+                             "violate divisibility"),
 }
 
 
