@@ -7,6 +7,12 @@ A CyclicAction records how the unit group (Z/p^i)^* acts through a chosen
 generator, which is how the ideal class groups H(Z[zeta_{p^i}]) carry
 their Galois action here.
 
+AbGroup is a plain record.  Class data enters through
+CyclicAction.validate, which checks the invariant factors along with the
+matrix, and exponent vectors from descriptor text through
+reduce_element.  Sums and the action then trust their operands: every
+element they see was reduced by reduce_element or built by them.
+
 Orbit counts come from one engine without listing the group: the fixed
 points of a generator power M^d on G = (+) Z/f_i are ker(M^d - I), whose
 order equals that of coker(M^d - I), the product of the Smith invariants
@@ -24,22 +30,13 @@ from functools import cached_property, lru_cache
 from itertools import combinations, compress, count, product
 
 from .errors import ConfigError, Cp2Error, EnumerationGuard, InternalError
-from .value import Value, set_field
+from .value import Value
 
 DEFAULT_GUARD = 10**6
 
 
 class AbGroup(Value):
     __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[int, ...]):
-        for f in factors:
-            if f < 2:
-                raise Cp2Error(f"invariant factor {f} must be >= 2")
-        for a, b in zip(factors, factors[1:]):
-            if b % a != 0:
-                raise Cp2Error(f"invariant factors {factors} violate divisibility")
-        set_field(self, "factors", factors)
 
     @property
     def order(self) -> int:
@@ -52,23 +49,11 @@ class AbGroup(Value):
     def identity(self) -> tuple[int, ...]:
         return (0,) * len(self.factors)
 
-    def contains(self, x) -> bool:
-        return len(x) == len(self.factors) and all(
-            0 <= xi < f for xi, f in zip(x, self.factors)
-        )
-
     def elements(self):
         if self.order > DEFAULT_GUARD:
             raise EnumerationGuard(
                 f"group of order {self.order} exceeds guard {DEFAULT_GUARD}")
         return list(product(*(range(f) for f in self.factors)))
-
-
-def _check_member(G: AbGroup, x):
-    if len(x) != len(G.factors):
-        raise Cp2Error(f"element {x} has wrong length for factors {G.factors}")
-    if not G.contains(x):
-        raise Cp2Error(f"element {x} out of range for factors {G.factors}")
 
 
 def _add(G: AbGroup, x, y, n: int = 1) -> tuple[int, ...]:
@@ -160,6 +145,13 @@ class CyclicAction(Value):
     def validate(self, where: str = "action"):
         n, m, g = self.target.rank, self.modulus, self.generator_residue
         M, fs = self.generator_matrix, self.target.factors
+        for f in fs:
+            if f < 2:
+                raise ConfigError(f"{where}.invariant_factors: invariant factor {f} must be >= 2")
+        for a, b in zip(fs, fs[1:]):
+            if b % a != 0:
+                raise ConfigError(
+                    f"{where}.invariant_factors: invariant factors {fs} violate divisibility")
         if len(M) != n or any(len(row) != n for row in M):
             raise ConfigError(f"{where}: generator_matrix is not {n}x{n}")
         if m < 2:
@@ -241,12 +233,7 @@ def _mat_vec(M, factors, x) -> tuple[int, ...]:
 
 
 def apply_action(A: CyclicAction, k: int, x) -> tuple[int, ...]:
-    _check_member(A.target, x)
-    return _act(A, k, x)
-
-
-def _act(A: CyclicAction, k: int, x) -> tuple[int, ...]:
-    """apply_action for an x already known to lie in A.target."""
+    """The image of the element x of A.target under the unit k."""
     k %= A.modulus
     power = A._unit_matrices.get(k)
     if power is None:

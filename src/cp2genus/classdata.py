@@ -138,11 +138,7 @@ def _parse_action(obj, p: int, i: int, where: str) -> CyclicAction:
     factors = _field(obj, "invariant_factors", 1, where)
     residue = _field(obj, "generator_residue", 0, where)
     matrix = _field(obj, "generator_matrix", 2, where)
-    try:
-        group = AbGroup(factors)
-    except Cp2Error as exc:
-        raise ConfigError(f"{where}.invariant_factors: {exc}") from None
-    return _action(p, i, group, residue, matrix)
+    return _action(p, i, AbGroup(factors), residue, matrix)
 
 
 def _read_json(path):

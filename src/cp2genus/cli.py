@@ -58,6 +58,7 @@ def cmd_check(args, ctx) -> int:
     D = _parse_descriptor(args, ctx, args.descriptor)
     gv = lattice.genus_vector(D)
     rc, sc = lattice.ideal_classes(D)
+    u0 = lattice.u0(D)
     info = {
         "descriptor": lattice.render(D),
         "rank": lattice.rank(D),
@@ -69,7 +70,7 @@ def cmd_check(args, ctx) -> int:
         },
         "t": lattice.t_of(D),
         "sigma": lattice.sigma(D),
-        "u0": list(lattice.u0(D).coeffs),
+        "u0": list(u0.coeffs),
         "R_class": list(rc),
         "S_class": list(sc),
     }
@@ -79,7 +80,7 @@ def cmd_check(args, ctx) -> int:
         f"descriptor: {info['descriptor']}",
         f"rank: {info['rank']}",
         f"action: {info['faithfulness']}",
-        f"t: {info['t']}  sigma: {info['sigma']}  u0: {lattice.u0(D)}",
+        f"t: {info['t']}  sigma: {info['sigma']}  u0: {u0}",
         f"R class: {rc}  S class: {sc}",
     ]
     return _emit(args, lines, info)

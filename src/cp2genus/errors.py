@@ -5,10 +5,6 @@ class Cp2Error(Exception):
     """Base class for all errors raised by this package."""
 
 
-class AmbientMismatch(Cp2Error):
-    """Operands live in different truncated polynomial rings."""
-
-
 class NonUnit(Cp2Error):
     """Element has no multiplicative inverse (constant term divisible by p)."""
 

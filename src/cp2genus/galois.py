@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from . import iso, lattice
-from .abelian import _act, _check_member, apply_action
+from .abelian import apply_action
 from .errors import Cp2Error
 from .iso import IsoInvariants
 from .lattice import LatticeDescriptor, Summand
@@ -78,8 +78,7 @@ def twisted_isomorphic(D1: LatticeDescriptor, D2: LatticeDescriptor):
     character do not move at all).  Then the units k are walked in
     increasing order, and the first one whose residue matched and which
     moves the S class of D2 onto that of D1 is the answer: at most p - 1
-    coset computations instead of p(p - 1).  The classes of D2 are
-    checked for membership once, not per unit.
+    coset computations instead of p(p - 1).
     """
     if D1.p != D2.p or D1.context != D2.context:
         raise Cp2Error("descriptors live over different primes or class data")
@@ -92,11 +91,9 @@ def twisted_isomorphic(D1: LatticeDescriptor, D2: LatticeDescriptor):
     if (inv.t, inv.quad_char) != (target.t, target.quad_char):
         return None
     H_p, H_p2 = context.H_p, context.H_p2
-    _check_member(H_p.target, inv.R_class)
-    _check_member(H_p2.target, inv.S_class)
-    residues = {r for r in range(1, p) if _act(H_p, r, inv.R_class) == target.R_class
+    residues = {r for r in range(1, p) if apply_action(H_p, r, inv.R_class) == target.R_class
                 and _move_coset(context, r, inv) == target.u0_class}
     for k in galois_units(p):
-        if k % p in residues and _act(H_p2, k, inv.S_class) == target.S_class:
+        if k % p in residues and apply_action(H_p2, k, inv.S_class) == target.S_class:
             return k
     return None

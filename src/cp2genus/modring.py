@@ -5,6 +5,13 @@ coeffs[0] + coeffs[1]*l + ... + coeffs[m-1]*l^(m-1) with l^m = 0.
 The variable l stands for g - 1, where g generates a cyclic group of
 order p^2; the image of g is therefore 1 + l.
 
+The arithmetic kept is what the unit quotients need: products, powers,
+truncation, lifting and the Galois ring map.  PolyMod is a plain record.
+Outside coefficients enter through poly, which reduces them mod p, pads
+them and refuses a degree >= m unless truncating; galois_on_unit checks
+k, and _pivots refuses a generator from class data that is not a unit.
+The rest trusts its operands to lie reduced in one ring (units for rep_of).
+
 The module also builds the quotients U_m, 0 <= m <= p, of the full unit
 group by the images of the unit groups of Z[zeta_p] (m < p) and of
 Z C_p and Z[zeta_{p^2}] (m = p), with a canonical set of coset
@@ -32,27 +39,14 @@ from bisect import insort
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import AmbientMismatch, Cp2Error, NonUnit
-from .value import Value, set_field
+from .errors import Cp2Error, NonUnit
+from .value import Value
 
 
 class PolyMod(Value):
     """An element of F_p[l]/(l^m) as a zero-padded coefficient tuple."""
 
     __slots__ = ("p", "m", "coeffs")
-
-    def __init__(self, p: int, m: int, coeffs: tuple[int, ...]):
-        if p < 2:
-            raise Cp2Error(f"modulus p={p} must be a prime >= 2")
-        if m < 0:
-            raise Cp2Error(f"truncation degree m={m} must be >= 0")
-        if len(coeffs) != m:
-            raise Cp2Error(f"coefficient vector has length {len(coeffs)}, expected {m}")
-        if coeffs and not (0 <= min(coeffs) and max(coeffs) < p):
-            raise Cp2Error(f"coefficients {coeffs} not reduced mod {p}")
-        set_field(self, "p", p)
-        set_field(self, "m", m)
-        set_field(self, "coeffs", coeffs)
 
     @property
     def constant(self) -> int:
@@ -93,45 +87,14 @@ def poly(p: int, m: int, coeffs, truncate: bool = False) -> PolyMod:
     return PolyMod(p, m, tuple(cs))
 
 
-def zero(p: int, m: int) -> PolyMod:
-    return PolyMod(p, m, (0,) * m)
-
-
 def one(p: int, m: int) -> PolyMod:
     if m == 0:
         return PolyMod(p, 0, ())
     return PolyMod(p, m, (1,) + (0,) * (m - 1))
 
 
-def lam(p: int, m: int) -> PolyMod:
-    """The nilpotent generator l."""
-    if m < 2:
-        return zero(p, m)
-    return PolyMod(p, m, (0, 1) + (0,) * (m - 2))
-
-
-def _same_ambient(a: PolyMod, b: PolyMod):
-    if a.p != b.p or a.m != b.m:
-        raise AmbientMismatch(
-            f"operands live in F_{a.p}[l]/(l^{a.m}) and F_{b.p}[l]/(l^{b.m})"
-        )
-
-
-def poly_add(a: PolyMod, b: PolyMod) -> PolyMod:
-    _same_ambient(a, b)
-    p = a.p
-    return PolyMod(p, a.m, tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def poly_sub(a: PolyMod, b: PolyMod) -> PolyMod:
-    _same_ambient(a, b)
-    p = a.p
-    return PolyMod(p, a.m, tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-
 def poly_mul(a: PolyMod, b: PolyMod) -> PolyMod:
-    """Product truncated at l^m."""
-    _same_ambient(a, b)
+    """Product truncated at l^m; a and b live in the same ring."""
     p, m = a.p, a.m
     out = [0] * m
     ac, bc = a.coeffs, b.coeffs
@@ -161,15 +124,11 @@ def poly_pow(a: PolyMod, e: int) -> PolyMod:
 
 def truncate_poly(a: PolyMod, m2: int) -> PolyMod:
     """Image under the ring surjection onto F_p[l]/(l^m2), m2 <= m."""
-    if m2 > a.m:
-        raise Cp2Error(f"cannot truncate from degree {a.m} to larger degree {m2}")
     return PolyMod(a.p, m2, a.coeffs[:m2])
 
 
 def lift_poly(a: PolyMod, m2: int) -> PolyMod:
     """Zero-padded coefficient lift into F_p[l]/(l^m2), m2 >= m."""
-    if m2 < a.m:
-        raise Cp2Error(f"cannot lift from degree {a.m} to smaller degree {m2}")
     return PolyMod(a.p, m2, a.coeffs + (0,) * (m2 - a.m))
 
 
@@ -187,8 +146,9 @@ def delta_poly(p: int, m: int, l: int) -> PolyMod:
 @lru_cache(maxsize=None)
 def _galois_columns(p: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient vectors of mu^j for j < m, mu = (1+l)^k - 1: the
-    columns of the F_p-linear ring map l -> mu."""
-    mu = poly_sub(poly_pow(poly_add(one(p, m), lam(p, m)), k), one(p, m))
+    columns of the F_p-linear ring map l -> mu.  By the binomial theorem
+    mu is the sum of C(k, i) l^i over i >= 1, as in delta_poly."""
+    mu = poly(p, m, [0] + [math.comb(k, i) for i in range(1, m)])
     cols = [one(p, m)]
     for _ in range(1, m):
         cols.append(poly_mul(cols[-1], mu))
@@ -338,13 +298,7 @@ class UnitQuotient(Value):
         return tuple(out)
 
     def rep_of(self, u: PolyMod) -> PolyMod:
-        """Canonical representative of the coset of u."""
-        if self.m == 0:
-            return self.reps[0]
-        if u.p != self.p or u.m != self.m:
-            raise AmbientMismatch(f"{u} does not live in F_{self.p}[l]/(l^{self.m})")
-        if not u.coeffs[0]:
-            raise NonUnit(f"{u} is not a unit")
+        """Canonical representative of the coset of u, a unit of this ring."""
         if not self.free_degrees:
             return self.reps[0]
         v = _clear(u.coeffs, self.clearing, self.p)
@@ -382,7 +336,7 @@ def compute_Um(p: int, m: int, extra_gens: tuple = ()) -> UnitQuotient:
         raise Cp2Error(f"U_m is defined for 0 <= m <= p, got m={m}")
     if m == 0:
         return UnitQuotient(p, 0, (), (), ())
-    gens = [poly(p, m, (p - 1,)), poly_add(one(p, m), lam(p, m))]
+    gens = [poly(p, m, (p - 1,)), poly(p, m, (1, 1), truncate=True)]
     gens.extend(delta_poly(p, m, l) for l in range(2, p))
     if m == p:
         gens.append(delta_poly(p, m, p + 1))

@@ -21,16 +21,16 @@ has:
 * a __setattr__ and __delattr__ that refuse every write;
 * pickling and copying through the constructor.
 
-A class body that defines __init__, __eq__ or __hash__ itself keeps it;
-a constructor of its own stores the fields through set_field.
+A class body that defines __eq__ or __hash__ itself keeps it.  Every
+class takes the generated constructor, so building a value checks
+nothing: outside values are checked once where they enter the program
+(descriptor text, the twist parameter, class-data files), and the
+library trusts the values it builds from them.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-
-# stores a field from __init__, past the refusing __setattr__
-set_field = object.__setattr__
 
 
 def _bind(cls, args: tuple, kwargs: dict) -> tuple:
@@ -89,10 +89,10 @@ class Value:
         def __reduce__(self):
             return self.__class__, key(self)
 
-        # a class body may keep its own (PolyMod validates, UnitQuotient
-        # compares by identity)
-        for name, method in (("__init__", __init__), ("__eq__", __eq__),
-                             ("__hash__", __hash__), ("__reduce__", __reduce__)):
+        cls.__init__, cls.__reduce__ = __init__, __reduce__
+        # a class body may keep its own comparison (UnitQuotient compares
+        # by identity)
+        for name, method in (("__eq__", __eq__), ("__hash__", __hash__)):
             if name not in cls.__dict__:
                 setattr(cls, name, method)
 

@@ -44,6 +44,29 @@ from cp2genus.errors import Cp2Error, EnumerationGuard, InternalError, NonUnit
 from cp2genus.modring import PolyMod, poly_mul
 
 
+# ring operations the library does not need: its unit quotients take
+# products only
+
+
+def zero(p: int, m: int) -> PolyMod:
+    return PolyMod(p, m, (0,) * m)
+
+
+def lam(p: int, m: int) -> PolyMod:
+    """The nilpotent generator l."""
+    if m < 2:
+        return zero(p, m)
+    return PolyMod(p, m, (0, 1) + (0,) * (m - 2))
+
+
+def poly_add(a: PolyMod, b: PolyMod) -> PolyMod:
+    return PolyMod(a.p, a.m, tuple((x + y) % a.p for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def poly_sub(a: PolyMod, b: PolyMod) -> PolyMod:
+    return PolyMod(a.p, a.m, tuple((x - y) % a.p for x, y in zip(a.coeffs, b.coeffs)))
+
+
 def element_neg(G: AbGroup, x) -> tuple[int, ...]:
     return tuple((-a) % f for a, f in zip(x, G.factors))
 
@@ -302,12 +325,11 @@ def galois_by_substitution(k: int, x: PolyMod) -> PolyMod:
     """x(mu) with mu = (1+l)^k - 1 for the unreduced k: the sum of
     c_j mu^j over the coefficients c_j of x, by Horner's rule."""
     p, m = x.p, x.m
-    mu = modring.poly_sub(modring.poly_pow(modring.poly_add(modring.one(p, m),
-                                                            modring.lam(p, m)), k),
-                          modring.one(p, m))
-    out = modring.zero(p, m)
+    mu = poly_sub(modring.poly_pow(poly_add(modring.one(p, m), lam(p, m)), k),
+                  modring.one(p, m))
+    out = zero(p, m)
     for c in reversed(x.coeffs):
-        out = modring.poly_add(poly_mul(out, mu), modring.poly(p, m, [c]))
+        out = poly_add(poly_mul(out, mu), modring.poly(p, m, [c]))
     return out
 
 
@@ -639,17 +661,17 @@ def poly_shift(a: PolyMod, r: int) -> PolyMod:
         raise Cp2Error("shift exponent must be >= 0")
     m = a.m
     if r >= m:
-        return modring.zero(a.p, m)
+        return zero(a.p, m)
     return PolyMod(a.p, m, (0,) * r + a.coeffs[: m - r])
 
 
 def delta_by_products(p: int, m: int, l: int) -> PolyMod:
     """Delta_l = 1 + (1+l) + ... + (1+l)^(l-1), summed power by power."""
-    g = modring.poly_add(modring.one(p, m), modring.lam(p, m))
-    total = modring.zero(p, m)
+    g = poly_add(modring.one(p, m), lam(p, m))
+    total = zero(p, m)
     cur = modring.one(p, m)
     for _ in range(l):
-        total = modring.poly_add(total, cur)
+        total = poly_add(total, cur)
         cur = poly_mul(cur, g)
     return total
 

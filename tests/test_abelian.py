@@ -37,11 +37,19 @@ def c2x4_action() -> ab.CyclicAction:
 
 
 def test_abgroup_invariants():
-    ab.AbGroup((2, 4, 8))
-    with pytest.raises(Cp2Error):
-        ab.AbGroup((4, 2))
-    with pytest.raises(Cp2Error):
-        ab.AbGroup((1,))
+    # the invariant factors are checked with the rest of the class data
+    def identity_action(factors):
+        n = len(factors)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return ab.CyclicAction(ab.AbGroup(factors), 7, 3, eye)
+
+    identity_action((2, 4, 8)).validate()
+    with pytest.raises(ConfigError, match=r"^H_p\.invariant_factors: invariant factors "
+                                          r"\(4, 2\) violate divisibility$"):
+        identity_action((4, 2)).validate("H_p")
+    with pytest.raises(ConfigError, match=r"^H_p\.invariant_factors: invariant factor 1 "
+                                          r"must be >= 2$"):
+        identity_action((1,)).validate("H_p")
     assert ab.AbGroup(()).order == 1
 
 
@@ -52,13 +60,6 @@ def test_element_add():
     assert ab._add(G6, (4,), (5,)) == (3,)
     x = (5,)
     assert ab._add(G6, x, element_neg(G6, x)) == (0,)
-    # membership is checked where an element enters from outside
-    A = ab.CyclicAction(G6, 7, 3, ((5,),))
-    A.validate()
-    with pytest.raises(Cp2Error):
-        ab.apply_action(A, 3, (1, 2))
-    with pytest.raises(Cp2Error):
-        ab.apply_action(A, 3, (6,))
 
 
 def test_reduce_element():

@@ -13,7 +13,7 @@ from cp2genus import materialize as mat
 from cp2genus import modring as mr
 
 from conftest import indecomposable_templates, random_descriptor, synthetic_c43
-from oracles import diagonal_orbits, poly_shift, unit_group
+from oracles import diagonal_orbits, lam, poly_add, poly_shift, poly_sub, unit_group
 
 SD = genus.SemidirectDescriptor
 
@@ -120,8 +120,8 @@ def test_criterion_4_galois_unit_identity(ctxs):
             ks = [k for k in range(1, p * p) if k % p != 0]
             r_quotient = mr.compute_Um(p, p - 1)
             for k in ks:
-                one_plus = mr.poly_add(mr.one(p, m), mr.lam(p, m))
-                mu = mr.poly_sub(mr.poly_pow(one_plus, k), mr.one(p, m)).coeffs
+                one_plus = poly_add(mr.one(p, m), lam(p, m))
+                mu = poly_sub(mr.poly_pow(one_plus, k), mr.one(p, m)).coeffs
                 # mu^j, padded with the zero vector once nilpotency kills it
                 mu_pows = [(1,) + (0,) * (m - 1)]
                 for _ in range(2 * m):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cp2genus import abelian, galois, iso, lattice as lat, modring
+from cp2genus import galois, iso, lattice as lat, modring
 from cp2genus.errors import Cp2Error
 
 from conftest import (classdata_both_nontrivial, exp_l3_extra, genus_mate, random_descriptor,
@@ -220,28 +220,3 @@ def test_search_work_is_linear_in_p(monkeypatch):
         assert calls["padic_completion"] == 2
         most = max(most, calls["galois_on_unit"])
     assert most == p - 1  # some searches moved a u0 coset
-
-
-def test_search_checks_class_membership_at_most_twice(ctx2, ctx3, ctx5, monkeypatch):
-    # the classes of D2 are checked once each, not once per unit, and
-    # computing invariants checks none: make_summand or the twist has
-    # already reduced every class
-    check, checks = abelian._check_member, []
-
-    def counting(G, x):
-        checks.append(x)
-        return check(G, x)
-
-    monkeypatch.setattr(abelian, "_check_member", counting)
-    monkeypatch.setattr(galois, "_check_member", counting)
-    rng = random.Random(17)
-    for p, D1 in search_corpus(rng, ctx2, ctx3, ctx5):
-        for D2 in (D1, galois.twist(D1, galois.galois_units(p)[-1]), genus_mate(rng, D1)):
-            parsed = lat.parse(lat.render(D2), p, D2.context)
-            checks.clear()
-            iso.invariants_of(D1)
-            iso.invariants_of(D2)
-            iso.invariants_of(parsed)
-            assert not checks, (lat.render(D1), lat.render(D2))
-            galois.twisted_isomorphic(D1, D2)
-            assert len(checks) <= 2, (lat.render(D1), lat.render(D2))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cp2genus import modring as mr
-from cp2genus.errors import AmbientMismatch, Cp2Error, NonUnit
+from cp2genus.errors import Cp2Error, NonUnit
 
 from conftest import exp_l3_extra
 from oracles import (
@@ -17,11 +17,15 @@ from oracles import (
     delta_by_products,
     es_family,
     galois_by_substitution,
+    lam,
+    poly_add,
     poly_inv,
     poly_shift,
+    poly_sub,
     sift_closure,
     sift_member,
     unit_group,
+    zero,
 )
 
 
@@ -48,23 +52,7 @@ def test_poly_mul_examples():
     # truncation: l * l^(m-1) = 0
     for p, m in ((2, 2), (3, 3), (5, 4)):
         top = poly_shift(mr.one(p, m), m - 1)
-        assert mr.poly_mul(mr.lam(p, m), top) == mr.zero(p, m)
-
-
-def test_poly_mul_ambient_mismatch():
-    with pytest.raises(AmbientMismatch):
-        mr.poly_mul(mr.one(3, 2), mr.one(3, 3))
-    with pytest.raises(AmbientMismatch):
-        mr.poly_mul(mr.one(3, 2), mr.one(5, 2))
-
-
-def test_rep_of_rejects_a_unit_with_one_wrong_ambient_parameter():
-    # rep_of must check p and m each on its own
-    quotient = mr.compute_Um(5, 4)
-    assert quotient.rep_of(mr.poly(5, 4, (1, 1))).m == 4
-    for wrong in (mr.poly(7, 4, (1, 1)), mr.poly(5, 3, (1, 1))):
-        with pytest.raises(AmbientMismatch):
-            quotient.rep_of(wrong)
+        assert mr.poly_mul(lam(p, m), top) == zero(p, m)
 
 
 def test_poly_inv_examples():
@@ -73,7 +61,7 @@ def test_poly_inv_examples():
     assert poly_inv(mr.poly(3, 2, (1, 1))) == mr.poly(3, 2, (1, 2))
     assert poly_inv(mr.one(5, 3)) == mr.one(5, 3)
     with pytest.raises(NonUnit):
-        poly_inv(mr.lam(3, 2))
+        poly_inv(lam(3, 2))
     with pytest.raises(Cp2Error, match=">= 0"):
         mr.poly_pow(mr.poly(3, 2, (1, 1)), -1)
 
@@ -118,7 +106,7 @@ def test_subgroup_closure_closed_under_product_and_inverse():
 
 def test_subgroup_closure_rejects_non_unit():
     with pytest.raises(NonUnit):
-        mr._pivots(3, 2, [mr.lam(3, 2)])
+        mr._pivots(3, 2, [lam(3, 2)])
     # an extra generator from a config file
     with pytest.raises(NonUnit, match="not a unit"):
         mr.compute_Um(7, 6, ((0, 1),))
@@ -313,6 +301,15 @@ def test_galois_sees_k_mod_p_certificate():
                     assert direct == galois_by_substitution(k % p, x), (p, m, k, x)
                     assert mr.galois_on_unit(k, x) == direct
                     assert mr.galois_on_unit(k, x) == mr.galois_on_unit(k % p, x)
+    # the map's columns mu^j, mu read off the binomial coefficients C(k, i),
+    # against the powers of mu substituted for l by products
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, p + 1):
+            for k in range(1, p):
+                mu, power = galois_by_substitution(k, lam(p, m)), mr.one(p, m)
+                for col in mr._galois_columns(p, m, k):
+                    assert col == power.coeffs, (p, m, k)
+                    power = mr.poly_mul(power, mu)
 
 
 def test_galois_rejects_m_beyond_p():
@@ -320,12 +317,12 @@ def test_galois_rejects_m_beyond_p():
     # not l, so the map would see k mod p^2 there; no U_m has m > p, and
     # galois_on_unit refuses such an element rather than act on it
     for p in (2, 3, 5, 7):
-        m, x = p + 1, mr.lam(p, p + 1)
+        m, x = p + 1, lam(p, p + 1)
         assert galois_by_substitution(p + 1, x) == mr.poly(p, m, [0, 1] + [0] * (p - 2) + [1])
         for k in (1, p + 1):
             with pytest.raises(Cp2Error, match="m <= "):
                 mr.galois_on_unit(k, x)
-        assert mr.galois_on_unit(p + 1, mr.lam(p, p)) == mr.lam(p, p)
+        assert mr.galois_on_unit(p + 1, lam(p, p)) == lam(p, p)
 
 
 def test_twisted_shift_identity_small():
@@ -360,11 +357,19 @@ def test_delta_truncations_in_R_image():
 
 
 def test_poly_helpers():
+    # poly is the one builder from outside coefficients: it reduces them
+    # mod p, pads them and refuses a degree >= m without truncate
     x = mr.poly(5, 3, (4, 9, 1))
     assert x.coeffs == (4, 4, 1)
-    with pytest.raises(Cp2Error):
-        mr.poly(5, 2, (1, 2, 3))
+    assert mr.poly(5, 4, (-1, -7, 5)).coeffs == (4, 3, 0, 0)
+    assert mr.poly(3, 3, ()).coeffs == (0, 0, 0)
+    assert mr.poly(3, 0, ()).coeffs == ()
+    assert mr.poly(5, 2, (1, 2, 0, 5, -10)).coeffs == (1, 2)
+    for m, coeffs in ((2, (1, 2, 3)), (2, (1, 2, -1)), (0, (1,)), (1, (1, 5, 6))):
+        with pytest.raises(Cp2Error, match=f"exceed truncation degree {m}"):
+            mr.poly(5, m, coeffs)
     assert mr.poly(5, 2, (1, 2, 3), truncate=True).coeffs == (1, 2)
+    assert mr.poly(5, 0, (1,), truncate=True).coeffs == ()
     assert mr.truncate_poly(x, 2).coeffs == (4, 4)
     assert mr.lift_poly(mr.truncate_poly(x, 2), 4).coeffs == (4, 4, 0, 0)
 
@@ -431,14 +436,14 @@ def test_bass_cyclic_units_lie_in_ES_image(p):
     top = mr.poly(p, p, (0,) * (p - 1) + (1,))
     for k in range(2, p - 1):
         c = (1 - k ** (p - 1)) // p
-        u = mr.poly_add(
+        u = poly_add(
             mr.poly_pow(mr.delta_poly(p, p, k), p - 1),
             mr.poly_mul(mr.poly(p, p, (c,)), top),
         )
         assert in_image(q, u), (p, k)
     if p == 5:
         g = mr.poly(5, 5, (1, 1))
-        u = mr.poly_sub(mr.poly_add(g, mr.poly_pow(g, 4)), mr.one(5, 5))  # g + g^4 - 1
+        u = poly_sub(poly_add(g, mr.poly_pow(g, 4)), mr.one(5, 5))  # g + g^4 - 1
         assert in_image(q, u)
 
 
